@@ -240,7 +240,14 @@ def _write_manifest(out_dir, manifest):
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
-def _grid_hash(grid: Grid) -> str:
+def _grid_hash(rc: RunConfig) -> str:
+    """Hash of the configured grid's nodes.  Built from the grid keys alone,
+    so the manifest is written whatever the rest of the config holds."""
+    grid = Grid(
+        PolarChart(rho_max=rc.get("problem", "rho_max")),
+        rc.get("problem", "n_rho"),
+        rc.get("problem", "n_theta"),
+    )
     h = hashlib.sha256()
     h.update(grid.rho.tobytes())
     h.update(grid.theta.tobytes())
@@ -421,6 +428,7 @@ def _run_study(rc: RunConfig, log):
         last_u, last_spec = result.u, spec
     orders = [
         math.log2(rows[i]["error_inf"] / rows[i + 1]["error_inf"])
+        / math.log2(rows[i + 1]["grid"] / rows[i]["grid"])
         for i in range(len(rows) - 1)
     ]
     for i, order in enumerate(orders):
@@ -472,13 +480,12 @@ def run(rc: RunConfig) -> int:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 4
     try:
-        spec_for_hash, _ = build_problem(rc)
         manifest = {
             "config": rc.raw,
             "config_path": rc.path,
             "mode": rc.mode,
             "artifact_version": __version__,
-            "grid_hash": _grid_hash(spec_for_hash.grid),
+            "grid_hash": _grid_hash(rc),
             "wall_time_s": time.perf_counter() - t0,
             "status": status,
             "exit_code": code,

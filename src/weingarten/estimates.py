@@ -72,9 +72,12 @@ def gradient_estimate_check(state: geom.ExtrinsicState, phi_field, grid: Grid, s
     sup_w = float(np.max(W))
     sup_w_boundary = float(np.max(W[-1, :]))
     sup_phi_boundary = float(np.max(np.abs(np.asarray(phi_field)[-1, :])))
-    bound = sup_w_boundary * math.exp(
-        s2 * (2.0 * sup_phi_boundary + geodesic_diameter(grid))
-    )
+    try:
+        bound = sup_w_boundary * math.exp(
+            s2 * (2.0 * sup_phi_boundary + geodesic_diameter(grid))
+        )
+    except OverflowError:  # past the float range the bound holds for any finite sup W
+        bound = math.inf
     return {
         "sup_w": sup_w,
         "sup_w_boundary": sup_w_boundary,

@@ -20,9 +20,15 @@ pattern (a 3 x 3 stencil plus the across-pole coupling of the innermost
 ring) is retained as an independent cross-check; it is not the production
 path because the pole ring's metric factor 1/sinh(rho)^2 ~ 1/h^2 makes its
 huge entries cancel to O(1) physical couplings, which finite differences
-cannot resolve on fine grids.  Boundary rows are identity rows.  Matrices
-are stored sparse so that the largest study grids stay cheap, and the linear
-solves use a deterministic sequential sparse LU.
+cannot resolve on fine grids.  Boundary rows are identity rows.
+
+Every linear solve (Newton corrections, barrier solves, the harmonic
+extension) goes through one sparse LU: rows are divided by their absolute
+diagonal, the unknowns are put in a nested-dissection order of the polar
+grid, and SuperLU factors the result with its natural column order.  With
+equilibrated rows its partial pivoting keeps to the diagonal, so the fill is
+the dissection's.  The factorisation is sequential and deterministic, so
+results do not depend on BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -259,6 +265,84 @@ def assemble_jacobian(u, t: float, spec: ProblemSpec) -> sp.csc_matrix:
     return J.tocsc()
 
 
+# --- sparse solves ------------------------------------------------------------
+
+# Boxes of at most this many nodes are not dissected further.
+_LEAF_NODES = 16
+
+_ORDER_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _dissection_order(shape: tuple[int, int]) -> np.ndarray:
+    """Nested-dissection elimination order of the polar grid's nodes.
+
+    Interior rows couple only nodes with |di| <= 1 and |dj| <= 1 (theta
+    periodic), ring 0 also couples across the pole, and boundary rows are
+    identity rows.  Ring 0 with the columns j = 0 and j = n_theta/2
+    therefore separates the remaining nodes into two boxes; a box is split
+    by the grid line across the middle of its longer side until it is a
+    leaf.  Every separator follows the two parts it separates.  Ring 0,
+    whose rows carry the 1/sinh(rho)^2-sized pole couplings, comes last:
+    so ordered, partial pivoting of the equilibrated matrices picks every
+    pivot on the diagonal.  Depends on the shape alone.
+    """
+    order = _ORDER_CACHE.get(shape)
+    if order is not None:
+        return order
+    nr, nt = shape
+    idx = np.arange(nr * nt).reshape(nr, nt)
+    half = nt // 2
+    parts: list[np.ndarray] = []
+
+    def dissect(i0, i1, j0, j1):
+        di, dj = i1 - i0, j1 - j0
+        if di * dj <= _LEAF_NODES:
+            parts.append(idx[i0:i1, j0:j1].ravel())
+        elif di >= dj:
+            m = (i0 + i1) // 2
+            dissect(i0, m, j0, j1)
+            dissect(m + 1, i1, j0, j1)
+            parts.append(idx[m, j0:j1])
+        else:
+            m = (j0 + j1) // 2
+            dissect(i0, i1, j0, m)
+            dissect(i0, i1, m + 1, j1)
+            parts.append(idx[i0:i1, m])
+
+    dissect(1, nr, 1, half)
+    dissect(1, nr, half + 1, nt)
+    parts += [idx[1:, 0], idx[1:, half], idx[0]]
+    order = np.concatenate(parts)
+    _ORDER_CACHE[shape] = order
+    return order
+
+
+def _ordered_system(A: sp.spmatrix, grid: Grid):
+    """A with each row divided by its absolute diagonal (rows with a zero
+    diagonal are left as they are) and the unknowns permuted symmetrically
+    into :func:`_dissection_order`.  Returns the matrix, the row scales and
+    the order."""
+    d = np.abs(A.diagonal())
+    d[d == 0.0] = 1.0
+    order = _dissection_order(grid.shape)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    C = A.tocoo()
+    B = sp.csc_matrix((C.data / d[C.row], (pos[C.row], pos[C.col])), shape=A.shape)
+    return B, d, order
+
+
+def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve A x = rhs for a stencil matrix on ``grid``: SuperLU on the
+    :func:`_ordered_system`, in its order (natural column order, default
+    threshold pivoting)."""
+    B, d, order = _ordered_system(A, grid)
+    y = spsolve(B, rhs[order] / d[order], permc_spec="NATURAL")
+    x = np.empty_like(y)
+    x[order] = y
+    return x
+
+
 # --- Newton ------------------------------------------------------------------
 
 
@@ -329,7 +413,7 @@ def damped_newton(
         if iterations >= max_iters:
             return NewtonReport(u, False, "max-iterations", iterations, rnorm, tol, steps)
         J = assemble_jacobian(u, t, spec)
-        delta = spsolve(J, -R.ravel()).reshape(grid.shape)
+        delta = _sparse_solve(J, -R.ravel(), grid).reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             return NewtonReport(u, False, "stalled", iterations, rnorm, tol, steps)
         alpha = 1.0
@@ -361,21 +445,21 @@ def damped_newton(
 # --- initial guesses ----------------------------------------------------------
 
 
-_LINEAR_CACHE: dict[tuple[int, int], sp.csc_matrix] = {}
+_LINEAR_CACHE: dict[tuple[tuple[int, int], float], sp.csc_matrix] = {}
 
 
 def _laplace_system(grid: Grid) -> sp.csc_matrix:
-    key = grid.shape
+    """The t = 0 operator: Laplace-Beltrami stencil rows on the interior,
+    identity rows on the boundary ring."""
+    key = (grid.shape, grid.chart.rho_max)
     L = _LINEAR_CACHE.get(key)
     if L is None:
-
-        def res(U):
-            R = hchart.laplace_beltrami(U, grid)
-            R[-1, :] = U[-1, :]
-            return R
-
-        # exact for a linear operator, any step size
-        L = _colored_fd_jacobian(res, np.zeros(grid.shape), grid, 1.0)
+        mats = hchart.derivative_matrices(grid)
+        coth = np.repeat(grid.coth_rho.ravel(), grid.n_theta)
+        inv_s2 = np.repeat(1.0 / grid.sinh_rho.ravel() ** 2, grid.n_theta)
+        lap = mats.d_rho2 + sp.diags(coth) @ mats.d_rho + sp.diags(inv_s2) @ mats.d_theta2
+        interior = grid.interior_mask.ravel().astype(float)
+        L = (sp.diags(interior) @ lap + sp.diags(1.0 - interior)).tocsc()
         _LINEAR_CACHE[key] = L
     return L
 
@@ -388,7 +472,7 @@ def harmonic_extension(spec: ProblemSpec) -> np.ndarray:
         return np.full(grid.shape, spec.phi.c)
     b = np.zeros(grid.shape)
     b[-1, :] = spec.boundary_values()
-    return spsolve(_laplace_system(grid), b.ravel()).reshape(grid.shape)
+    return _sparse_solve(_laplace_system(grid), b.ravel(), grid).reshape(grid.shape)
 
 
 def constant_guess(spec: ProblemSpec) -> np.ndarray:

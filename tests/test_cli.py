@@ -169,6 +169,29 @@ class TestStudyMode:
         assert study["orders"][0] > 1.5
         assert all(row["spacelike_gap"] < 0.2 for row in study["rows"])
 
+    def test_orders_use_the_grid_ratio(self, tmp_path):
+        text = BASE_CONFIG.replace("mode = solve", "mode = study").replace(
+            "k = 1", "k = 2"
+        )
+        text += "\n[study]\ngrids = 16,24\nu_star = 1 + 0.05*rho**2 + 0.02*rho**4\n"
+        rc = parse_config(write_config(tmp_path, text))
+        rc.out_dir = str(tmp_path / "study_out")
+        assert run(rc) == 0
+        study = json.loads((tmp_path / "study_out" / "study.json").read_text())
+        e16, e24 = (row["error_inf"] for row in study["rows"])
+        assert study["orders"][0] == pytest.approx(np.log(e16 / e24) / np.log(24 / 16), rel=1e-12)
+
+    def test_study_without_psi_family(self, tmp_path):
+        # study mode tabulates its own psi, so the config need not name one
+        text = BASE_CONFIG.replace("mode = solve", "mode = study").replace(
+            "k = 1", "k = 2"
+        ).replace("psi_family = power\n", "")
+        text += "\n[study]\ngrids = 12,24\nu_star = 1 + 0.05*rho**2 + 0.02*rho**4\n"
+        out = tmp_path / "study_out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 0 and manifest["status"] == "study-complete"
+
 
 class TestMain:
     def test_cli_flags(self, tmp_path, capsys):
@@ -181,6 +204,28 @@ class TestMain:
     def test_bad_grid_flag(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["--config", cfg, "--grid", "16by16"]) == 2
+
+    def test_bad_psi_expression_writes_manifest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("psi_h = 2", "psi_h = foo"))
+        out = tmp_path / "cli_out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert "run failed: psi_h" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and manifest["status"] == "failed"
+
+    def test_gradient_bound_past_float_range(self, tmp_path):
+        # S2 * (2 sup|phi| + diam) passes ~709 here, so exp(...) overflows
+        text = (BASE_CONFIG.replace("k = 1", "k = 2").replace("rho_max = 0.8", "rho_max = 3")
+                .replace("psi_p = 0", "psi_p = 2").replace("psi_h = 2", "psi_h = 1")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        out = tmp_path / "cli_out"
+        code = cli.main(["--config", write_config(tmp_path, text), "--out", str(out),
+                         "--grid", "48x48"])
+        assert code in (0, 3)
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == code
+        estimates = json.loads((out / "report.json").read_text())["estimates"]
+        assert estimates["gradient_bound"] == float("inf")
+        assert estimates["gradient_bound_passed"]
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2

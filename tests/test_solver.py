@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu, spsolve
 
-from weingarten import geom, hchart
+from weingarten import geom, hchart, solver
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import ContinuationConfig, PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
 from weingarten.solver import (
@@ -151,6 +152,67 @@ class TestJacobian:
             L[:, c] = hchart.laplace_beltrami(e.reshape(g.shape), g).ravel()
         inner = g.interior_mask.ravel()
         assert np.max(np.abs(J[inner] - L[inner])) < 1e-9
+
+
+SOLVE_SHAPES = [(4, 4), (5, 6), (4, 8), (48, 16), (16, 48), (33, 34), (128, 128)]
+
+
+def tilted_gauss_state(g):
+    """The k = 2 problem and a state near its solution without rotational
+    symmetry, so the Jacobian is not symmetric."""
+    rn = g.rho_col / g.chart.rho_max
+    u = 0.5 * (1.0 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn)
+    return gauss_curvature_problem(g), u
+
+
+class TestSparseSolve:
+    @pytest.mark.parametrize("shape", SOLVE_SHAPES)
+    def test_dissection_order_is_a_permutation(self, shape):
+        order = solver._dissection_order(shape)
+        assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+
+    @pytest.mark.parametrize("shape", SOLVE_SHAPES)
+    def test_agrees_with_plain_lu(self, shape):
+        g = disk(*shape)
+        spec, u = tilted_gauss_state(g)
+        b = np.random.default_rng(0).normal(size=g.n_nodes)
+        for A in (assemble_jacobian(u, 0.6, spec), solver._laplace_system(g)):
+            ref = spsolve(A, b)
+            x = solver._sparse_solve(A, b, g)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_laplace_system_matches_fd_build(self):
+        g = disk(64, 64)
+
+        def res(U):
+            R = hchart.laplace_beltrami(U, g)
+            R[-1, :] = U[-1, :]
+            return R
+
+        # exact for a linear operator, any step size
+        L_fd = solver._colored_fd_jacobian(res, np.zeros(g.shape), g, 1.0)
+        L = solver._laplace_system(g)
+        assert abs(L - L_fd).max() <= 1e-8 * abs(L_fd).max()
+
+    def test_laplace_system_uses_the_grid_radius(self):
+        # grids of one shape but different radii have different operators
+        for rho_max in (0.8, 2.0):
+            g = disk(12, 12, rho_max)
+            u = g.rho_col * np.cos(g.theta_row)
+            Lu = (solver._laplace_system(g) @ u.ravel()).reshape(g.shape)
+            lap = hchart.laplace_beltrami(u, g)
+            inner = g.interior_mask
+            assert np.max(np.abs(Lu[inner] - lap[inner])) <= 1e-12 * np.max(np.abs(lap))
+
+    def test_dissection_keeps_diagonal_pivots_and_cuts_fill(self):
+        g = disk(128, 128)
+        spec, u = tilted_gauss_state(g)
+        J = assemble_jacobian(u, 1.0, spec)
+        B, _, _ = solver._ordered_system(J, g)
+        lu = splu(B, permc_spec="NATURAL")
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        colamd = splu(J.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
 
 class TestDampedNewton:
