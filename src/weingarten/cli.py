@@ -40,7 +40,6 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "problem": {
-        "n": ("int", False),
         "k": ("int", True),
         "rho_max": ("float", True),
         "n_rho": ("int", True),
@@ -139,12 +138,9 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _validate_problem(rc: RunConfig):
-    n = rc.get("problem", "n", 2)
     k = rc.get("problem", "k")
-    if n != 2:
-        raise ConfigError(f"n = {n} is unsupported; grids are two-dimensional")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k = {k} out of range 1..{n}")
+    if not 1 <= k <= ProblemSpec.n:
+        raise ConfigError(f"k = {k} out of range 1..{ProblemSpec.n}")
     rho_max = rc.get("problem", "rho_max")
     if not (0.0 < rho_max < math.inf):
         raise ConfigError(f"rho_max = {rho_max} out of range")
@@ -161,8 +157,8 @@ def _validate_problem(rc: RunConfig):
         phi_family = rc.get("problem", "phi_family")
         if phi_family not in ("constant", "hyperplane"):
             raise ConfigError(f"phi_family = {phi_family!r} must be constant or hyperplane")
-        if rc.get("problem", "phi_c", 0.0) <= 0.0:
-            raise ConfigError("phi_c must be positive")
+        if not 0.0 < rc.get("problem", "phi_c", 0.0) < math.inf:
+            raise ConfigError("phi_c must be positive and finite")
         p = rc.get("problem", "psi_p", 0.0)
         if p < k:
             rc.warnings.append(
@@ -179,7 +175,7 @@ def build_problem(rc: RunConfig, grid_override=None):
     n_theta = rc.get("problem", "n_theta")
     if grid_override is not None:
         n_rho, n_theta = grid_override
-    chart = PolarChart(n=rc.get("problem", "n", 2), rho_max=rc.get("problem", "rho_max"))
+    chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     grid = Grid(chart, n_rho, n_theta)
     try:
         psi = PsiSpec(
@@ -192,13 +188,15 @@ def build_problem(rc: RunConfig, grid_override=None):
     phi = PhiSpec(family=rc.get("problem", "phi_family"), c=rc.get("problem", "phi_c"))
     spec = ProblemSpec(grid=grid, k=rc.get("problem", "k"), psi=psi, phi=phi)
     tol_text = rc.get("continuation", "newton_tol", "auto")
-    tol = None if tol_text in (None, "auto") else float(tol_text)
-    cfg = ContinuationConfig(
-        dt_init=rc.get("continuation", "dt_init", 0.25),
-        dt_min=rc.get("continuation", "dt_min", 1e-3),
-        newton_tol=tol,
-        max_newton_iters=rc.get("continuation", "max_newton_iters", 30),
-    )
+    try:
+        cfg = ContinuationConfig(
+            dt_init=rc.get("continuation", "dt_init", 0.25),
+            dt_min=rc.get("continuation", "dt_min", 1e-3),
+            newton_tol=None if tol_text == "auto" else float(tol_text),
+            max_newton_iters=rc.get("continuation", "max_newton_iters", 30),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[continuation]: {exc}") from None
     return spec, cfg
 
 
@@ -340,11 +338,15 @@ def _solve_dict(result: solver.SolveResult) -> dict:
 
 
 def _read_u_column(path, grid: Grid) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[0] != grid.n_nodes:
+    n_cols = len(_CSV_HEADER.split(","))
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"fields file {path!r} is malformed: {exc}") from None
+    if data.shape != (grid.n_nodes, n_cols):
         raise ConfigError(
-            f"fields file {path!r} has {data.shape[0] if data.ndim == 2 else 0} rows, "
-            f"expected {grid.n_nodes}"
+            f"fields file {path!r} has {data.shape[0]} rows of {data.shape[1]} columns, "
+            f"expected {grid.n_nodes} of {n_cols}"
         )
     return data[:, 2].reshape(grid.shape)
 
@@ -364,7 +366,7 @@ def _run_verify(rc: RunConfig, log):
     tol = solver.resolve_newton_tol(cfg, spec, u, state)
     rnorm = float(np.max(np.abs(residual)))
     log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
-    if rnorm > tol:
+    if not rnorm <= tol:  # also fails a NaN norm
         return 3, u, {
             "verification": {"passed": False, "residual_norm": rnorm, "tolerance": tol},
             "warnings": rc.warnings,
@@ -390,19 +392,26 @@ def _run_study(rc: RunConfig, log):
         sizes = [int(s) for s in grids_text.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"study grids must be a comma list of ints, got {grids_text!r}")
+    if not sizes or any(s < 4 or s % 2 for s in sizes):
+        raise ConfigError(f"study grids must be even sizes >= 4, got {grids_text!r}")
     u_star_text = rc.get("study", "u_star", "1 + 0.05*rho**2")
     refine = rc.get("study", "refine", 4)
+    if refine < 1:
+        raise ConfigError(f"refine = {refine} must be at least 1")
     try:
         u_expr = Expr(u_star_text, variables=("rho", "theta"))
     except ExpressionError as exc:
         raise ConfigError(f"u_star: {exc}") from None
     k = rc.get("problem", "k")
-    chart = PolarChart(n=2, rho_max=rc.get("problem", "rho_max"))
+    chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     rows = []
     last_u = last_spec = None
     for size in sizes:
         grid = Grid(chart, size, size)
-        spec, u_star = manufactured_problem(u_expr, grid, k, refine=refine)
+        try:
+            spec, u_star = manufactured_problem(u_expr, grid, k, refine=refine)
+        except ValueError as exc:  # u_star not radial, spacelike or admissible
+            raise ConfigError(f"u_star: {exc}") from None
         result = solver.continuation_solve(spec, ContinuationConfig())
         if not result.converged:
             log(f"grid {size}: solver failed ({result.status})")
@@ -451,7 +460,9 @@ def run(rc: RunConfig) -> int:
         os.makedirs(rc.out_dir, exist_ok=True)
         if rc.mode == "solve":
             code, u, report_obj, result = _run_solve(rc, log)
-            status = result.status if result is not None else "failed"
+            status = result.status
+            if not result.converged:
+                print(f"run failed: {status}: {result.detail}", file=sys.stderr)
         elif rc.mode == "verify":
             code, u, report_obj, _ = _run_verify(rc, log)
             status = "verified" if code == 0 else "verification-failed"

@@ -2,11 +2,12 @@
 
 A positive graph function u on the chart defines the hypersurface swept out
 by u(x) * x, with x on the unit hyperboloid in Minkowski space
-(metric dx_1^2 + ... + dx_n^2 - dx_{n+1}^2).  Per node this module computes
-the lapse, the induced metric and its inverse, the second fundamental form,
-the principal curvatures, the support function and the squared curvature
-norm.  Everything is vectorised over (n_rho, n_theta) arrays and works
-equally on scalars.
+(metric dx_1^2 + ... + dx_n^2 - dx_{n+1}^2).  One node-local kernel,
+:func:`graph_geometry`, holds the formulas for the lapse, the induced metric,
+the second fundamental form and sigma_1, sigma_2; :func:`extrinsic_state`
+guards the field, calls it and adds the inverse metric, the principal
+curvatures, the support function and the squared curvature norm.  Everything
+is vectorised over (n_rho, n_theta) arrays and works equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
 and the constant graph u = R has principal curvatures +1/R.
@@ -26,12 +27,8 @@ __all__ = [
     "NotSpacelikeError",
     "ExtrinsicState",
     "spacelike_gap",
-    "lapse",
-    "induced_metric",
-    "second_fundamental_form",
+    "graph_geometry",
     "principal_curvatures",
-    "support_function",
-    "norm_A",
     "extrinsic_state",
     "embed",
     "hyperboloid_frame",
@@ -42,7 +39,7 @@ __all__ = [
 
 
 class InvalidGraphError(ValueError):
-    """The graph function is not strictly positive."""
+    """The graph function is not finite and strictly positive."""
 
 
 class NotSpacelikeError(ValueError):
@@ -54,67 +51,24 @@ class NotSpacelikeError(ValueError):
         self.gap = gap
 
 
-def _worst_node(ratio: np.ndarray):
-    flat = int(np.argmax(ratio))
-    return flat, float(ratio.flat[flat])
-
-
-def lapse(u, grad_sq):
-    """Lapse v = sqrt(1 - |Du|^2 / u^2); requires u > 0 and |Du|/u < 1."""
-    u = np.asarray(u, dtype=float)
-    grad_sq = np.asarray(grad_sq, dtype=float)
-    if np.any(u <= 0.0):
-        raise InvalidGraphError("graph function must be strictly positive")
-    ratio = grad_sq / u ** 2
-    if np.any(ratio >= 1.0):
-        node, worst = _worst_node(np.atleast_1d(ratio))
-        raise NotSpacelikeError(
-            f"|Du|^2/u^2 = {worst:.6g} >= 1 at flat node {node}", node=node, gap=worst
+def _check_graph(U: np.ndarray, grid: Grid):
+    """Raise :class:`InvalidGraphError` at the first node where u is not a
+    finite positive number."""
+    bad = ~(np.isfinite(U) & (U > 0.0))
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise InvalidGraphError(
+            f"graph function not finite and positive at {grid.node_label(node)}: "
+            f"u = {float(U.flat[node])!r}"
         )
-    return np.sqrt(1.0 - ratio)
 
 
 def spacelike_gap(u, grid: Grid) -> float:
     """max over nodes of |Du|/u; the graph is spacelike iff this is < 1."""
     U = as_values(u)
-    if np.any(U <= 0.0):
-        bad = int(np.argmax(U <= 0.0))
-        raise InvalidGraphError(f"graph function not positive at {grid.node_label(bad)}")
+    _check_graph(U, grid)
     _, _, grad_sq = hchart.covariant_gradient(U, grid)
     return float(np.sqrt(np.max(grad_sq / U ** 2)))
-
-
-def induced_metric(u, u_rho, u_theta, sinh_rho):
-    """Induced metric g = u^2 sigma - du (x) du and its closed-form inverse.
-
-    Returns (g_rr, g_rt, g_tt, ginv_rr, ginv_rt, ginv_tt).  The inverse is
-
-        g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)),
-
-    with indices raised by the chart metric.
-    """
-    u = np.asarray(u, dtype=float)
-    s2 = np.asarray(sinh_rho, dtype=float) ** 2
-    grad_sq = u_rho ** 2 + u_theta ** 2 / s2
-    v = lapse(u, grad_sq)
-    g_rr = u ** 2 - u_rho ** 2
-    g_rt = -u_rho * u_theta
-    g_tt = u ** 2 * s2 - u_theta ** 2
-    u2v2 = u ** 2 * v ** 2
-    inv_scale = 1.0 / u ** 2
-    ginv_rr = inv_scale * (1.0 + u_rho ** 2 / u2v2)
-    ginv_rt = inv_scale * (u_rho * u_theta / s2) / u2v2
-    ginv_tt = inv_scale * (1.0 / s2 + (u_theta / s2) ** 2 / u2v2)
-    return g_rr, g_rt, g_tt, ginv_rr, ginv_rt, ginv_tt
-
-
-def second_fundamental_form(u, u_rho, u_theta, H_rr, H_rt, H_tt, v, sinh_rho):
-    """Second fundamental form h_ij = (u_ij + u sigma_ij - (2/u) u_i u_j) / v."""
-    s2 = np.asarray(sinh_rho, dtype=float) ** 2
-    h_rr = (H_rr + u - 2.0 * u_rho ** 2 / u) / v
-    h_rt = (H_rt - 2.0 * u_rho * u_theta / u) / v
-    h_tt = (H_tt + u * s2 - 2.0 * u_theta ** 2 / u) / v
-    return h_rr, h_rt, h_tt
 
 
 def _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
@@ -123,6 +77,33 @@ def _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
     b = -(h_rr * g_tt + h_tt * g_rr - 2.0 * h_rt * g_rt)
     c = h_rr * h_tt - h_rt ** 2
     return a, b, c
+
+
+def graph_geometry(u, u_rho, u_theta, H_rr, H_rt, H_tt, sinh_rho):
+    """Node-local geometry of the radial graph from its chart derivatives.
+
+    Maps u, its covariant gradient (u_rho, u_theta) and covariant Hessian
+    (H_rr, H_rt, H_tt) at radius rho to ``(v, g, h, sigma1, sigma2)`` with
+
+        v    = sqrt(1 - |Du|^2 / u^2)                     (lapse)
+        g_ij = u^2 sigma_ij - u_i u_j                     (induced metric)
+        h_ij = (u_ij + u sigma_ij - (2/u) u_i u_j) / v    (second fundamental form)
+
+    as (rr, rt, tt) triples, and sigma1, sigma2 the trace and determinant of
+    the shape operator from the pencil det(h - lam g).  Plain arithmetic
+    only, so it also takes complex input (the solver differentiates it by
+    complex step); the caller guards u > 0 and |Du|/u < 1.
+    """
+    s2 = sinh_rho ** 2
+    v = np.sqrt(1.0 - (u_rho ** 2 + (u_theta / sinh_rho) ** 2) / u ** 2)
+    g = (u ** 2 - u_rho ** 2, -u_rho * u_theta, u ** 2 * s2 - u_theta ** 2)
+    h = (
+        (H_rr + u - 2.0 * u_rho ** 2 / u) / v,
+        (H_rt - 2.0 * u_rho * u_theta / u) / v,
+        (H_tt + u * s2 - 2.0 * u_theta ** 2 / u) / v,
+    )
+    a, b, c = _pencil_coefficients(*h, *g)
+    return v, g, h, -b / a, c / a
 
 
 def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
@@ -140,17 +121,6 @@ def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
     lam_a = q / a
     lam_b = np.where(q != 0.0, c / np.where(q != 0.0, q, 1.0), 0.0)
     return np.maximum(lam_a, lam_b), np.minimum(lam_a, lam_b)
-
-
-def support_function(u, v):
-    """Support function u / v (minus the Lorentzian inner product of the
-    position with the future normal)."""
-    return np.asarray(u, dtype=float) / np.asarray(v, dtype=float)
-
-
-def norm_A(lam1, lam2):
-    """Squared Frobenius norm of the shape operator, sum of lam_i^2."""
-    return np.asarray(lam1, dtype=float) ** 2 + np.asarray(lam2, dtype=float) ** 2
 
 
 @dataclasses.dataclass
@@ -204,31 +174,30 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
     """Build the full per-node geometric state of the graph u.
 
     Raises :class:`InvalidGraphError` / :class:`NotSpacelikeError` when the
-    field is not a positive spacelike graph.
+    field is not a finite, positive, spacelike graph; otherwise adds the
+    inverse metric, the principal curvatures, the support function u / v and
+    |A|^2 to what :func:`graph_geometry` gives.
     """
     U = as_values(u)
-    if np.any(U <= 0.0):
-        bad = int(np.argmax(U <= 0.0))
-        raise InvalidGraphError(f"graph function not positive at {grid.node_label(bad)}")
+    _check_graph(U, grid)
     u_r, u_t, grad_sq = hchart.covariant_gradient(U, grid)
     ratio = grad_sq / U ** 2
     if np.any(ratio >= 1.0):
-        flat, worst = _worst_node(ratio)
+        flat = int(np.argmax(ratio))
+        worst = float(ratio.flat[flat])
         raise NotSpacelikeError(
             f"graph not spacelike at {grid.node_label(flat)}: |Du|/u = {np.sqrt(worst):.6g}",
             node=flat,
             gap=worst,
         )
-    v = np.sqrt(1.0 - ratio)
-    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, grid)
-    g_rr, g_rt, g_tt, gi_rr, gi_rt, gi_tt = induced_metric(U, u_r, u_t, grid.sinh_rho)
-    h_rr, h_rt, h_tt = second_fundamental_form(
-        U, u_r, u_t, H_rr, H_rt, H_tt, v, grid.sinh_rho
+    v, (g_rr, g_rt, g_tt), (h_rr, h_rt, h_tt), sigma1, sigma2 = graph_geometry(
+        U, u_r, u_t, *hchart.covariant_hessian(U, grid), grid.sinh_rho
     )
-    a, b, c = _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt)
+    # g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)), indices raised by sigma
+    s2 = grid.sinh_rho ** 2
+    u2v2 = U ** 2 * v ** 2
+    inv_scale = 1.0 / U ** 2
     lam1, lam2 = principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt)
-    sigma1 = -b / a
-    sigma2 = c / a
     return ExtrinsicState(
         u=U,
         u_rho=u_r,
@@ -239,9 +208,9 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         g_rr=g_rr,
         g_rt=g_rt,
         g_tt=g_tt,
-        ginv_rr=gi_rr,
-        ginv_rt=gi_rt,
-        ginv_tt=gi_tt,
+        ginv_rr=inv_scale * (1.0 + u_r ** 2 / u2v2),
+        ginv_rt=inv_scale * (u_r * u_t / s2) / u2v2,
+        ginv_tt=inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2),
         h_rr=h_rr,
         h_rt=h_rt,
         h_tt=h_tt,
@@ -249,7 +218,7 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         lam2=lam2,
         sigma1=sigma1,
         sigma2=sigma2,
-        theta_support=support_function(U, v),
+        theta_support=U / v,
         norm_a_sq=sigma1 ** 2 - 2.0 * sigma2,
     )
 

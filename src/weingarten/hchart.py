@@ -22,7 +22,6 @@ import scipy.sparse as sp
 __all__ = [
     "ChartDomainError",
     "PolarChart",
-    "Christoffels",
     "Grid",
     "ScalarField",
     "as_values",
@@ -40,64 +39,20 @@ __all__ = [
 
 
 class ChartDomainError(ValueError):
-    """A chart quantity was requested outside its domain of validity."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Christoffels:
-    """Nonzero Christoffel symbols of the polar metric.
-
-    Only two independent components are nonzero:
-
-        Gamma^rho_{theta theta} = -sinh(rho) cosh(rho)
-        Gamma^theta_{rho theta} = Gamma^theta_{theta rho} = coth(rho)
-    """
-
-    rho_theta_theta: np.ndarray
-    theta_rho_theta: np.ndarray
+    """The chart radius is not finite and positive."""
 
 
 @dataclasses.dataclass(frozen=True)
 class PolarChart:
-    """Geodesic polar chart of radius ``rho_max``.
+    """Geodesic polar chart of radius ``rho_max``."""
 
-    ``n`` is the dimension the curvature formulas are written for; the
-    discretisation itself is two-dimensional.
-    """
-
-    n: int = 2
     rho_max: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ChartDomainError(f"dimension must be an integer >= 2, got {self.n}")
         if not (0.0 < float(self.rho_max) < math.inf):
             raise ChartDomainError(
                 f"chart radius must be finite and positive, got {self.rho_max}"
             )
-
-    @staticmethod
-    def _check_rho(rho):
-        rho = np.asarray(rho, dtype=float)
-        if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
-            raise ChartDomainError("rho must be finite and strictly positive")
-        return rho
-
-    def metric_at(self, rho):
-        """Metric components (sigma_rho_rho, sigma_theta_theta) at ``rho``."""
-        rho = self._check_rho(rho)
-        return np.ones_like(rho), np.sinh(rho) ** 2
-
-    def inverse_metric_at(self, rho):
-        """Inverse metric components (sigma^rho_rho, sigma^theta_theta)."""
-        srr, stt = self.metric_at(rho)
-        return srr, 1.0 / stt
-
-    def christoffels_at(self, rho):
-        """Christoffel symbols of the polar metric at ``rho``."""
-        rho = self._check_rho(rho)
-        s, c = np.sinh(rho), np.cosh(rho)
-        return Christoffels(rho_theta_theta=-s * c, theta_rho_theta=c / s)
 
 
 class Grid:

@@ -100,7 +100,20 @@ class Expr:
                 f"unsupported syntax {type(node).__name__!r} in {self.text!r}"
             )
         self._names = frozenset(names)
-        self._code = compile(tree, "<expr>", "eval")
+        try:
+            # Integer powers are unbounded (9**9**9 would run for hours); float
+            # arithmetic overflows at once.
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant):
+                    node.value = float(node.value)
+            self._code = compile(tree, "<expr>", "eval")
+            # Constant subexpressions are Python floats, which raise on overflow
+            # and division by zero whatever the variables hold: find them here.
+            probe = np.ones(1)
+            with np.errstate(all="ignore"):
+                self(rho=probe, theta=probe, u=probe)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
 
     @property
     def is_constant(self) -> bool:
@@ -167,10 +180,11 @@ class PsiSpec:
         else:
             hv = self.h(rho=rho, theta=theta, u=u)
             support = np.asarray(support)
-            if self.family == "power":
-                vals = support ** self.p * hv
-            else:
-                vals = np.exp(self.p * support) * hv
+            with np.errstate(over="ignore"):  # the check reports an overflow
+                if self.family == "power":
+                    vals = support ** self.p * hv
+                else:
+                    vals = np.exp(self.p * support) * hv
         if check:
             vals = np.asarray(vals, dtype=float)
             if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -212,16 +226,11 @@ class ProblemSpec:
     psi: PsiSpec
     phi: PhiSpec
 
-    def __post_init__(self):
-        n = self.n
-        if not 1 <= self.k <= n:
-            raise ValueError(f"curvature order k = {self.k} out of range 1..{n}")
-        if n != 2:
-            raise ValueError("grids are two-dimensional; the chart dimension must be 2")
+    n = 2  # dimension of the graph; the grids are two-dimensional
 
-    @property
-    def n(self) -> int:
-        return self.grid.chart.n
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"curvature order k = {self.k} out of range 1..{self.n}")
 
     def phi_field(self) -> np.ndarray:
         """phi extended over the whole grid by its defining closed form."""
@@ -253,8 +262,8 @@ class ContinuationConfig:
             raise ValueError("dt_init must lie in (0, 1]")
         if not 0.0 < self.dt_min <= self.dt_init:
             raise ValueError("dt_min must lie in (0, dt_init]")
-        if self.newton_tol is not None and self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if self.newton_tol is not None and not 0.0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
 

@@ -12,7 +12,9 @@ problem directly and falls back to adaptive stepping in t.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
-components), so dR/du factors into exact per-node partial derivatives
+components), namely geom's kernel :func:`geom.graph_geometry` plus psi and
+the (1 - t) Laplace term, the same formulas the residual itself is built
+from.  So dR/du factors into exact per-node partial derivatives
 (obtained by complex-step differentiation of the local map, which is
 machine-accurate) composed with the sparse stencil operators.  A graph-
 coloured central finite-difference Jacobian on the residual's sparsity
@@ -208,26 +210,18 @@ _CS_EPS = 1e-30
 
 def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     """The residual as a node-local (complex-analytic) function of the six
-    chart quantities; used for exact per-node linearisation."""
+    chart quantities: :func:`geom.graph_geometry`, psi and the (1 - t)
+    Laplace term.  Used for exact per-node linearisation."""
     grid = spec.grid
-    s2 = grid.sinh_rho ** 2
-    grad_sq = u_r ** 2 + u_t ** 2 / s2
-    v = np.sqrt(1.0 - grad_sq / u ** 2)
-    g_rr = u ** 2 - u_r ** 2
-    g_rt = -u_r * u_t
-    g_tt = u ** 2 * s2 - u_t ** 2
-    h_rr = (H_rr + u - 2.0 * u_r ** 2 / u) / v
-    h_rt = (H_rt - 2.0 * u_r * u_t / u) / v
-    h_tt = (H_tt + u * s2 - 2.0 * u_t ** 2 / u) / v
-    a = g_rr * g_tt - g_rt ** 2
-    if spec.k == 1:
-        sig = (h_rr * g_tt + h_tt * g_rr - 2.0 * h_rt * g_rt) / a
-    else:
-        sig = (h_rr * h_tt - h_rt ** 2) / a
+    v, g, h, sigma1, sigma2 = geom.graph_geometry(
+        u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho
+    )
+    sig = sigma1 if spec.k == 1 else sigma2
+    del g, h, sigma1, sigma2  # free them before psi's temporaries: peak memory at 256^2
     psi = spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
     out = t * sig - psi
     if t != 1.0:
-        out = out + (1.0 - t) * (H_rr + H_tt / s2)
+        out = out + (1.0 - t) * (H_rr + H_tt / grid.sinh_rho ** 2)
     return out
 
 
@@ -401,8 +395,8 @@ def damped_newton(
     if max_iters is None:
         max_iters = cfg.max_newton_iters
     state = _check_start(u, t, spec)
-    tol = resolve_newton_tol(cfg, spec, u, state)
     try:
+        tol = resolve_newton_tol(cfg, spec, u, state)
         R = _residual_given_state(u, t, spec, state)
     except ValueError as exc:  # e.g. psi nonpositive at the start
         raise InadmissibleStartError(f"start rejected: {exc}") from exc

@@ -56,7 +56,7 @@ def constant_problem(grid, k, psi_value, phi_value):
 
 @pytest.fixture(scope="module")
 def run_sigma1():
-    grid = Grid(PolarChart(n=2, rho_max=RHO_MAX), 64, 64)
+    grid = Grid(PolarChart(rho_max=RHO_MAX), 64, 64)
     spec = constant_problem(grid, 1, 2.0, 1.0)
     t0 = time.perf_counter()
     result = continuation_solve(spec, None)
@@ -66,7 +66,7 @@ def run_sigma1():
 
 @pytest.fixture(scope="module")
 def run_sigma2():
-    grid = Grid(PolarChart(n=2, rho_max=RHO_MAX), 64, 64)
+    grid = Grid(PolarChart(rho_max=RHO_MAX), 64, 64)
     spec = constant_problem(grid, 2, 4.0, 0.5)
     t0 = time.perf_counter()
     result = continuation_solve(spec, None)
@@ -77,7 +77,7 @@ def run_sigma2():
 def _study(u_expr, sizes=(32, 64, 128)):
     rows = []
     for n in sizes:
-        grid = Grid(PolarChart(n=2, rho_max=RHO_MAX), n, n)
+        grid = Grid(PolarChart(rho_max=RHO_MAX), n, n)
         spec, u_star = manufactured_problem(u_expr, grid, 2)
         result = continuation_solve(spec, None)
         assert result.converged, f"manufactured solve failed at {n}"

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,30 @@ phi_c = 1.0
 mode = solve
 seed = 0
 """
+
+
+def small(text):
+    return text.replace("n_rho = 16", "n_rho = 8").replace("n_theta = 16", "n_theta = 8")
+
+
+# inputs that once exited 1 or hung; each must exit 2 with a one-line message
+STUDY = [("mode = solve", "mode = study")]
+BAD_INPUTS = {
+    "dt_init": ([], "[continuation]\ndt_init = 0\n"),
+    "max_newton_iters": ([], "[continuation]\nmax_newton_iters = 0\n"),
+    "newton_tol_text": ([], "[continuation]\nnewton_tol = abc\n"),
+    "newton_tol_negative": ([], "[continuation]\nnewton_tol = -1\n"),
+    "phi_c_nan": ([("phi_c = 1.0", "phi_c = nan")], ""),
+    "phi_c_inf": ([("phi_c = 1.0", "phi_c = inf")], ""),
+    "psi_overflow": ([("psi_family = power", "psi_family = exponential"),
+                      ("psi_p = 0", "psi_p = 1000")], ""),
+    "psi_h_power_tower": ([("psi_h = 2", "psi_h = 9**9**9")], ""),
+    "study_grid": (STUDY, "[study]\ngrids = 2\n"),
+    "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
+    "study_not_radial": (STUDY, "[study]\ngrids = 8\nu_star = 1+0.01*cos(theta)\n"),
+    "u_star_power_tower": (STUDY, "[study]\ngrids = 8\nu_star = 9**9**9\n"),
+    "fields_row": ([("mode = solve", "mode = verify\nfields_in = {fields}")], ""),
+}
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -154,6 +179,19 @@ class TestVerifyMode:
         rc.out_dir = str(tmp_path / "verify_out")
         assert run(rc) == 3
 
+    @pytest.mark.parametrize("psi_h", ["2", "2/u*(1+0.1*rho**2)"])
+    def test_nan_field_names_the_node(self, tmp_path, psi_h):
+        fields = tmp_path / "fields.csv"
+        u = np.ones(64)
+        u[3 * 8 + 4] = np.nan
+        table = np.column_stack([np.zeros((64, 2)), u, np.ones((64, 6))])
+        np.savetxt(fields, table, delimiter=",", header=cli._CSV_HEADER, comments="")
+        text = small(BASE_CONFIG.replace("psi_h = 2", f"psi_h = {psi_h}")).replace(
+            "mode = solve", f"mode = verify\nfields_in = {fields}")
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 3
+        assert "not finite and positive at node (i=3, j=4" in (out / "log.txt").read_text()
+
 
 class TestStudyMode:
     def test_study_emits_orders(self, tmp_path):
@@ -227,6 +265,24 @@ class TestMain:
         assert estimates["gradient_bound"] == float("inf")
         assert estimates["gradient_bound_passed"]
 
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        edits, tail = BAD_INPUTS[case]
+        text = small(BASE_CONFIG)
+        for old, new in edits:
+            text = text.replace(old, new)
+        fields = tmp_path / "fields.csv"
+        rows = ["0.1,0,1,1,1,1,2,1,0"] * 64
+        rows[5] = "0.1,0,1,1,1,1,2,1"
+        fields.write_text(cli._CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, text.replace("{fields}", str(fields)) + tail)
+        t0 = time.perf_counter()
+        code = cli.main(["--config", cfg, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_config(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -242,7 +298,7 @@ class TestMain:
         from weingarten.cli import _check_finite
         from weingarten.hchart import Grid, PolarChart
 
-        g = Grid(PolarChart(2, 0.8), 8, 8)
+        g = Grid(PolarChart(0.8), 8, 8)
         table = np.zeros((g.n_nodes, 9))
         table[5, 3] = np.inf
         with pytest.raises(FloatingPointError):

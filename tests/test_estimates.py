@@ -19,7 +19,7 @@ from weingarten.solver import continuation_solve
 
 
 def disk(n_rho=32, n_theta=32, rho_max=0.8):
-    return Grid(PolarChart(n=2, rho_max=rho_max), n_rho, n_theta)
+    return Grid(PolarChart(rho_max=rho_max), n_rho, n_theta)
 
 
 class TestGradientConstants:

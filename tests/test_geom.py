@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weingarten import hchart
 from weingarten.geom import (
     InvalidGraphError,
     NotSpacelikeError,
@@ -13,13 +12,10 @@ from weingarten.geom import (
     ambient_tangents,
     embed,
     extrinsic_state,
-    induced_metric,
-    lapse,
+    graph_geometry,
     lorentz_inner,
-    norm_A,
     principal_curvatures,
     spacelike_gap,
-    support_function,
 )
 from weingarten.hchart import Grid, PolarChart
 
@@ -27,7 +23,7 @@ SINH2_1 = 1.3810978455418155
 
 
 def disk(n_rho=32, n_theta=32, rho_max=0.8):
-    return Grid(PolarChart(n=2, rho_max=rho_max), n_rho, n_theta)
+    return Grid(PolarChart(rho_max=rho_max), n_rho, n_theta)
 
 
 def spacelike_sample(g, seed=0, amp=0.03):
@@ -39,19 +35,31 @@ def spacelike_sample(g, seed=0, amp=0.03):
     return 1.0 + amp * bump + np.zeros(g.shape)
 
 
+def kernel(u, u_rho, u_theta, sinh_rho, hessian=(0.0, 0.0, 0.0)):
+    return graph_geometry(u, u_rho, u_theta, *hessian, sinh_rho)
+
+
 class TestLapse:
     def test_values(self):
-        assert lapse(1.0, 0.0) == 1.0
-        assert lapse(1.0, 0.36) == pytest.approx(0.8, rel=1e-15)
+        s = math.sinh(1.0)
+        assert kernel(1.0, 0.0, 0.0, s)[0] == 1.0
+        assert kernel(1.0, 0.6, 0.0, s)[0] == pytest.approx(0.8, rel=1e-15)
         # |Du|/u is scale invariant
-        assert lapse(2.0, 4 * 0.36) == pytest.approx(0.8, rel=1e-15)
+        assert kernel(2.0, 1.2, 0.0, s)[0] == pytest.approx(0.8, rel=1e-15)
+        assert kernel(1.0, 0.0, 0.6 * s, s)[0] == pytest.approx(0.8, rel=1e-15)
+        # the kernel is complex-analytic: complex step gives dv/du_rho = -u_rho / (u^2 v)
+        v = kernel(1.0, 0.6 + 1e-30j, 0.0, s)[0]
+        assert v.imag / 1e-30 == pytest.approx(-0.75, rel=1e-15)
 
     def test_errors(self):
-        with pytest.raises(InvalidGraphError):
-            lapse(-1.0, 0.0)
-        with pytest.raises(NotSpacelikeError) as exc:
-            lapse(np.array([1.0, 1.0]), np.array([0.5, 1.44]))
-        assert exc.value.node == 1
+        # the guard in front of the kernel names the first bad node
+        g = disk(8, 8)
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            u = np.ones(g.shape)
+            u[2, 3] = bad
+            for fn in (extrinsic_state, spacelike_gap):
+                with pytest.raises(InvalidGraphError, match="i=2, j=3"):
+                    fn(u, g)
 
 
 class TestSpacelikeGap:
@@ -79,22 +87,22 @@ class TestSpacelikeGap:
 
 class TestInducedMetric:
     def test_unit_hyperboloid(self):
-        g_rr, g_rt, g_tt, gi_rr, gi_rt, gi_tt = induced_metric(
-            1.0, 0.0, 0.0, math.sinh(1.0)
-        )
+        _, (g_rr, g_rt, g_tt), *_ = kernel(1.0, 0.0, 0.0, math.sinh(1.0))
         assert g_rr == 1.0 and g_rt == 0.0
         assert g_tt == pytest.approx(SINH2_1, rel=1e-14)
-        assert gi_rr == 1.0 and gi_rt == 0.0
-        assert gi_tt == pytest.approx(1 / SINH2_1, rel=1e-14)
+        # ring 0 of this grid sits at rho = 1
+        st = extrinsic_state(np.ones((4, 4)), Grid(PolarChart(rho_max=8.0), 4, 4))
+        assert np.all(st.ginv_rr[0] == 1.0) and np.all(st.ginv_rt[0] == 0.0)
+        assert st.ginv_tt[0] == pytest.approx(1 / SINH2_1, rel=1e-14)
 
     def test_scaled_hyperboloid(self):
         R = 1.7
-        g_rr, _, g_tt, *_ = induced_metric(R, 0.0, 0.0, math.sinh(0.6))
+        _, (g_rr, _, g_tt), *_ = kernel(R, 0.0, 0.0, math.sinh(0.6))
         assert g_rr == pytest.approx(R ** 2, rel=1e-15)
         assert g_tt == pytest.approx(R ** 2 * math.sinh(0.6) ** 2, rel=1e-15)
 
     def test_gradient_example(self):
-        g_rr, g_rt, g_tt, *_ = induced_metric(1.0, 0.5, 0.0, math.sinh(1.0))
+        _, (g_rr, g_rt, g_tt), *_ = kernel(1.0, 0.5, 0.0, math.sinh(1.0))
         assert g_rr == pytest.approx(0.75, rel=1e-15)
         assert g_rt == 0.0
         assert g_tt == pytest.approx(SINH2_1, rel=1e-14)
@@ -103,28 +111,26 @@ class TestInducedMetric:
         # closed-form inverse really inverts g, and g is the ambient Gram matrix
         g = disk(24, 24)
         u = spacelike_sample(g, seed=5)
-        u_r, u_t, _ = hchart.covariant_gradient(u, g)
-        g_rr, g_rt, g_tt, gi_rr, gi_rt, gi_tt = induced_metric(u, u_r, u_t, g.sinh_rho)
-        one = g_rr * gi_rr + g_rt * gi_rt
-        zero = g_rr * gi_rt + g_rt * gi_tt
-        one2 = g_rt * gi_rt + g_tt * gi_tt
+        st = extrinsic_state(u, g)
+        one = st.g_rr * st.ginv_rr + st.g_rt * st.ginv_rt
+        zero = st.g_rr * st.ginv_rt + st.g_rt * st.ginv_tt
+        one2 = st.g_rt * st.ginv_rt + st.g_tt * st.ginv_tt
         assert np.max(np.abs(one - 1)) < 1e-12
         assert np.max(np.abs(zero)) < 1e-12
         assert np.max(np.abs(one2 - 1)) < 1e-12
-        X_r, X_t = ambient_tangents(g.rho_col, g.theta_row, u, u_r, u_t)
-        assert np.max(np.abs(lorentz_inner(X_r, X_r) - g_rr)) < 1e-12
-        assert np.max(np.abs(lorentz_inner(X_r, X_t) - g_rt)) < 1e-12
-        assert np.max(np.abs(lorentz_inner(X_t, X_t) - g_tt)) < 1e-12
+        X_r, X_t = ambient_tangents(g.rho_col, g.theta_row, u, st.u_rho, st.u_theta)
+        assert np.max(np.abs(lorentz_inner(X_r, X_r) - st.g_rr)) < 1e-12
+        assert np.max(np.abs(lorentz_inner(X_r, X_t) - st.g_rt)) < 1e-12
+        assert np.max(np.abs(lorentz_inner(X_t, X_t) - st.g_tt)) < 1e-12
 
 
 class TestNormal:
     def test_unit_normal_orthogonality(self):
         g = disk(24, 24)
         u = spacelike_sample(g, seed=2)
-        u_r, u_t, grad_sq = hchart.covariant_gradient(u, g)
-        v = lapse(u, grad_sq)
-        nu = ambient_normal(g.rho_col, g.theta_row, u, u_r, u_t, v)
-        X_r, X_t = ambient_tangents(g.rho_col, g.theta_row, u, u_r, u_t)
+        st = extrinsic_state(u, g)
+        nu = ambient_normal(g.rho_col, g.theta_row, u, st.u_rho, st.u_theta, st.v)
+        X_r, X_t = ambient_tangents(g.rho_col, g.theta_row, u, st.u_rho, st.u_theta)
         assert np.max(np.abs(lorentz_inner(nu, nu) + 1.0)) < 1e-12
         assert np.max(np.abs(lorentz_inner(nu, X_r))) < 1e-12
         assert np.max(np.abs(lorentz_inner(nu, X_t))) < 1e-12
@@ -202,11 +208,6 @@ class TestPrincipalCurvatures:
 
 
 class TestSupportAndNorm:
-    def test_support_examples(self):
-        assert support_function(1.0, 1.0) == 1.0
-        assert support_function(1.0, 0.8) == pytest.approx(1.25, rel=1e-15)
-        assert support_function(1.7, 1.0) == pytest.approx(1.7)
-
     def test_support_matches_ambient_inner_product(self):
         g = disk(24, 24)
         u = spacelike_sample(g, seed=9)
@@ -215,15 +216,10 @@ class TestSupportAndNorm:
         X = embed(g.rho_col, g.theta_row, u)
         assert np.max(np.abs(-lorentz_inner(X, nu) - st.theta_support)) < 1e-12
 
-    def test_norm_A(self):
-        assert norm_A(1.0, 1.0) == 2.0
-        assert norm_A(2.0, 2.0) == 8.0
-        assert norm_A(1.5, 0.5) == 2.5
-
     def test_norm_matches_trace_form(self):
         g = disk(24, 24)
         st = extrinsic_state(spacelike_sample(g, seed=4), g)
-        direct = norm_A(st.lam1, st.lam2)
+        direct = st.lam1 ** 2 + st.lam2 ** 2
         assert np.max(np.abs(direct - st.norm_a_sq)) < 1e-9
 
 

@@ -24,51 +24,45 @@ COTH_1 = 1.3130352854993312
 
 
 def disk(n_rho=32, n_theta=32, rho_max=0.8):
-    return Grid(PolarChart(n=2, rho_max=rho_max), n_rho, n_theta)
+    return Grid(PolarChart(rho_max=rho_max), n_rho, n_theta)
+
+
+def ring0(rho):
+    """A grid whose innermost ring sits at radius ``rho``."""
+    return Grid(PolarChart(rho_max=8 * rho), 4, 4)
 
 
 class TestPolarChart:
+    # the chart's metric sinh(rho)^2 and Christoffel symbols are evaluated
+    # analytically at the grid's nodes
     def test_metric_values(self):
-        chart = PolarChart(n=2, rho_max=2.0)
-        srr, stt = chart.metric_at(1.0)
-        assert srr == 1.0
-        assert stt == pytest.approx(SINH2_1, rel=1e-14)
-        _, stt_half = chart.metric_at(0.5)
-        assert stt_half == pytest.approx(SINH2_HALF, rel=1e-14)
+        assert ring0(1.0).sinh_rho[0, 0] ** 2 == pytest.approx(SINH2_1, rel=1e-14)
+        assert ring0(0.5).sinh_rho[0, 0] ** 2 == pytest.approx(SINH2_HALF, rel=1e-14)
 
     def test_metric_small_rho_expansion(self):
-        chart = PolarChart(n=2, rho_max=1.0)
         rho = 1e-4
-        _, stt = chart.metric_at(rho)
-        assert stt == pytest.approx(rho ** 2, rel=1e-7)
+        assert ring0(rho).sinh_rho[0, 0] ** 2 == pytest.approx(rho ** 2, rel=1e-7)
 
     def test_metric_positive_definite_on_range(self):
-        chart = PolarChart(n=2, rho_max=3.0)
-        rho = np.linspace(1e-6, 3.0, 50)
-        srr, stt = chart.metric_at(rho)
-        assert np.all(srr > 0) and np.all(stt > 0)
+        g = Grid(PolarChart(rho_max=3.0), 50, 4)
+        assert np.all(g.sinh_rho > 0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_metric_domain_errors(self, bad):
-        chart = PolarChart(n=2, rho_max=1.0)
         with pytest.raises(ChartDomainError):
-            chart.metric_at(bad)
+            PolarChart(rho_max=bad)
 
     def test_christoffels(self):
-        chart = PolarChart(n=2, rho_max=2.0)
-        c = chart.christoffels_at(1.0)
-        assert c.rho_theta_theta == pytest.approx(GAMMA_RTT_1, rel=1e-14)
-        assert c.theta_rho_theta == pytest.approx(COTH_1, rel=1e-14)
+        g = ring0(1.0)
+        assert -g.sinh_rho[0, 0] * g.cosh_rho[0, 0] == pytest.approx(GAMMA_RTT_1, rel=1e-14)
+        assert g.coth_rho[0, 0] == pytest.approx(COTH_1, rel=1e-14)
         # coth tends to 1 far out
-        assert chart.christoffels_at(40.0).theta_rho_theta == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ChartDomainError):
-            chart.christoffels_at(-0.5)
+        assert ring0(40.0).coth_rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_chart_validation(self):
-        with pytest.raises(ChartDomainError):
-            PolarChart(n=1, rho_max=1.0)
-        with pytest.raises(ChartDomainError):
-            PolarChart(n=2, rho_max=0.0)
+        # the radius is the chart's only parameter
+        assert PolarChart(0.8) == PolarChart(rho_max=0.8)
+        assert PolarChart().rho_max == 1.0
 
 
 class TestGrid:
@@ -82,7 +76,7 @@ class TestGrid:
         assert g.pole_shift == 5
 
     def test_validation(self):
-        chart = PolarChart(n=2, rho_max=1.0)
+        chart = PolarChart(rho_max=1.0)
         with pytest.raises(ValueError):
             Grid(chart, 3, 8)
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from weingarten.problem import (
 
 
 def disk(n_rho=32, n_theta=32, rho_max=0.8):
-    return Grid(PolarChart(n=2, rho_max=rho_max), n_rho, n_theta)
+    return Grid(PolarChart(rho_max=rho_max), n_rho, n_theta)
 
 
 class TestExpr:

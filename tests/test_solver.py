@@ -25,7 +25,7 @@ from weingarten.solver import (
 
 
 def disk(n_rho=24, n_theta=24, rho_max=0.8):
-    return Grid(PolarChart(n=2, rho_max=rho_max), n_rho, n_theta)
+    return Grid(PolarChart(rho_max=rho_max), n_rho, n_theta)
 
 
 def mean_curvature_problem(g, psi="2", c=1.0):
@@ -73,6 +73,24 @@ class TestResidual:
         inner = g.interior_mask
         blend = 0.3 * (r1 + 2.0) + 0.7 * (r0 + 2.0) - 2.0  # psi = 2 subtracted once
         assert np.max(np.abs(rt[inner] - blend[inner])) < 1e-12
+
+    @pytest.mark.parametrize("k, p, h", [(1, 1, "2/u*(1+0.1*rho*cos(theta))"),
+                                         (2, 2, "4*(1+0.2*rho*sin(theta))")])
+    def test_residual_is_the_jacobian_local_map(self, k, p, h):
+        # the residual and the function the Jacobian differentiates share one kernel
+        g = disk()
+        spec = ProblemSpec(grid=g, k=k, psi=PsiSpec("power", p=p, h=h),
+                           phi=PhiSpec("hyperplane", c=1.0))
+        rn = g.rho_col / g.chart.rho_max
+        u = 1.0 + (0.05 + 0.02 * np.cos(g.theta_row) + 0.01 * np.sin(2 * g.theta_row)) * rn ** 2
+        u_r, u_t, _ = hchart.covariant_gradient(u, g)
+        chart_data = (u, u_r, u_t, *hchart.covariant_hessian(u, g))
+        inner = g.interior_mask
+        R = assemble_residual(u, 1.0, spec)
+        assert np.all(R[inner] == solver._local_residual(1.0, spec, *chart_data)[inner])
+        R = assemble_residual(u, 0.3, spec)
+        L = solver._local_residual(0.3, spec, *chart_data)
+        assert np.max(np.abs(R - L)[inner]) <= 1e-15 * np.max(np.abs(R[inner]))
 
 
 class TestJacobian:
