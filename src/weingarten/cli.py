@@ -165,6 +165,9 @@ def _validate_problem(rc: RunConfig):
                 f"psi growth exponent p = {p} < k = {k}: the structural convexity "
                 "condition is violated; run proceeds flagged"
             )
+    starts = rc.get("run", "uniqueness_starts", 0)
+    if starts < 0:
+        raise ConfigError(f"uniqueness_starts = {starts} must be >= 0")
     if rc.mode == "verify" and not rc.get("run", "fields_in"):
         raise ConfigError("verify mode requires fields_in in [run]")
 

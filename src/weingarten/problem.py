@@ -56,6 +56,9 @@ class Expr:
             tree = ast.parse(self.text, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"cannot parse expression {self.text!r}: {exc}") from None
+        except (RecursionError, MemoryError):
+            # the parser's own nesting limits, reached by e.g. thousands of unary minuses
+            raise ExpressionError(self._too_deep()) from None
         # names appearing as call targets are validated with the Call node
         call_targets = {
             id(node.func)
@@ -114,6 +117,11 @@ class Expr:
                 self(rho=probe, theta=probe, u=probe)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
+        except (RecursionError, MemoryError):
+            raise ExpressionError(self._too_deep()) from None
+
+    def _too_deep(self) -> str:
+        return f"expression of {len(self.text)} characters is nested too deeply"
 
     @property
     def is_constant(self) -> bool:

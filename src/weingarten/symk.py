@@ -9,14 +9,18 @@ the concave root F = sigma_k^{1/k} with analytic gradient and Hessian, the
 quadratic form of F as a function of a symmetric matrix argument, and the
 Newton-MacLaurin inequality check.
 
-sigma_k is evaluated by the stable incremental-product recurrence; subset
-enumeration is kept in the test suite as an independent oracle.
-Convention: sigma_0 = 1 and sigma_j = 0 for j > n (empty sum).
+Every value comes from one batched product recurrence over the last axis of
+lam[..., m].  An exclusion value sigma_k(lam | i, ...) is sigma_k with those
+entries zeroed, so each function stacks lam, its zeroed copies and any probe
+rows and runs the recurrence once.  `sigma_all` and `identity_residuals`
+take batches lam[..., n].  Subset enumeration is kept in the test suite as an
+independent oracle.  Convention: sigma_0 = 1 and sigma_j = 0 for j > n.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -47,28 +51,51 @@ class InadmissibleError(ValueError):
     """The curvature vector lies outside the required positivity cone."""
 
 
-def _as_lam(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.size < 1 or not np.all(np.isfinite(lam)):
-        raise ValueError("lam must be a nonempty finite vector")
+def _as_batch(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim < 1 or lam.shape[-1] < 1 or not np.all(np.isfinite(lam)):
+        raise ValueError("lam must be a finite array lam[..., n] with n >= 1")
     return lam
 
 
-def sigma_all(lam) -> np.ndarray:
-    """All elementary symmetric functions e_0..e_n of lam, by the product
-    recurrence prod_i (1 + lam_i t) = sum_k e_k t^k."""
-    lam = _as_lam(lam)
-    e = np.zeros(lam.size + 1)
+def _as_lam(lam) -> np.ndarray:
+    lam = _as_batch(lam)
+    if lam.ndim != 1:
+        raise ValueError(f"lam must be one vector, not an array of shape {lam.shape}")
+    return lam
+
+
+def _elementary(lam: np.ndarray) -> np.ndarray:
+    """e_0..e_m of every vector along the last axis of lam[..., m], by the
+    product recurrence prod_i (1 + lam_i t) = sum_k e_k t^k."""
+    m = lam.shape[-1]
+    e = np.zeros((m + 1, lam.size // m))  # e_j of vector b in e[j, b]
     e[0] = 1.0
-    for x in lam:
-        e[1:] = e[1:] + x * e[:-1]
-    return e
+    for x in lam.reshape(-1, m).T:
+        e[1:] += x * e[:-1]
+    return e.T.reshape(lam.shape[:-1] + (m + 1,))
 
 
-def _sig(e: np.ndarray, j: int) -> float:
-    if j < 0:
-        return 0.0
-    return float(e[j]) if j < e.size else 0.0
+@functools.lru_cache(maxsize=32)
+def _zeroing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only row multipliers for a length-n vector, with the pair indices
+    i < j in ``np.triu_indices`` order: row 0 keeps every entry, row 1 + i
+    zeroes entry i, and row 1 + n + p zeroes both entries of pair p."""
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.ones((1 + n + iu.size, n))
+    keep[1 + np.arange(n), np.arange(n)] = 0.0
+    pairs = 1 + n + np.arange(iu.size)
+    keep[pairs, iu] = 0.0
+    keep[pairs, ju] = 0.0
+    for a in (keep, iu, ju):
+        a.setflags(write=False)
+    return keep, iu, ju
+
+
+def sigma_all(lam) -> np.ndarray:
+    """All elementary symmetric functions e_0..e_n of each vector in
+    lam[..., n], returned as [..., n+1]."""
+    return _elementary(_as_batch(lam))
 
 
 def sigma(lam, k: int) -> float:
@@ -76,27 +103,7 @@ def sigma(lam, k: int) -> float:
     lam = _as_lam(lam)
     if not 0 <= k <= lam.size:
         raise ValueError(f"k = {k} out of range 0..{lam.size}")
-    return float(sigma_all(lam)[k])
-
-
-def _sigma_excl_table(lam: np.ndarray) -> np.ndarray:
-    """Row i holds e_0..e_{n-1} of lam with entry i removed, assembled from
-    prefix/suffix polynomial products (one pass instead of n recomputations)."""
-    n = lam.size
-    prefix = np.zeros((n + 1, n + 1))
-    prefix[0, 0] = 1.0
-    for i in range(n):
-        prefix[i + 1] = prefix[i]
-        prefix[i + 1, 1:] += lam[i] * prefix[i, :-1]
-    suffix = np.zeros((n + 1, n + 1))
-    suffix[n, 0] = 1.0
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1]
-        suffix[i, 1:] += lam[i] * suffix[i + 1, :-1]
-    table = np.zeros((n, n))
-    for i in range(n):
-        table[i] = np.convolve(prefix[i, :i + 1], suffix[i + 1, : n - i])
-    return table
+    return float(_elementary(lam)[k])
 
 
 def sigma_excl(lam, k: int, i: int) -> float:
@@ -107,17 +114,16 @@ def sigma_excl(lam, k: int, i: int) -> float:
         raise ValueError(f"index i = {i} out of range 0..{lam.size - 1}")
     if not 0 <= k <= lam.size:
         raise ValueError(f"k = {k} out of range 0..{lam.size}")
-    if k >= lam.size:
-        return 0.0
-    return float(_sigma_excl_table(lam)[i, k])
+    return float(_elementary(lam * _zeroing(lam.size)[0][1 + i])[k])
 
 
-def _rel_residual(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _rel_residual(lhs, rhs):
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def identity_residuals(lam, k: int) -> np.ndarray:
-    """Relative residuals of the five classical sigma_k identities.
+    """Relative residuals [..., 5] of the five classical sigma_k identities
+    at each vector of lam[..., n].
 
     For 0 <= k <= n-1 (with sigma_j = 0 for j > n):
 
@@ -130,35 +136,32 @@ def identity_residuals(lam, k: int) -> np.ndarray:
     Identity 4 is probed with a centred difference, which is exact because
     sigma_{k+1} is multilinear.  All residuals vanish to round-off.
     """
-    lam = _as_lam(lam)
-    n = lam.size
+    lam = _as_batch(lam)
+    n = lam.shape[-1]
     if not 0 <= k <= n - 1:
         raise ValueError(f"k = {k} out of range 0..{n - 1}")
-    e = sigma_all(lam)
-    table = _sigma_excl_table(lam)
-    excl_k = table[:, k].copy()
-    excl_k1 = table[:, k + 1].copy() if k + 1 < n else np.zeros(n)
-
-    r1 = max(
-        _rel_residual(_sig(e, k + 1), excl_k1[i] + lam[i] * excl_k[i]) for i in range(n)
-    )
-    r2 = _rel_residual(float(np.sum(lam * excl_k)), (k + 1) * _sig(e, k + 1))
-    r3 = _rel_residual(float(np.sum(excl_k)), (n - k) * _sig(e, k))
-
+    # rows: lam, lam with entry i zeroed, lam + eps e_i, lam - eps e_i
     eps = 0.5
-    r4 = 0.0
-    for i in range(n):
-        lp, lm = lam.copy(), lam.copy()
-        lp[i] += eps
-        lm[i] -= eps
-        deriv = (_sig(sigma_all(lp), k + 1) - _sig(sigma_all(lm), k + 1)) / (2.0 * eps)
-        r4 = max(r4, _rel_residual(deriv, excl_k[i]))
+    rows = lam[..., None, :]
+    step = eps * np.eye(n)
+    e = _elementary(np.concatenate(
+        [rows * _zeroing(n)[0][: n + 1], rows + step, rows - step], axis=-2))
+    full, excl = e[..., 0, :], e[..., 1 : n + 1, :]
+    up, down = e[..., n + 1 : 2 * n + 1, k + 1], e[..., 2 * n + 1 :, k + 1]
+    s1, sk, sk1 = full[..., 1], full[..., k], full[..., k + 1]
+    sk2 = full[..., k + 2] if k + 2 <= n else 0.0
+    excl_k, excl_k1 = excl[..., k], excl[..., k + 1]
 
-    r5 = _rel_residual(
-        float(np.sum(lam ** 2 * excl_k)),
-        _sig(e, 1) * _sig(e, k + 1) - (k + 2) * _sig(e, k + 2),
-    )
-    return np.array([r1, r2, r3, r4, r5])
+    r1 = np.max(_rel_residual(sk1[..., None], excl_k1 + lam * excl_k), axis=-1)
+    r2 = _rel_residual(np.sum(lam * excl_k, axis=-1), (k + 1) * sk1)
+    r3 = _rel_residual(np.sum(excl_k, axis=-1), (n - k) * sk)
+    r4 = np.max(_rel_residual((up - down) / (2.0 * eps), excl_k), axis=-1)
+    r5 = _rel_residual(np.sum(lam ** 2 * excl_k, axis=-1), s1 * sk1 - (k + 2) * sk2)
+    return np.stack([r1, r2, r3, r4, r5], axis=-1)
+
+
+def _in_cone(e: np.ndarray, k: int) -> bool:
+    return bool(np.all(e[1 : k + 1] > 0.0))
 
 
 def gamma_cone_contains(lam, k: int) -> bool:
@@ -166,8 +169,7 @@ def gamma_cone_contains(lam, k: int) -> bool:
     lam = _as_lam(lam)
     if not 1 <= k <= lam.size:
         raise ValueError(f"k = {k} out of range 1..{lam.size}")
-    e = sigma_all(lam)
-    return bool(np.all(e[1 : k + 1] > 0.0))
+    return _in_cone(_elementary(lam), k)
 
 
 @dataclasses.dataclass
@@ -190,17 +192,15 @@ def F_eval(lam, k: int) -> FEval:
     n = lam.size
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} out of range 1..{n}")
-    if not gamma_cone_contains(lam, k):
+    keep, iu, ju = _zeroing(n)
+    e = _elementary(lam * keep)
+    if not _in_cone(e[0], k):
         raise InadmissibleError(f"lam = {lam.tolist()} is not in Gamma_{k}")
-    S = sigma(lam, k)
-    Si = _sigma_excl_table(lam)[:, k - 1].copy()
+    S = float(e[0, k])
+    Si = e[1 : n + 1, k - 1]
     Sij = np.zeros((n, n))
     if k >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                reduced = np.delete(lam, (i, j))
-                val = _sig(sigma_all(reduced) if reduced.size else np.array([1.0]), k - 2)
-                Sij[i, j] = Sij[j, i] = val
+        Sij[iu, ju] = Sij[ju, iu] = e[n + 1 :, k - 2]
     inv_k = 1.0 / k
     F = S ** inv_k
     grad = inv_k * S ** (inv_k - 1.0) * Si
@@ -224,20 +224,19 @@ def quadratic_form_terms(lam, k: int, eta) -> tuple[float, float]:
     lam = _as_lam(lam)
     n = lam.size
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (n, n) or not np.allclose(eta, eta.T, atol=0.0, rtol=0.0):
+    if eta.shape != (n, n) or not np.array_equal(eta, eta.T):
         raise ValueError("eta must be a symmetric matrix matching lam")
     fe = F_eval(lam, k)
     d = np.diag(eta)
     hess_term = float(d @ fe.hess @ d)
-    dq_term = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(lam[i] - lam[j])
-            if gap < _EQUAL_EIGENVALUE_RTOL * max(1.0, abs(lam[i]), abs(lam[j])):
-                quotient = fe.hess[i, i] - fe.hess[i, j]
-            else:
-                quotient = (fe.grad[i] - fe.grad[j]) / (lam[i] - lam[j])
-            dq_term += 2.0 * quotient * eta[i, j] ** 2
+    _, iu, ju = _zeroing(n)
+    gap = lam[iu] - lam[ju]
+    tie = np.abs(gap) < _EQUAL_EIGENVALUE_RTOL * np.maximum(
+        1.0, np.maximum(np.abs(lam[iu]), np.abs(lam[ju])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(
+            tie, fe.hess[iu, iu] - fe.hess[iu, ju], (fe.grad[iu] - fe.grad[ju]) / gap)
+    dq_term = float(np.sum(2.0 * quotient * eta[iu, ju] ** 2))
     return hess_term, dq_term
 
 
@@ -259,9 +258,9 @@ def newton_maclaurin_check(lam, k: int) -> tuple[bool, float]:
     n = lam.size
     if not 1 <= k <= n - 1:
         raise ValueError(f"k = {k} out of range 1..{n - 1}")
-    e = sigma_all(lam)
-    lhs = (_sig(e, k + 1) / math.comb(n, k + 1)) * (_sig(e, k - 1) / math.comb(n, k - 1))
-    rhs = (_sig(e, k) / math.comb(n, k)) ** 2
+    e = _elementary(lam).tolist()
+    lhs = (e[k + 1] / math.comb(n, k + 1)) * (e[k - 1] / math.comb(n, k - 1))
+    rhs = (e[k] / math.comb(n, k)) ** 2
     slack = rhs - lhs
     scale = max(1.0, abs(lhs), abs(rhs))
     return bool(slack >= -1e-12 * scale), float(slack)
@@ -292,17 +291,16 @@ class SigmaEval:
 def evaluate(lam, k: int) -> SigmaEval:
     """Convenience bundle; raises :class:`InadmissibleError` off Gamma_k."""
     lam = _as_lam(lam)
+    n = lam.size
     fe = F_eval(lam, k)
-    e = sigma_all(lam)
-    flags = np.array([gamma_cone_contains(lam, l) for l in range(1, k + 1)])
-    grad_excl = _sigma_excl_table(lam)[:, k - 1].copy()
-    top = min(lam.size, k + 2)
+    e = _elementary(lam * _zeroing(n)[0][: n + 1])
+    top = min(n, k + 2)
     return SigmaEval(
         k=k,
-        sigmas=e[: top + 1].copy(),
-        grad_excl=grad_excl,
+        sigmas=e[0, : top + 1].copy(),
+        grad_excl=e[1:, k - 1].copy(),
         F=fe.F,
         P=fe.grad,
         P_hess=fe.hess,
-        cone_flags=flags,
+        cone_flags=np.logical_and.accumulate(e[0, 1 : k + 1] > 0.0),
     )

@@ -43,6 +43,9 @@ BAD_INPUTS = {
     "psi_overflow": ([("psi_family = power", "psi_family = exponential"),
                       ("psi_p = 0", "psi_p = 1000")], ""),
     "psi_h_power_tower": ([("psi_h = 2", "psi_h = 9**9**9")], ""),
+    "psi_h_deep_3000": ([("psi_h = 2", "psi_h = " + "-" * 3000 + "2")], ""),
+    "psi_h_deep_200000": ([("psi_h = 2", "psi_h = " + "-" * 200000 + "2")], ""),
+    "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
     "study_grid": (STUDY, "[study]\ngrids = 2\n"),
     "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
     "study_not_radial": (STUDY, "[study]\ngrids = 8\nu_star = 1+0.01*cos(theta)\n"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,36 @@ class TestIdentities:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             identity_residuals([1.0, 2.0], 2)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_match_single_vectors(self, n):
+        lams = np.random.default_rng(10 + n).uniform(-2.0, 2.0, (50, n))
+        e = sigma_all(lams)
+        assert e.shape == (50, n + 1)
+        for v, lam in enumerate(lams):
+            assert np.array_equal(e[v], sigma_all(lam))
+        for k in range(n):
+            r = identity_residuals(lams, k)
+            assert r.shape == (50, 5)
+            for v, lam in enumerate(lams):
+                assert np.array_equal(r[v], identity_residuals(lam, k))
+
+    def test_leading_axes_kept(self):
+        lams = np.random.default_rng(9).uniform(-2.0, 2.0, (2, 3, 4))
+        assert sigma_all(lams).shape == (2, 3, 5)
+        assert identity_residuals(lams, 1).shape == (2, 3, 5)
+
+    @pytest.mark.parametrize("fn", [lambda lam: sigma(lam, 1), lambda lam: F_eval(lam, 1)])
+    def test_scalar_functions_reject_batches(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.ones((2, 3)))
+
+    def test_rejects_scalars_and_empty_vectors(self):
+        for bad in (1.0, [], np.ones((3, 0))):
+            with pytest.raises(ValueError):
+                sigma_all(bad)
 
 
 class TestGammaCone:
@@ -243,11 +274,14 @@ class TestQuadraticForm:
             assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
 
     def test_equal_eigenvalue_limit(self):
-        # limit branch agrees with the matrix path, which is smooth through ties
+        # limit branch agrees with the matrix path, which is smooth through ties;
+        # the exact tie (gap 0) must not warn from the unused quotient
         lam = np.array([1.3, 1.3, 0.6])
         eta = np.zeros((3, 3))
         eta[0, 1] = eta[1, 0] = 1.0
-        got = quadratic_form(lam, 2, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadratic_form(lam, 2, eta)
         want = self._fd_matrix_form(lam, 2, eta, s=1e-4)
         assert got == pytest.approx(want, rel=1e-4, abs=1e-6)
 
