@@ -8,7 +8,6 @@ from .hchart import (  # noqa: F401
     ChartDomainError,
     Grid,
     PolarChart,
-    ScalarField,
     covariant_gradient,
     covariant_hessian,
     geodesic_diameter,

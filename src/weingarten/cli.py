@@ -29,7 +29,10 @@ import numpy as np
 
 from . import __version__, estimates, geom, solver
 from .hchart import Grid, PolarChart
-from .problem import ContinuationConfig, Expr, ExpressionError, PhiSpec, ProblemSpec, PsiSpec
+from .problem import (
+    ContinuationConfig, Expr, ExpressionError, PhiSpec, ProblemSpec, PsiSpec, excerpt,
+    manufactured_problem,
+)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -92,7 +95,7 @@ def _parse_value(kind, text, where):
             return float(text)
         return text
     except ValueError:
-        raise ConfigError(f"{where}: expected {kind}, got {text!r}") from None
+        raise ConfigError(f"{where}: expected {kind}, got {excerpt(text)}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -110,17 +113,17 @@ def parse_config(path: str) -> RunConfig:
         if text.startswith("[") and text.endswith("]"):
             section = text[1:-1].strip()
             if section not in _SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                raise ConfigError(f"line {lineno}: unknown section {excerpt(section)}")
             raw.setdefault(section, {})
             continue
         if "=" not in text:
-            raise ConfigError(f"line {lineno}: expected key = value, got {text!r}")
+            raise ConfigError(f"line {lineno}: expected key = value, got {excerpt(text)}")
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+            raise ConfigError(f"line {lineno}: unknown key {excerpt(key)} in [{section}]")
         kind, _ = _SCHEMA[section][key]
         raw[section][key] = _parse_value(kind, value, f"line {lineno}: {key}")
     for section_name, keys in _SCHEMA.items():
@@ -130,7 +133,7 @@ def parse_config(path: str) -> RunConfig:
     rc = RunConfig(raw=raw, path=path)
     rc.mode = rc.get("run", "mode", "solve")
     if rc.mode not in ("solve", "verify", "study"):
-        raise ConfigError(f"unknown mode {rc.mode!r}")
+        raise ConfigError(f"unknown mode {excerpt(rc.mode)}")
     rc.out_dir = rc.get("run", "out_dir", "out")
     rc.seed = rc.get("run", "seed", 0)
     _validate_problem(rc)
@@ -153,10 +156,12 @@ def _validate_problem(rc: RunConfig):
     if rc.mode != "study":
         family = rc.get("problem", "psi_family")
         if family not in ("power", "exponential"):
-            raise ConfigError(f"psi_family = {family!r} must be power or exponential")
+            raise ConfigError(f"psi_family = {excerpt(family)} must be power or exponential")
         phi_family = rc.get("problem", "phi_family")
         if phi_family not in ("constant", "hyperplane"):
-            raise ConfigError(f"phi_family = {phi_family!r} must be constant or hyperplane")
+            raise ConfigError(
+                f"phi_family = {excerpt(phi_family)} must be constant or hyperplane"
+            )
         if not 0.0 < rc.get("problem", "phi_c", 0.0) < math.inf:
             raise ConfigError("phi_c must be positive and finite")
         p = rc.get("problem", "psi_p", 0.0)
@@ -172,14 +177,10 @@ def _validate_problem(rc: RunConfig):
         raise ConfigError("verify mode requires fields_in in [run]")
 
 
-def build_problem(rc: RunConfig, grid_override=None):
+def build_problem(rc: RunConfig):
     """Materialise ProblemSpec and ContinuationConfig from a RunConfig."""
-    n_rho = rc.get("problem", "n_rho")
-    n_theta = rc.get("problem", "n_theta")
-    if grid_override is not None:
-        n_rho, n_theta = grid_override
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
-    grid = Grid(chart, n_rho, n_theta)
+    grid = Grid(chart, rc.get("problem", "n_rho"), rc.get("problem", "n_theta"))
     try:
         psi = PsiSpec(
             family=rc.get("problem", "psi_family"),
@@ -191,11 +192,12 @@ def build_problem(rc: RunConfig, grid_override=None):
     phi = PhiSpec(family=rc.get("problem", "phi_family"), c=rc.get("problem", "phi_c"))
     spec = ProblemSpec(grid=grid, k=rc.get("problem", "k"), psi=psi, phi=phi)
     tol_text = rc.get("continuation", "newton_tol", "auto")
+    tol = None if tol_text == "auto" else _parse_value("float", tol_text, "newton_tol")
     try:
         cfg = ContinuationConfig(
             dt_init=rc.get("continuation", "dt_init", 0.25),
             dt_min=rc.get("continuation", "dt_min", 1e-3),
-            newton_tol=None if tol_text == "auto" else float(tol_text),
+            newton_tol=tol,
             max_newton_iters=rc.get("continuation", "max_newton_iters", 30),
         )
     except ValueError as exc:
@@ -312,8 +314,11 @@ def _run_solve(rc: RunConfig, log):
     for step in result.steps:
         log(f"  t={step.t:.4f} iters={step.iterations} residual={step.residual_norm:.3e}")
     if not result.converged:
-        return 2, None, {"solve": _solve_dict(result), "warnings": rc.warnings}, result
-    report_est = estimates.build_report(result.u, spec, cfg)
+        print(f"run failed: {result.status}: {result.detail}", file=sys.stderr)
+        return 2, result.status, None, spec, {
+            "solve": _solve_dict(result), "warnings": rc.warnings,
+        }
+    report_est = estimates.build_report(result.u, spec)
     passed, verification = _verification_battery(result.u, spec, cfg, report_est)
     report_obj = {
         "estimates": report_est.to_dict(),
@@ -327,7 +332,7 @@ def _run_solve(rc: RunConfig, log):
         report_obj["uniqueness"] = dataclasses.asdict(probe)
         log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
     log(f"verification {'passed' if passed else 'FAILED'}")
-    return (0 if passed else 3), result.u, report_obj, result
+    return (0 if passed else 3), result.status, result.u, spec, report_obj
 
 
 def _solve_dict(result: solver.SolveResult) -> dict:
@@ -364,17 +369,18 @@ def _run_verify(rc: RunConfig, log):
         residual = solver.assemble_residual(u, 1.0, spec)
     except (geom.NotSpacelikeError, geom.InvalidGraphError, ValueError) as exc:
         log(f"geometry rejected the field: {exc}")
-        return 3, None, {"verification": {"passed": False, "error": str(exc)},
-                         "warnings": rc.warnings}, None
+        return 3, "verification-failed", None, spec, {
+            "verification": {"passed": False, "error": str(exc)}, "warnings": rc.warnings,
+        }
     tol = solver.resolve_newton_tol(cfg, spec, u, state)
     rnorm = float(np.max(np.abs(residual)))
     log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
     if not rnorm <= tol:  # also fails a NaN norm
-        return 3, u, {
+        return 3, "verification-failed", u, spec, {
             "verification": {"passed": False, "residual_norm": rnorm, "tolerance": tol},
             "warnings": rc.warnings,
-        }, None
-    report_est = estimates.build_report(u, spec, cfg)
+        }
+    report_est = estimates.build_report(u, spec)
     passed, verification = _verification_battery(u, spec, cfg, report_est)
     verification["residual_norm"] = rnorm
     verification["tolerance"] = tol
@@ -384,19 +390,18 @@ def _run_verify(rc: RunConfig, log):
         "warnings": rc.warnings,
     }
     log(f"verification {'passed' if passed else 'FAILED'}")
-    return (0 if passed else 3), u, report_obj, None
+    code, status = (0, "verified") if passed else (3, "verification-failed")
+    return code, status, u, spec, report_obj
 
 
 def _run_study(rc: RunConfig, log):
-    from .problem import manufactured_problem
-
     grids_text = rc.get("study", "grids", "32,64,128")
     try:
         sizes = [int(s) for s in grids_text.split(",") if s.strip()]
     except ValueError:
-        raise ConfigError(f"study grids must be a comma list of ints, got {grids_text!r}")
+        sizes = []
     if not sizes or any(s < 4 or s % 2 for s in sizes):
-        raise ConfigError(f"study grids must be even sizes >= 4, got {grids_text!r}")
+        raise ConfigError(f"study grids must be even ints >= 4, got {excerpt(grids_text)}")
     u_star_text = rc.get("study", "u_star", "1 + 0.05*rho**2")
     refine = rc.get("study", "refine", 4)
     if refine < 1:
@@ -408,7 +413,6 @@ def _run_study(rc: RunConfig, log):
     k = rc.get("problem", "k")
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     rows = []
-    last_u = last_spec = None
     for size in sizes:
         grid = Grid(chart, size, size)
         try:
@@ -418,7 +422,7 @@ def _run_study(rc: RunConfig, log):
         result = solver.continuation_solve(spec, ContinuationConfig())
         if not result.converged:
             log(f"grid {size}: solver failed ({result.status})")
-            return 2, None, {"study": rows, "warnings": rc.warnings}, None
+            return 2, "failed", None, spec, {"study": rows, "warnings": rc.warnings}
         err = float(np.max(np.abs(result.u - u_star)))
         gap = geom.spacelike_gap(result.u, grid)
         state = geom.extrinsic_state(result.u, grid)
@@ -437,7 +441,6 @@ def _run_study(rc: RunConfig, log):
             }
         )
         log(f"grid {size:4d}: error {err:.4e}, gap {gap:.4f}, iters {result.newton_total}")
-        last_u, last_spec = result.u, spec
     orders = [
         math.log2(rows[i]["error_inf"] / rows[i + 1]["error_inf"])
         / math.log2(rows[i + 1]["grid"] / rows[i]["grid"])
@@ -446,8 +449,7 @@ def _run_study(rc: RunConfig, log):
     for i, order in enumerate(orders):
         log(f"observed order {rows[i]['grid']} -> {rows[i + 1]['grid']}: {order:.3f}")
     study = {"rows": rows, "orders": orders, "u_star": u_star_text, "refine": refine}
-    report_obj = {"study": study, "warnings": rc.warnings}
-    return 0, last_u, report_obj, (study, last_spec)
+    return 0, "study-complete", result.u, spec, {"study": study, "warnings": rc.warnings}
 
 
 def run(rc: RunConfig) -> int:
@@ -461,26 +463,13 @@ def run(rc: RunConfig) -> int:
     status, code = "failed", 2
     try:
         os.makedirs(rc.out_dir, exist_ok=True)
-        if rc.mode == "solve":
-            code, u, report_obj, result = _run_solve(rc, log)
-            status = result.status
-            if not result.converged:
-                print(f"run failed: {status}: {result.detail}", file=sys.stderr)
-        elif rc.mode == "verify":
-            code, u, report_obj, _ = _run_verify(rc, log)
-            status = "verified" if code == 0 else "verification-failed"
-        else:
-            code, u, report_obj, extra = _run_study(rc, log)
-            status = "study-complete" if code == 0 else "failed"
-            if code == 0:
-                _write_json(os.path.join(rc.out_dir, "study.json"), report_obj["study"])
+        # each mode returns (exit code, status, u or None, spec, report)
+        run_mode = {"solve": _run_solve, "verify": _run_verify, "study": _run_study}[rc.mode]
+        code, status, u, spec, report_obj = run_mode(rc, log)
+        if rc.mode == "study" and code == 0:
+            _write_json(os.path.join(rc.out_dir, "study.json"), report_obj["study"])
         if u is not None:
-            if rc.mode == "study":
-                _, last_spec = extra
-                _emit(rc.out_dir, u, last_spec, report_obj, log_lines)
-            else:
-                spec, _ = build_problem(rc)
-                _emit(rc.out_dir, u, spec, report_obj, log_lines)
+            _emit(rc.out_dir, u, spec, report_obj, log_lines)
         else:
             _write_json(os.path.join(rc.out_dir, "report.json"), report_obj)
             _write_text(os.path.join(rc.out_dir, "log.txt"), "\n".join(log_lines) + "\n")
@@ -538,7 +527,7 @@ def main(argv=None) -> int:
             try:
                 nr, nt = (int(s) for s in args.grid.lower().split("x"))
             except ValueError:
-                raise ConfigError(f"--grid must look like 64x64, got {args.grid!r}")
+                raise ConfigError(f"--grid must look like 64x64, got {excerpt(args.grid)}")
             rc.raw.setdefault("problem", {})["n_rho"] = nr
             rc.raw["problem"]["n_theta"] = nt
             _validate_problem(rc)

@@ -98,9 +98,11 @@ def curvature_ratio(state: geom.ExtrinsicState):
     }
 
 
-def interior_profile(
-    state: geom.ExtrinsicState, phi_field, grid: Grid, n_bands: int = 5
-):
+# Number of distance bands of the interior profile.
+_PROFILE_BANDS = 5
+
+
+def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid):
     """Curvature profile over nested interior bands of distance to the
     boundary, together with the weighted quantity sup (phi - u) * lam_1.
 
@@ -118,11 +120,11 @@ def interior_profile(
     dist = grid.chart.rho_max - grid.rho_col + np.zeros(grid.shape)
     norm_a = np.sqrt(np.maximum(state.norm_a_sq, 0.0))
     weighted = eta * state.lam1
-    edges = np.linspace(0.0, grid.chart.rho_max, n_bands + 1)
+    edges = np.linspace(0.0, grid.chart.rho_max, _PROFILE_BANDS + 1)
     rows = []
-    for b in range(n_bands):
+    for b in range(_PROFILE_BANDS):
         in_band = interior & (dist >= edges[b]) & (
-            dist < edges[b + 1] if b < n_bands - 1 else dist <= edges[b + 1]
+            dist < edges[b + 1] if b < _PROFILE_BANDS - 1 else dist <= edges[b + 1]
         )
         if not np.any(in_band):
             continue
@@ -227,10 +229,10 @@ class EstimateReport:
         return dataclasses.asdict(self)
 
 
-def build_report(u, spec, cfg=None) -> EstimateReport:
+def build_report(u, spec) -> EstimateReport:
     """Run the whole estimate battery on a solution field."""
     grid = spec.grid
-    U = hchart.as_values(u)
+    U = np.asarray(u, dtype=float)
     state = geom.extrinsic_state(U, grid)
     gap = geom.spacelike_gap(U, grid)
     psi = spec.psi_field(U, state.theta_support)

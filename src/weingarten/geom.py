@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from . import hchart
-from .hchart import Grid, as_values
+from .hchart import Grid
 
 __all__ = [
     "InvalidGraphError",
@@ -30,11 +30,6 @@ __all__ = [
     "graph_geometry",
     "principal_curvatures",
     "extrinsic_state",
-    "embed",
-    "hyperboloid_frame",
-    "ambient_tangents",
-    "ambient_normal",
-    "lorentz_inner",
 ]
 
 
@@ -65,7 +60,7 @@ def _check_graph(U: np.ndarray, grid: Grid):
 
 def spacelike_gap(u, grid: Grid) -> float:
     """max over nodes of |Du|/u; the graph is spacelike iff this is < 1."""
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     _check_graph(U, grid)
     _, _, grad_sq = hchart.covariant_gradient(U, grid)
     return float(np.sqrt(np.max(grad_sq / U ** 2)))
@@ -136,7 +131,6 @@ class ExtrinsicState:
     u: np.ndarray
     u_rho: np.ndarray
     u_theta: np.ndarray
-    grad_sq: np.ndarray
     v: np.ndarray
     w: np.ndarray
     g_rr: np.ndarray
@@ -178,7 +172,7 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
     inverse metric, the principal curvatures, the support function u / v and
     |A|^2 to what :func:`graph_geometry` gives.
     """
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     _check_graph(U, grid)
     u_r, u_t, grad_sq = hchart.covariant_gradient(U, grid)
     ratio = grad_sq / U ** 2
@@ -202,7 +196,6 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         u=U,
         u_rho=u_r,
         u_theta=u_t,
-        grad_sq=grad_sq,
         v=v,
         w=1.0 / v,
         g_rr=g_rr,
@@ -221,50 +214,3 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         theta_support=U / v,
         norm_a_sq=sigma1 ** 2 - 2.0 * sigma2,
     )
-
-
-# --- ambient (Minkowski) helpers -------------------------------------------
-#
-# These give an independent route to the same geometry: points, tangents and
-# the unit normal as explicit vectors in R^3 with inner product
-# <a, b> = a1 b1 + a2 b2 - a3 b3.
-
-
-def lorentz_inner(p, q):
-    """Minkowski inner product of stacked vectors (components along axis 0)."""
-    return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
-
-
-def hyperboloid_frame(rho, theta):
-    """Point x on the unit hyperboloid and its coordinate tangents x_rho, x_theta."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    s, c = np.sinh(rho), np.cosh(rho)
-    ct, st = np.cos(theta), np.sin(theta)
-    x = np.stack(np.broadcast_arrays(s * ct, s * st, c + 0.0 * st))
-    x_rho = np.stack(np.broadcast_arrays(c * ct, c * st, s + 0.0 * st))
-    x_theta = np.stack(np.broadcast_arrays(-s * st, s * ct, 0.0 * (s * ct)))
-    return x, x_rho, x_theta
-
-
-def embed(rho, theta, u):
-    """Ambient position u(x) * x of the graph point over (rho, theta)."""
-    x, _, _ = hyperboloid_frame(rho, theta)
-    return np.asarray(u, dtype=float) * x
-
-
-def ambient_tangents(rho, theta, u, u_rho, u_theta):
-    """Ambient tangent vectors u x_i + u_i x of the graph."""
-    x, x_r, x_t = hyperboloid_frame(rho, theta)
-    X_r = u * x_r + u_rho * x
-    X_t = u * x_t + u_theta * x
-    return X_r, X_t
-
-
-def ambient_normal(rho, theta, u, u_rho, u_theta, v):
-    """Future-directed unit normal (x + sigma^{ij} u_j x_i / u) / v."""
-    x, x_r, x_t = hyperboloid_frame(rho, theta)
-    s2 = np.sinh(np.asarray(rho, dtype=float)) ** 2
-    up_r = u_rho
-    up_t = u_theta / s2
-    return (x + (up_r * x_r + up_t * x_t) / u) / v

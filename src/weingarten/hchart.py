@@ -23,8 +23,6 @@ __all__ = [
     "ChartDomainError",
     "PolarChart",
     "Grid",
-    "ScalarField",
-    "as_values",
     "partial_rho",
     "partial_theta",
     "partial_rho2",
@@ -95,39 +93,9 @@ class Grid:
     def n_nodes(self) -> int:
         return self.n_rho * self.n_theta
 
-    def field(self, values, role: str = "") -> "ScalarField":
-        return ScalarField(self, values, role)
-
     def node_label(self, flat_index: int) -> str:
         i, j = divmod(int(flat_index), self.n_theta)
         return f"node (i={i}, j={j}, rho={self.rho[i]:.6g}, theta={self.theta[j]:.6g})"
-
-
-@dataclasses.dataclass
-class ScalarField:
-    """One real value per grid node, with a role tag for diagnostics."""
-
-    grid: Grid
-    values: np.ndarray
-    role: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            bad = int(np.argmax(~np.isfinite(v)))
-            raise ValueError(f"non-finite value at {self.grid.node_label(bad)}")
-        self.values = v
-
-
-def as_values(u) -> np.ndarray:
-    """Accept a ScalarField or a bare array and return the node array."""
-    if isinstance(u, ScalarField):
-        return u.values
-    return np.asarray(u, dtype=float)
 
 
 def _pole_ghost(U: np.ndarray, grid: Grid) -> np.ndarray:
@@ -138,7 +106,7 @@ def _pole_ghost(U: np.ndarray, grid: Grid) -> np.ndarray:
 def partial_rho(u, grid: Grid) -> np.ndarray:
     """d/d rho, second order: centred inside, across-pole ghost at ring 0,
     one-sided at the outer ring."""
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     h = grid.d_rho
     dU = np.empty_like(U)
     ghost = _pole_ghost(U, grid)
@@ -150,7 +118,7 @@ def partial_rho(u, grid: Grid) -> np.ndarray:
 
 def partial_rho2(u, grid: Grid) -> np.ndarray:
     """d^2/d rho^2, second order, same edge treatment as :func:`partial_rho`."""
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     h2 = grid.d_rho ** 2
     d2 = np.empty_like(U)
     ghost = _pole_ghost(U, grid)
@@ -162,13 +130,13 @@ def partial_rho2(u, grid: Grid) -> np.ndarray:
 
 def partial_theta(u, grid: Grid) -> np.ndarray:
     """d/d theta, centred periodic."""
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     return (np.roll(U, -1, axis=1) - np.roll(U, 1, axis=1)) / (2.0 * grid.d_theta)
 
 
 def partial_theta2(u, grid: Grid) -> np.ndarray:
     """d^2/d theta^2, centred periodic."""
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     return (np.roll(U, -1, axis=1) - 2.0 * U + np.roll(U, 1, axis=1)) / grid.d_theta ** 2
 
 
@@ -205,10 +173,12 @@ def covariant_hessian(u, grid: Grid):
 def laplace_beltrami(u, grid: Grid) -> np.ndarray:
     """Laplace-Beltrami operator: the metric trace of the covariant Hessian,
 
-        Lap u = d2u/drho2 + coth(rho) du/drho + d2u/dtheta2 / sinh(rho)^2.
+        Lap u = d2u/drho2 + coth(rho) du/drho + d2u/dtheta2 / sinh(rho)^2,
+
+    as H_rr + H_tt / sinh(rho)^2 with :func:`covariant_hessian`'s formulas.
     """
-    H_rr, _, H_tt = covariant_hessian(u, grid)
-    return H_rr + H_tt / grid.sinh_rho ** 2
+    H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * partial_rho(u, grid)
+    return partial_rho2(u, grid) + H_tt / grid.sinh_rho ** 2
 
 
 def geodesic_diameter(grid: Grid) -> float:

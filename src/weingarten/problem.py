@@ -32,6 +32,7 @@ __all__ = [
     "PhiSpec",
     "ProblemSpec",
     "ContinuationConfig",
+    "excerpt",
     "tabulate_sigma_k",
     "manufactured_problem",
 ]
@@ -39,6 +40,18 @@ __all__ = [
 
 class ExpressionError(ValueError):
     """An expression fell outside the supported grammar."""
+
+
+# Characters of an input that an error message quotes.
+_EXCERPT_CHARS = 80
+
+
+def excerpt(value) -> str:
+    """repr(value) for an error message; a long string is cut to its first
+    characters and its length, so one bad input gives one short line."""
+    if isinstance(value, str) and len(value) > _EXCERPT_CHARS:
+        return f"{value[:_EXCERPT_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 _ALLOWED_FUNCS = {"cos": np.cos, "sin": np.sin}
@@ -55,7 +68,9 @@ class Expr:
         try:
             tree = ast.parse(self.text, mode="eval")
         except SyntaxError as exc:
-            raise ExpressionError(f"cannot parse expression {self.text!r}: {exc}") from None
+            raise ExpressionError(
+                f"cannot parse expression {excerpt(self.text)}: {exc}"
+            ) from None
         except (RecursionError, MemoryError):
             # the parser's own nesting limits, reached by e.g. thousands of unary minuses
             raise ExpressionError(self._too_deep()) from None
@@ -84,7 +99,7 @@ class Expr:
                     names.add(node.id)
                     continue
                 raise ExpressionError(
-                    f"unknown variable {node.id!r} in {self.text!r}; "
+                    f"unknown variable {excerpt(node.id)} in {excerpt(self.text)}; "
                     f"allowed: {', '.join(self.variables)}"
                 )
             if isinstance(node, ast.Call):
@@ -96,11 +111,11 @@ class Expr:
                 ):
                     continue
                 raise ExpressionError(
-                    f"unsupported call in {self.text!r}; allowed functions: "
+                    f"unsupported call in {excerpt(self.text)}; allowed functions: "
                     f"{', '.join(sorted(_ALLOWED_FUNCS))}"
                 )
             raise ExpressionError(
-                f"unsupported syntax {type(node).__name__!r} in {self.text!r}"
+                f"unsupported syntax {type(node).__name__!r} in {excerpt(self.text)}"
             )
         self._names = frozenset(names)
         try:
@@ -116,12 +131,12 @@ class Expr:
             with np.errstate(all="ignore"):
                 self(rho=probe, theta=probe, u=probe)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
+            raise ExpressionError(f"cannot evaluate {excerpt(self.text)}: {exc}") from None
         except (RecursionError, MemoryError):
             raise ExpressionError(self._too_deep()) from None
 
     def _too_deep(self) -> str:
-        return f"expression of {len(self.text)} characters is nested too deeply"
+        return f"expression {excerpt(self.text)} is nested too deeply"
 
     @property
     def is_constant(self) -> bool:
@@ -172,13 +187,6 @@ class PsiSpec:
         if self.family == "tabulated":
             return bool(np.ptp(self.table) == 0.0)
         return self.p == 0.0 and self.h.is_constant
-
-    def growth_condition_ok(self, k: int):
-        """Structural check of the convexity/growth condition (p >= k);
-        None when not applicable (tabulated data)."""
-        if self.family == "tabulated":
-            return None
-        return self.p >= k
 
     def evaluate(self, rho, theta, u, support, check: bool = True) -> np.ndarray:
         """Evaluate psi; accepts complex inputs when ``check`` is off (used by
@@ -261,7 +269,6 @@ class ContinuationConfig:
     dt_min: float = 1e-3
     newton_tol: float | None = None  # None: 1e-10 for constant data, else 1e-8 * sup psi
     max_newton_iters: int = 30
-    damping_floor: float = 2.0 ** -20
     direct_attempt: bool = True
     direct_max_iters: int = 15
 

@@ -16,13 +16,11 @@ components), namely geom's kernel :func:`geom.graph_geometry` plus psi and
 the (1 - t) Laplace term, the same formulas the residual itself is built
 from.  So dR/du factors into exact per-node partial derivatives
 (obtained by complex-step differentiation of the local map, which is
-machine-accurate) composed with the sparse stencil operators.  A graph-
-coloured central finite-difference Jacobian on the residual's sparsity
-pattern (a 3 x 3 stencil plus the across-pole coupling of the innermost
-ring) is retained as an independent cross-check; it is not the production
-path because the pole ring's metric factor 1/sinh(rho)^2 ~ 1/h^2 makes its
-huge entries cancel to O(1) physical couplings, which finite differences
-cannot resolve on fine grids.  Boundary rows are identity rows.
+machine-accurate) composed with the sparse stencil operators.  Finite
+differences of the residual would not do: the pole ring's metric factor
+1/sinh(rho)^2 ~ 1/h^2 makes its huge entries cancel to O(1) physical
+couplings, which finite differences cannot resolve on fine grids.  Boundary
+rows are identity rows.
 
 Every linear solve (Newton corrections, barrier solves, the harmonic
 extension) goes through one sparse LU: rows are divided by their absolute
@@ -43,7 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from . import geom, hchart
-from .hchart import Grid, as_values
+from .hchart import Grid
 from .problem import ContinuationConfig, ProblemSpec, PsiSpec
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "UniquenessReport",
     "assemble_residual",
     "assemble_jacobian",
-    "assemble_jacobian_fd",
     "damped_newton",
     "harmonic_extension",
     "constant_guess",
@@ -101,106 +98,9 @@ def assemble_residual(u, t: float, spec: ProblemSpec) -> np.ndarray:
     Raises the geometry errors of :func:`geom.extrinsic_state` when the field
     is not a positive spacelike graph.
     """
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     state = geom.extrinsic_state(U, spec.grid)
     return _residual_given_state(U, t, spec, state)
-
-
-# --- sparsity pattern and colouring -------------------------------------------
-
-
-@dataclasses.dataclass
-class _Pattern:
-    indices: np.ndarray  # CSC row indices
-    indptr: np.ndarray
-    shape: tuple[int, int]
-    groups: list[np.ndarray]  # column groups with disjoint row footprints
-
-
-_PATTERN_CACHE: dict[tuple[int, int], _Pattern] = {}
-
-
-def _build_pattern(grid: Grid) -> _Pattern:
-    nr, nt = grid.shape
-    n = nr * nt
-    idx = np.arange(n).reshape(nr, nt)
-    shift = grid.pole_shift
-    rows, cols = [], []
-
-    def add(r, c):
-        rows.append(np.ravel(r))
-        cols.append(np.ravel(c))
-
-    # interior rings with full centred stencils
-    if nr > 2:
-        I = np.arange(1, nr - 1)[:, None]
-        J = np.arange(nt)[None, :]
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                add(idx[I, J], idx[I + di, (J + dj) % nt])
-    # innermost ring: regular neighbours plus across-pole ghosts
-    J = np.arange(nt)
-    for di in (0, 1):
-        for dj in (-1, 0, 1):
-            add(idx[0, J], idx[di, (J + dj) % nt])
-    for dj in (-1, 0, 1):
-        add(idx[0, J], idx[0, (J + dj + shift) % nt])
-    # boundary rows are identity rows
-    add(idx[-1, :], idx[-1, :])
-
-    data = np.ones(sum(len(r) for r in rows))
-    P = sp.coo_matrix(
-        (data, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
-    P.data[:] = 1.0
-
-    # distance-2 colouring: columns sharing a residual row get distinct colours
-    conflict = (P.T @ P).tocsr()
-    colour = np.full(n, -1, dtype=np.int64)
-    for c in range(n):
-        neigh = colour[conflict.indices[conflict.indptr[c] : conflict.indptr[c + 1]]]
-        used = set(int(v) for v in neigh if v >= 0)
-        v = 0
-        while v in used:
-            v += 1
-        colour[c] = v
-    groups = [np.nonzero(colour == v)[0] for v in range(int(colour.max()) + 1)]
-    return _Pattern(indices=P.indices, indptr=P.indptr, shape=(n, n), groups=groups)
-
-
-def _pattern(grid: Grid) -> _Pattern:
-    key = grid.shape
-    pat = _PATTERN_CACHE.get(key)
-    if pat is None:
-        pat = _build_pattern(grid)
-        _PATTERN_CACHE[key] = pat
-    return pat
-
-
-def _colored_fd_jacobian(res_fn, U, grid: Grid, eps: float) -> sp.csc_matrix:
-    pat = _pattern(grid)
-    data = np.zeros(pat.indices.size)
-    for cols in pat.groups:
-        pert = np.zeros(grid.shape)
-        pert.reshape(-1)[cols] = eps
-        rp = res_fn(U + pert).ravel()
-        rm = res_fn(U - pert).ravel()
-        d = (rp - rm) / (2.0 * eps)
-        for c in cols:
-            lo, hi = pat.indptr[c], pat.indptr[c + 1]
-            data[lo:hi] = d[pat.indices[lo:hi]]
-    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=pat.shape)
-
-
-def assemble_jacobian_fd(u, t: float, spec: ProblemSpec) -> sp.csc_matrix:
-    """Cross-check Jacobian: coloured central finite differences of the
-    residual on the stencil pattern.  Accurate on coarse and medium grids;
-    on fine grids the innermost ring loses the cancellation between its
-    1/sinh(rho)^2-sized entries (see the module docstring), so the analytic
-    :func:`assemble_jacobian` is the production path."""
-    U = as_values(u)
-    eps = 1e-6 * max(1.0, float(np.max(np.abs(U))))
-    return _colored_fd_jacobian(lambda w: assemble_residual(w, t, spec), U, spec.grid, eps)
 
 
 # Complex-step size for the node-local partial derivatives; no subtractive
@@ -233,7 +133,7 @@ def assemble_jacobian(u, t: float, spec: ProblemSpec) -> sp.csc_matrix:
     differentiation (exact to round-off), then composed with the sparse
     stencil operators.  Boundary rows are identity rows."""
     grid = spec.grid
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     u_r, u_t, _ = hchart.covariant_gradient(U, grid)
     H_rr, H_rt, H_tt = hchart.covariant_hessian(U, grid)
     slots = [U, u_r, u_t, H_rr, H_rt, H_tt]
@@ -340,6 +240,10 @@ def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
 # --- Newton ------------------------------------------------------------------
 
 
+# The line search gives up once the step length falls below this.
+_DAMPING_FLOOR = 2.0 ** -20
+
+
 @dataclasses.dataclass
 class NewtonReport:
     u: np.ndarray
@@ -358,7 +262,7 @@ def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, u, state) -> 
         return cfg.newton_tol
     if spec.psi.is_constant and spec.phi.family == "constant":
         return 1e-10
-    psi = spec.psi_field(as_values(u), state.theta_support)
+    psi = spec.psi_field(np.asarray(u, dtype=float), state.theta_support)
     return 1e-8 * max(float(np.max(np.abs(psi))), 1e-8)
 
 
@@ -391,7 +295,7 @@ def damped_newton(
     """
     cfg = cfg or ContinuationConfig()
     grid = spec.grid
-    u = np.array(as_values(u0), dtype=float, copy=True)
+    u = np.array(u0, dtype=float, copy=True)
     if max_iters is None:
         max_iters = cfg.max_newton_iters
     state = _check_start(u, t, spec)
@@ -412,7 +316,7 @@ def damped_newton(
             return NewtonReport(u, False, "stalled", iterations, rnorm, tol, steps)
         alpha = 1.0
         accepted = False
-        while alpha >= cfg.damping_floor:
+        while alpha >= _DAMPING_FLOOR:
             u_try = u + alpha * delta
             try:
                 st_try = geom.extrinsic_state(u_try, grid)
@@ -473,13 +377,17 @@ def constant_guess(spec: ProblemSpec) -> np.ndarray:
     return np.full(spec.grid.shape, float(np.mean(spec.boundary_values())))
 
 
-def build_initial_guess(spec: ProblemSpec, max_shifts: int = 8) -> np.ndarray:
+# Lifts of the harmonic extension tried before the constant fallback.
+_GUESS_LIFTS = 8
+
+
+def build_initial_guess(spec: ProblemSpec) -> np.ndarray:
     """Harmonic extension of phi, lifted by constants until mean-curvature
     admissible; constant fallback when the lift does not take."""
     grid = spec.grid
     u = harmonic_extension(spec)
     shift = 0.25 * max(1.0, float(np.mean(np.abs(u))))
-    for _ in range(max_shifts):
+    for _ in range(_GUESS_LIFTS):
         try:
             state = geom.extrinsic_state(u, grid)
             if np.all(state.sigma1[grid.interior_mask] > 0.0):
@@ -530,7 +438,7 @@ def continuation_solve(
     if initial_guess is None:
         u0 = build_initial_guess(spec)
     else:
-        u0 = np.array(as_values(initial_guess), dtype=float, copy=True)
+        u0 = np.array(initial_guess, dtype=float, copy=True)
     steps: list[ContinuationStep] = []
     total = 0
 
@@ -600,7 +508,7 @@ def continuation_solve(
 
 def _barrier_solve(spec: ProblemSpec, u, cfg: ContinuationConfig | None, order: int):
     cfg = cfg or ContinuationConfig()
-    U = as_values(u)
+    U = np.asarray(u, dtype=float)
     state = geom.extrinsic_state(U, spec.grid)
     psi = spec.psi_field(U, state.theta_support)
     Cnk = math.comb(spec.n, spec.k)
@@ -652,13 +560,17 @@ def barrier_sandwich_check(u, s_minus, s_plus, grid: Grid) -> SandwichReport:
     """Comparison sandwich s_minus <= u <= s_plus up to the discretisation
     allowance eps_h = 10 * d_rho^2 on interior nodes."""
     interior = grid.interior_mask
-    up = float(np.min((as_values(s_plus) - as_values(u))[interior]))
-    lo = float(np.min((as_values(u) - as_values(s_minus))[interior]))
+    u, s_minus, s_plus = (np.asarray(a, dtype=float) for a in (u, s_minus, s_plus))
+    up = float(np.min((s_plus - u)[interior]))
+    lo = float(np.min((u - s_minus)[interior]))
     eps_h = 10.0 * grid.d_rho ** 2
     return SandwichReport(up, lo, eps_h, passed=bool(up >= -eps_h and lo >= -eps_h))
 
 
 # --- uniqueness probe -----------------------------------------------------------
+
+# Relative size of the random bump on each probe start.
+_PROBE_AMPLITUDE = 0.01
 
 
 @dataclasses.dataclass
@@ -674,7 +586,6 @@ def uniqueness_probe(
     cfg: ContinuationConfig | None = None,
     n_starts: int = 5,
     seed: int = 0,
-    amplitude: float = 0.01,
 ) -> UniquenessReport:
     """Re-run the continuation from seeded perturbed starts and report the
     largest pairwise sup-distance between the solutions found."""
@@ -691,7 +602,7 @@ def uniqueness_probe(
             + c[1] * rn ** 2
             + (c[2] * np.cos(grid.theta_row) + c[3] * np.sin(grid.theta_row)) * rn
         )
-        u0 = base * (1.0 + amplitude * bump)
+        u0 = base * (1.0 + _PROBE_AMPLITUDE * bump)
         result = continuation_solve(spec, cfg, initial_guess=u0)
         ts = [s.t for s in result.steps]
         mono = all(b >= a for a, b in zip(ts, ts[1:]))

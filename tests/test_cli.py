@@ -31,7 +31,7 @@ def small(text):
     return text.replace("n_rho = 16", "n_rho = 8").replace("n_theta = 16", "n_theta = 8")
 
 
-# inputs that once exited 1 or hung; each must exit 2 with a one-line message
+# inputs that once exited 1, hung or quoted the whole input; each must exit 2, one short line
 STUDY = [("mode = solve", "mode = study")]
 BAD_INPUTS = {
     "dt_init": ([], "[continuation]\ndt_init = 0\n"),
@@ -45,6 +45,9 @@ BAD_INPUTS = {
     "psi_h_power_tower": ([("psi_h = 2", "psi_h = 9**9**9")], ""),
     "psi_h_deep_3000": ([("psi_h = 2", "psi_h = " + "-" * 3000 + "2")], ""),
     "psi_h_deep_200000": ([("psi_h = 2", "psi_h = " + "-" * 200000 + "2")], ""),
+    "psi_h_syntax_1000": ([("psi_h = 2", "psi_h = " + "1+" * 500)], ""),
+    "n_rho_200000": ([("n_rho = 8", "n_rho = " + "x" * 200000)], ""),
+    "no_equals_200000": ([], "x" * 200000 + "\n"),
     "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
     "study_grid": (STUDY, "[study]\ngrids = 2\n"),
     "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
@@ -285,6 +288,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(err) <= 300
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ambient_normal, ambient_tangents, embed, lorentz_inner
 from weingarten.geom import (
     InvalidGraphError,
     NotSpacelikeError,
-    ambient_normal,
-    ambient_tangents,
-    embed,
     extrinsic_state,
     graph_geometry,
-    lorentz_inner,
     principal_curvatures,
     spacelike_gap,
 )

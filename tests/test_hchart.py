@@ -8,7 +8,6 @@ from weingarten.hchart import (
     ChartDomainError,
     Grid,
     PolarChart,
-    ScalarField,
     covariant_gradient,
     covariant_hessian,
     derivative_matrices,
@@ -81,15 +80,6 @@ class TestGrid:
             Grid(chart, 3, 8)
         with pytest.raises(ValueError):
             Grid(chart, 8, 7)  # odd theta count breaks across-pole ghosting
-
-    def test_scalar_field_validation(self):
-        g = disk(8, 8)
-        with pytest.raises(ValueError):
-            ScalarField(g, np.zeros((8, 4)))
-        vals = np.zeros(g.shape)
-        vals[2, 3] = np.nan
-        with pytest.raises(ValueError, match="i=2, j=3"):
-            ScalarField(g, vals)
 
     def test_geodesic_diameter(self):
         assert geodesic_diameter(disk(8, 8, 0.8)) == pytest.approx(1.6)

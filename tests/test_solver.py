@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, spsolve
 
+from oracles import matrix_from_columns
 from weingarten import geom, hchart, solver
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import ContinuationConfig, PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
 from weingarten.solver import (
     InadmissibleStartError,
     assemble_jacobian,
-    assemble_jacobian_fd,
     assemble_residual,
     barrier_sandwich_check,
     build_initial_guess,
@@ -134,12 +134,19 @@ class TestJacobian:
         assert 3.2 < e1 / e2 < 4.8
 
     def test_fd_cross_check(self):
-        # the coloured finite-difference route agrees with the analytic one
+        # central differences of the residual, column by column, match the analytic Jacobian
         g = disk(20, 20)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         u = constant_guess(mspec)
         Ja = assemble_jacobian(u, 0.6, mspec)
-        Jf = assemble_jacobian_fd(u, 0.6, mspec)
+        eps = 1e-6 * max(1.0, float(np.max(np.abs(u))))
+
+        def column(e):
+            e = eps * e.reshape(g.shape)
+            return (assemble_residual(u + e, 0.6, mspec)
+                    - assemble_residual(u - e, 0.6, mspec)) / (2.0 * eps)
+
+        Jf = matrix_from_columns(column, g.n_nodes)
         scale = np.max(np.abs(Ja.data))
         assert np.max(np.abs((Ja - Jf).toarray())) < 1e-6 * scale
 
@@ -162,12 +169,8 @@ class TestJacobian:
         spec = mean_curvature_problem(g)
         u = np.full(g.shape, 1.0)
         J = assemble_jacobian(u, 0.0, spec).toarray()
-        n = g.n_nodes
-        L = np.zeros((n, n))
-        for c in range(n):
-            e = np.zeros(n)
-            e[c] = 1.0
-            L[:, c] = hchart.laplace_beltrami(e.reshape(g.shape), g).ravel()
+        L = matrix_from_columns(lambda e: hchart.laplace_beltrami(e.reshape(g.shape), g),
+                                g.n_nodes).toarray()
         inner = g.interior_mask.ravel()
         assert np.max(np.abs(J[inner] - L[inner])) < 1e-9
 
@@ -200,15 +203,16 @@ class TestSparseSolve:
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_laplace_system_matches_fd_build(self):
+        # the stencil-matrix system against the array stencils, column by column
         g = disk(64, 64)
 
-        def res(U):
+        def res(e):
+            U = e.reshape(g.shape)
             R = hchart.laplace_beltrami(U, g)
             R[-1, :] = U[-1, :]
             return R
 
-        # exact for a linear operator, any step size
-        L_fd = solver._colored_fd_jacobian(res, np.zeros(g.shape), g, 1.0)
+        L_fd = matrix_from_columns(res, g.n_nodes)
         L = solver._laplace_system(g)
         assert abs(L - L_fd).max() <= 1e-8 * abs(L_fd).max()
 
