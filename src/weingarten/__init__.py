@@ -11,7 +11,6 @@ from .hchart import (  # noqa: F401
     covariant_gradient,
     covariant_hessian,
     geodesic_diameter,
-    laplace_beltrami,
 )
 from .geom import (  # noqa: F401
     ExtrinsicState,

@@ -177,8 +177,20 @@ def _validate_problem(rc: RunConfig):
         raise ConfigError("verify mode requires fields_in in [run]")
 
 
+def _check_chart_factors(rho_max: float, n_rho: int):
+    """Refuse a grid whose chart factors 1/d_rho^2, 1/sinh(rho_0)^2 and
+    sinh(rho_max)^2 are not finite floats: its stencils and metric would
+    divide by zero or overflow."""
+    rho = np.float64(rho_max)
+    h = rho / n_rho
+    factors = (1.0 / h ** 2, 1.0 / np.sinh(0.5 * h) ** 2, np.sinh(rho) ** 2)
+    if not np.all(np.isfinite(factors)):
+        raise ConfigError(f"rho_max = {rho_max!r} on {n_rho} rings: chart factors not finite")
+
+
 def build_problem(rc: RunConfig):
     """Materialise ProblemSpec and ContinuationConfig from a RunConfig."""
+    _check_chart_factors(rc.get("problem", "rho_max"), rc.get("problem", "n_rho"))
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     grid = Grid(chart, rc.get("problem", "n_rho"), rc.get("problem", "n_theta"))
     try:
@@ -210,13 +222,12 @@ def build_problem(rc: RunConfig):
 _CSV_HEADER = "rho,theta,u,v,lambda1,lambda2,sigma_k,theta_support,residual"
 
 
-def _field_table(u, spec: ProblemSpec):
+def _field_table(state: geom.ExtrinsicState, spec: ProblemSpec):
     grid = spec.grid
-    state = geom.extrinsic_state(u, grid)
-    residual = solver.assemble_residual(u, 1.0, spec)
+    residual = solver.assemble_residual(state, 1.0, spec)
     rho = grid.rho_col + np.zeros(grid.shape)
     theta = grid.theta_row + np.zeros(grid.shape)
-    cols = [rho, theta, u, state.v, state.lam1, state.lam2,
+    cols = [rho, theta, state.u, state.v, state.lam1, state.lam2,
             state.sigma_k(spec.k), state.theta_support, residual]
     return np.column_stack([c.ravel() for c in cols])
 
@@ -257,22 +268,18 @@ def _grid_hash(rc: RunConfig) -> str:
     return h.hexdigest()
 
 
-def _inequality_scale(state) -> float:
-    return max(1.0, float(np.max(np.abs(state.sigma1))) ** 2,
-               float(np.max(np.abs(state.sigma2))))
-
-
-def _verification_battery(u, spec: ProblemSpec, cfg: ContinuationConfig, report_est):
+def _verification_battery(state: geom.ExtrinsicState, spec: ProblemSpec,
+                          cfg: ContinuationConfig, report_est):
     """Gating checks shared by solve and verify modes."""
     grid = spec.grid
-    state = geom.extrinsic_state(u, grid)
-    scale = _inequality_scale(state)
+    scale = max(1.0, float(np.max(np.abs(state.sigma1))) ** 2,
+                float(np.max(np.abs(state.sigma2))))
     admissible = bool(np.all(state.admissible_mask(spec.k)[grid.interior_mask]))
     nm_slack = solver.newton_inequality_min_slack(state, grid)
     mac1, mac2 = solver.maclaurin_ordering_margins(state, spec.k, grid)
-    s_plus = solver.solve_upper_barrier(spec, u, cfg)
-    s_minus = solver.solve_lower_barrier(spec, u, cfg)
-    sandwich = solver.barrier_sandwich_check(u, s_minus, s_plus, grid)
+    s_plus = solver.solve_upper_barrier(spec, state, cfg)
+    s_minus = solver.solve_lower_barrier(spec, state, cfg)
+    sandwich = solver.barrier_sandwich_check(state.u, s_minus, s_plus, grid)
     gates = {
         "admissible": admissible,
         "newton_inequality": bool(nm_slack >= -1e-10 * scale),
@@ -290,8 +297,8 @@ def _verification_battery(u, spec: ProblemSpec, cfg: ContinuationConfig, report_
     return detail["passed"], detail
 
 
-def _emit(out_dir, u, spec, report_obj, log_lines):
-    table = _field_table(u, spec)
+def _emit(out_dir, state, spec, report_obj, log_lines):
+    table = _field_table(state, spec)
     _check_finite(table, spec.grid)
     np.savetxt(
         os.path.join(out_dir, "fields.csv"),
@@ -318,8 +325,9 @@ def _run_solve(rc: RunConfig, log):
         return 2, result.status, None, spec, {
             "solve": _solve_dict(result), "warnings": rc.warnings,
         }
-    report_est = estimates.build_report(result.u, spec)
-    passed, verification = _verification_battery(result.u, spec, cfg, report_est)
+    state = geom.extrinsic_state(result.u, spec.grid)
+    report_est = estimates.build_report(state, spec)
+    passed, verification = _verification_battery(state, spec, cfg, report_est)
     report_obj = {
         "estimates": report_est.to_dict(),
         "solve": _solve_dict(result),
@@ -332,7 +340,7 @@ def _run_solve(rc: RunConfig, log):
         report_obj["uniqueness"] = dataclasses.asdict(probe)
         log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
     log(f"verification {'passed' if passed else 'FAILED'}")
-    return (0 if passed else 3), result.status, result.u, spec, report_obj
+    return (0 if passed else 3), result.status, state, spec, report_obj
 
 
 def _solve_dict(result: solver.SolveResult) -> dict:
@@ -366,22 +374,22 @@ def _run_verify(rc: RunConfig, log):
     log(f"verify: {path} against k={spec.k} problem")
     try:
         state = geom.extrinsic_state(u, spec.grid)
-        residual = solver.assemble_residual(u, 1.0, spec)
+        residual = solver.assemble_residual(state, 1.0, spec)
     except (geom.NotSpacelikeError, geom.InvalidGraphError, ValueError) as exc:
         log(f"geometry rejected the field: {exc}")
         return 3, "verification-failed", None, spec, {
             "verification": {"passed": False, "error": str(exc)}, "warnings": rc.warnings,
         }
-    tol = solver.resolve_newton_tol(cfg, spec, u, state)
+    tol = solver.resolve_newton_tol(cfg, spec, state)
     rnorm = float(np.max(np.abs(residual)))
     log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
     if not rnorm <= tol:  # also fails a NaN norm
-        return 3, "verification-failed", u, spec, {
+        return 3, "verification-failed", state, spec, {
             "verification": {"passed": False, "residual_norm": rnorm, "tolerance": tol},
             "warnings": rc.warnings,
         }
-    report_est = estimates.build_report(u, spec)
-    passed, verification = _verification_battery(u, spec, cfg, report_est)
+    report_est = estimates.build_report(state, spec)
+    passed, verification = _verification_battery(state, spec, cfg, report_est)
     verification["residual_norm"] = rnorm
     verification["tolerance"] = tol
     report_obj = {
@@ -391,7 +399,7 @@ def _run_verify(rc: RunConfig, log):
     }
     log(f"verification {'passed' if passed else 'FAILED'}")
     code, status = (0, "verified") if passed else (3, "verification-failed")
-    return code, status, u, spec, report_obj
+    return code, status, state, spec, report_obj
 
 
 def _run_study(rc: RunConfig, log):
@@ -400,8 +408,9 @@ def _run_study(rc: RunConfig, log):
         sizes = [int(s) for s in grids_text.split(",") if s.strip()]
     except ValueError:
         sizes = []
-    if not sizes or any(s < 4 or s % 2 for s in sizes):
-        raise ConfigError(f"study grids must be even ints >= 4, got {excerpt(grids_text)}")
+    if not sizes or any(s < 4 or s % 2 for s in sizes) or len(set(sizes)) < len(sizes):
+        raise ConfigError(
+            f"study grids must be distinct even ints >= 4, got {excerpt(grids_text)}")
     u_star_text = rc.get("study", "u_star", "1 + 0.05*rho**2")
     refine = rc.get("study", "refine", 4)
     if refine < 1:
@@ -411,6 +420,7 @@ def _run_study(rc: RunConfig, log):
     except ExpressionError as exc:
         raise ConfigError(f"u_star: {exc}") from None
     k = rc.get("problem", "k")
+    _check_chart_factors(rc.get("problem", "rho_max"), refine * max(sizes))  # finest grid
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     rows = []
     for size in sizes:
@@ -441,15 +451,17 @@ def _run_study(rc: RunConfig, log):
             }
         )
         log(f"grid {size:4d}: error {err:.4e}, gap {gap:.4f}, iters {result.newton_total}")
+    # no order where an error is zero: the grid reproduced u_star exactly
     orders = [
-        math.log2(rows[i]["error_inf"] / rows[i + 1]["error_inf"])
-        / math.log2(rows[i + 1]["grid"] / rows[i]["grid"])
-        for i in range(len(rows) - 1)
+        math.log2(a["error_inf"] / b["error_inf"]) / math.log2(b["grid"] / a["grid"])
+        if a["error_inf"] and b["error_inf"] else None
+        for a, b in zip(rows, rows[1:])
     ]
-    for i, order in enumerate(orders):
-        log(f"observed order {rows[i]['grid']} -> {rows[i + 1]['grid']}: {order:.3f}")
+    for a, b, order in zip(rows, rows[1:], orders):
+        shown = "none (zero error)" if order is None else f"{order:.3f}"
+        log(f"observed order {a['grid']} -> {b['grid']}: {shown}")
     study = {"rows": rows, "orders": orders, "u_star": u_star_text, "refine": refine}
-    return 0, "study-complete", result.u, spec, {"study": study, "warnings": rc.warnings}
+    return 0, "study-complete", state, spec, {"study": study, "warnings": rc.warnings}
 
 
 def run(rc: RunConfig) -> int:
@@ -463,13 +475,13 @@ def run(rc: RunConfig) -> int:
     status, code = "failed", 2
     try:
         os.makedirs(rc.out_dir, exist_ok=True)
-        # each mode returns (exit code, status, u or None, spec, report)
+        # each mode returns (exit code, status, the output field's state or None, spec, report)
         run_mode = {"solve": _run_solve, "verify": _run_verify, "study": _run_study}[rc.mode]
-        code, status, u, spec, report_obj = run_mode(rc, log)
+        code, status, state, spec, report_obj = run_mode(rc, log)
         if rc.mode == "study" and code == 0:
             _write_json(os.path.join(rc.out_dir, "study.json"), report_obj["study"])
-        if u is not None:
-            _emit(rc.out_dir, u, spec, report_obj, log_lines)
+        if state is not None:
+            _emit(rc.out_dir, state, spec, report_obj, log_lines)
         else:
             _write_json(os.path.join(rc.out_dir, "report.json"), report_obj)
             _write_text(os.path.join(rc.out_dir, "log.txt"), "\n".join(log_lines) + "\n")
@@ -534,7 +546,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(rc)
+    with np.errstate(all="ignore"):  # one stderr line: the guards report non-finite values
+        return run(rc)
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def gradient_constants(n: int, rho_gap: float, sup_dpsi: float, inf_psi: float, 
 
 def gradient_estimate_check(state: geom.ExtrinsicState, phi_field, grid: Grid, s2: float):
     """Both sides of the lapse bound and the pass flag."""
-    W = state.w
+    W = 1.0 / state.v
     sup_w = float(np.max(W))
     sup_w_boundary = float(np.max(W[-1, :]))
     sup_phi_boundary = float(np.max(np.abs(np.asarray(phi_field)[-1, :])))
@@ -229,13 +229,11 @@ class EstimateReport:
         return dataclasses.asdict(self)
 
 
-def build_report(u, spec) -> EstimateReport:
-    """Run the whole estimate battery on a solution field."""
+def build_report(state: geom.ExtrinsicState, spec) -> EstimateReport:
+    """Run the whole estimate battery on the state of a solution field."""
     grid = spec.grid
-    U = np.asarray(u, dtype=float)
-    state = geom.extrinsic_state(U, grid)
-    gap = geom.spacelike_gap(U, grid)
-    psi = spec.psi_field(U, state.theta_support)
+    gap = geom.spacelike_gap(state.u, grid)
+    psi = spec.psi_field(state.u, state.theta_support)
     _, _, psi_grad_sq = hchart.covariant_gradient(psi, grid)
     sup_dpsi = float(np.sqrt(np.max(psi_grad_sq)))
     inf_psi = float(np.min(psi))

@@ -5,9 +5,10 @@ by u(x) * x, with x on the unit hyperboloid in Minkowski space
 (metric dx_1^2 + ... + dx_n^2 - dx_{n+1}^2).  One node-local kernel,
 :func:`graph_geometry`, holds the formulas for the lapse, the induced metric,
 the second fundamental form and sigma_1, sigma_2; :func:`extrinsic_state`
-guards the field, calls it and adds the inverse metric, the principal
-curvatures, the support function and the squared curvature norm.  Everything
-is vectorised over (n_rho, n_theta) arrays and works equally on scalars.
+guards the field, calls it and packages u with its covariant gradient and
+Hessian, the inverse metric, the principal curvatures, the support function
+and the squared curvature norm.  Everything is vectorised over
+(n_rho, n_theta) arrays and works equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
 and the constant graph u = R has principal curvatures +1/R.
@@ -34,7 +35,8 @@ __all__ = [
 
 
 class InvalidGraphError(ValueError):
-    """The graph function is not finite and strictly positive."""
+    """The graph function is not finite and strictly positive, or its
+    induced metric is not positive definite in floating point."""
 
 
 class NotSpacelikeError(ValueError):
@@ -109,7 +111,7 @@ def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
     """
     a, b, c = _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt)
     if np.any(np.asarray(a) <= 0.0) or np.any(np.asarray(g_rr) <= 0.0):
-        raise ValueError("metric is not positive definite")
+        raise InvalidGraphError("metric is not positive definite")
     disc = np.maximum(b * b - 4.0 * a * c, 0.0)
     sq = np.sqrt(disc)
     q = -0.5 * (b + np.copysign(sq, b))
@@ -120,7 +122,8 @@ def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
 
 @dataclasses.dataclass
 class ExtrinsicState:
-    """Per-node geometric package of a spacelike radial graph.
+    """Per-node geometric package of a spacelike radial graph: u with its
+    covariant gradient and Hessian, and the geometry built from them.
 
     ``sigma1``/``sigma2`` are the trace and determinant of the shape operator
     computed from the characteristic polynomial of the (h, g) pencil, which
@@ -131,17 +134,13 @@ class ExtrinsicState:
     u: np.ndarray
     u_rho: np.ndarray
     u_theta: np.ndarray
+    H_rr: np.ndarray
+    H_rt: np.ndarray
+    H_tt: np.ndarray
     v: np.ndarray
-    w: np.ndarray
-    g_rr: np.ndarray
-    g_rt: np.ndarray
-    g_tt: np.ndarray
     ginv_rr: np.ndarray
     ginv_rt: np.ndarray
     ginv_tt: np.ndarray
-    h_rr: np.ndarray
-    h_rt: np.ndarray
-    h_tt: np.ndarray
     lam1: np.ndarray
     lam2: np.ndarray
     sigma1: np.ndarray
@@ -168,9 +167,9 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
     """Build the full per-node geometric state of the graph u.
 
     Raises :class:`InvalidGraphError` / :class:`NotSpacelikeError` when the
-    field is not a finite, positive, spacelike graph; otherwise adds the
-    inverse metric, the principal curvatures, the support function u / v and
-    |A|^2 to what :func:`graph_geometry` gives.
+    field is not a finite, positive, spacelike graph; otherwise keeps the
+    chart data and adds the inverse metric, the principal curvatures, the
+    support function u / v and |A|^2 to what :func:`graph_geometry` gives.
     """
     U = np.asarray(u, dtype=float)
     _check_graph(U, grid)
@@ -184,29 +183,27 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
             node=flat,
             gap=worst,
         )
-    v, (g_rr, g_rt, g_tt), (h_rr, h_rt, h_tt), sigma1, sigma2 = graph_geometry(
-        U, u_r, u_t, *hchart.covariant_hessian(U, grid), grid.sinh_rho
-    )
+    # temporaries are freed as soon as they are spent: peak memory at 1024^2
+    del grad_sq, ratio
+    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, grid)
+    v, g, h, sigma1, sigma2 = graph_geometry(U, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
+    lam1, lam2 = principal_curvatures(*h, *g)
+    del g, h
     # g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)), indices raised by sigma
     s2 = grid.sinh_rho ** 2
     u2v2 = U ** 2 * v ** 2
     inv_scale = 1.0 / U ** 2
-    lam1, lam2 = principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt)
     return ExtrinsicState(
         u=U,
         u_rho=u_r,
         u_theta=u_t,
+        H_rr=H_rr,
+        H_rt=H_rt,
+        H_tt=H_tt,
         v=v,
-        w=1.0 / v,
-        g_rr=g_rr,
-        g_rt=g_rt,
-        g_tt=g_tt,
         ginv_rr=inv_scale * (1.0 + u_r ** 2 / u2v2),
         ginv_rt=inv_scale * (u_r * u_t / s2) / u2v2,
         ginv_tt=inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2),
-        h_rr=h_rr,
-        h_rt=h_rt,
-        h_tt=h_tt,
         lam1=lam1,
         lam2=lam2,
         sigma1=sigma1,

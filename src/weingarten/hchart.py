@@ -29,7 +29,6 @@ __all__ = [
     "partial_theta2",
     "covariant_gradient",
     "covariant_hessian",
-    "laplace_beltrami",
     "geodesic_diameter",
     "StencilMatrices",
     "derivative_matrices",
@@ -168,17 +167,6 @@ def covariant_hessian(u, grid: Grid):
     H_rt = partial_theta(u_r, grid) - grid.coth_rho * u_t
     H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * u_r
     return H_rr, H_rt, H_tt
-
-
-def laplace_beltrami(u, grid: Grid) -> np.ndarray:
-    """Laplace-Beltrami operator: the metric trace of the covariant Hessian,
-
-        Lap u = d2u/drho2 + coth(rho) du/drho + d2u/dtheta2 / sinh(rho)^2,
-
-    as H_rr + H_tt / sinh(rho)^2 with :func:`covariant_hessian`'s formulas.
-    """
-    H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * partial_rho(u, grid)
-    return partial_rho2(u, grid) + H_tt / grid.sinh_rho ** 2
 
 
 def geodesic_diameter(grid: Grid) -> float:

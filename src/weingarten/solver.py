@@ -12,9 +12,10 @@ problem directly and falls back to adaptive stepping in t.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
-components), namely geom's kernel :func:`geom.graph_geometry` plus psi and
-the (1 - t) Laplace term, the same formulas the residual itself is built
-from.  So dR/du factors into exact per-node partial derivatives
+components), namely geom's kernel :func:`geom.graph_geometry`, psi and the
+one homotopy formula the residual itself is built from.  Both take the
+:class:`geom.ExtrinsicState` of the field, which carries these chart
+quantities.  So dR/du factors into exact per-node partial derivatives
 (obtained by complex-step differentiation of the local map, which is
 machine-accurate) composed with the sparse stencil operators.  Finite
 differences of the residual would not do: the pole ring's metric factor
@@ -79,28 +80,23 @@ class SolverError(RuntimeError):
 # --- residual ----------------------------------------------------------------
 
 
-def _residual_given_state(U, t, spec: ProblemSpec, state: geom.ExtrinsicState):
-    grid = spec.grid
-    psi = spec.psi_field(U, state.theta_support)
+def _homotopy(t, sig, psi, H_rr, H_tt, sinh_rho):
+    """The homotopy family t sigma_k + (1 - t) Lap u - psi, with Lap u the
+    Hessian's trace H_rr + H_tt / sinh(rho)^2; sigma_k - psi at t = 1.  Called
+    on real data by the residual and on complex-step data by the Jacobian."""
     if t == 1.0:
-        R = state.sigma_k(spec.k) - psi
-    elif t == 0.0:
-        R = hchart.laplace_beltrami(U, grid) - psi
-    else:
-        R = t * state.sigma_k(spec.k) + (1.0 - t) * hchart.laplace_beltrami(U, grid) - psi
-    R[-1, :] = U[-1, :] - spec.boundary_values()
+        return sig - psi
+    return t * sig + (1.0 - t) * (H_rr + H_tt / sinh_rho ** 2) - psi
+
+
+def assemble_residual(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> np.ndarray:
+    """Residual field of the homotopy problem at the graph of ``state``;
+    boundary rows hold u - phi.  Raises ValueError when psi is not finite
+    and positive there."""
+    psi = spec.psi_field(state.u, state.theta_support)
+    R = _homotopy(t, state.sigma_k(spec.k), psi, state.H_rr, state.H_tt, spec.grid.sinh_rho)
+    R[-1, :] = state.u[-1, :] - spec.boundary_values()
     return R
-
-
-def assemble_residual(u, t: float, spec: ProblemSpec) -> np.ndarray:
-    """Residual field of the homotopy problem; boundary rows hold u - phi.
-
-    Raises the geometry errors of :func:`geom.extrinsic_state` when the field
-    is not a positive spacelike graph.
-    """
-    U = np.asarray(u, dtype=float)
-    state = geom.extrinsic_state(U, spec.grid)
-    return _residual_given_state(U, t, spec, state)
 
 
 # Complex-step size for the node-local partial derivatives; no subtractive
@@ -110,8 +106,8 @@ _CS_EPS = 1e-30
 
 def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     """The residual as a node-local (complex-analytic) function of the six
-    chart quantities: :func:`geom.graph_geometry`, psi and the (1 - t)
-    Laplace term.  Used for exact per-node linearisation."""
+    chart quantities: :func:`geom.graph_geometry`, psi and :func:`_homotopy`.
+    Used for exact per-node linearisation."""
     grid = spec.grid
     v, g, h, sigma1, sigma2 = geom.graph_geometry(
         u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho
@@ -119,24 +115,18 @@ def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     sig = sigma1 if spec.k == 1 else sigma2
     del g, h, sigma1, sigma2  # free them before psi's temporaries: peak memory at 256^2
     psi = spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
-    out = t * sig - psi
-    if t != 1.0:
-        out = out + (1.0 - t) * (H_rr + H_tt / grid.sinh_rho ** 2)
-    return out
+    return _homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
 
 
-def assemble_jacobian(u, t: float, spec: ProblemSpec) -> sp.csc_matrix:
-    """Analytic Jacobian dR/du.
+def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> sp.csc_matrix:
+    """Analytic Jacobian dR/du at the graph of ``state``.
 
-    Per-node partials of the local residual with respect to
-    (u, u_rho, u_theta, H_rr, H_rt, H_tt) are computed by complex-step
-    differentiation (exact to round-off), then composed with the sparse
-    stencil operators.  Boundary rows are identity rows."""
+    Per-node partials of the local residual with respect to the state's
+    chart data (u, u_rho, u_theta, H_rr, H_rt, H_tt) are computed by
+    complex-step differentiation (exact to round-off), then composed with
+    the sparse stencil operators.  Boundary rows are identity rows."""
     grid = spec.grid
-    U = np.asarray(u, dtype=float)
-    u_r, u_t, _ = hchart.covariant_gradient(U, grid)
-    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, grid)
-    slots = [U, u_r, u_t, H_rr, H_rt, H_tt]
+    slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
     weights = []
     for m in range(len(slots)):
         pert = list(slots)
@@ -251,18 +241,16 @@ class NewtonReport:
     status: str  # converged | max-iterations | stalled
     iterations: int
     residual_norm: float
-    tolerance: float
-    steps: list
 
 
-def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, u, state) -> float:
+def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, state) -> float:
     """Residual tolerance: the configured value if any, 1e-10 when both psi
     and phi are constant (exactly solvable data), else 1e-8 * sup |psi|."""
     if cfg.newton_tol is not None:
         return cfg.newton_tol
     if spec.psi.is_constant and spec.phi.family == "constant":
         return 1e-10
-    psi = spec.psi_field(np.asarray(u, dtype=float), state.theta_support)
+    psi = spec.psi_field(state.u, state.theta_support)
     return 1e-8 * max(float(np.max(np.abs(psi))), 1e-8)
 
 
@@ -300,20 +288,19 @@ def damped_newton(
         max_iters = cfg.max_newton_iters
     state = _check_start(u, t, spec)
     try:
-        tol = resolve_newton_tol(cfg, spec, u, state)
-        R = _residual_given_state(u, t, spec, state)
+        tol = resolve_newton_tol(cfg, spec, state)
+        R = assemble_residual(state, t, spec)
     except ValueError as exc:  # e.g. psi nonpositive at the start
         raise InadmissibleStartError(f"start rejected: {exc}") from exc
     rnorm = float(np.max(np.abs(R)))
-    steps: list[tuple[int, float, float]] = []
     iterations = 0
     while rnorm > tol:
         if iterations >= max_iters:
-            return NewtonReport(u, False, "max-iterations", iterations, rnorm, tol, steps)
-        J = assemble_jacobian(u, t, spec)
+            return NewtonReport(u, False, "max-iterations", iterations, rnorm)
+        J = assemble_jacobian(state, t, spec)
         delta = _sparse_solve(J, -R.ravel(), grid).reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
-            return NewtonReport(u, False, "stalled", iterations, rnorm, tol, steps)
+            return NewtonReport(u, False, "stalled", iterations, rnorm)
         alpha = 1.0
         accepted = False
         while alpha >= _DAMPING_FLOOR:
@@ -324,7 +311,7 @@ def damped_newton(
                     st_try.admissible_mask(spec.k)[grid.interior_mask]
                 ):
                     raise geom.NotSpacelikeError("iterate left the admissible cone")
-                R_try = _residual_given_state(u_try, t, spec, st_try)
+                R_try = assemble_residual(st_try, t, spec)
                 rn_try = float(np.max(np.abs(R_try)))
                 if np.isfinite(rn_try) and rn_try < rnorm:
                     accepted = True
@@ -333,11 +320,10 @@ def damped_newton(
                 pass
             alpha *= 0.5
         if not accepted:
-            return NewtonReport(u, False, "stalled", iterations, rnorm, tol, steps)
-        u, R, rnorm = u_try, R_try, rn_try
+            return NewtonReport(u, False, "stalled", iterations, rnorm)
+        u, state, R, rnorm = u_try, st_try, R_try, rn_try
         iterations += 1
-        steps.append((iterations, rnorm, alpha))
-    return NewtonReport(u, True, "converged", iterations, rnorm, tol, steps)
+    return NewtonReport(u, True, "converged", iterations, rnorm)
 
 
 # --- initial guesses ----------------------------------------------------------
@@ -506,11 +492,9 @@ def continuation_solve(
 # --- barriers ------------------------------------------------------------------
 
 
-def _barrier_solve(spec: ProblemSpec, u, cfg: ContinuationConfig | None, order: int):
+def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, order: int):
     cfg = cfg or ContinuationConfig()
-    U = np.asarray(u, dtype=float)
-    state = geom.extrinsic_state(U, spec.grid)
-    psi = spec.psi_field(U, state.theta_support)
+    psi = spec.psi_field(state.u, state.theta_support)
     Cnk = math.comb(spec.n, spec.k)
     if order == 1:
         rhs = spec.n * (psi / Cnk) ** (1.0 / spec.k)
@@ -524,7 +508,7 @@ def _barrier_solve(spec: ProblemSpec, u, cfg: ContinuationConfig | None, order: 
     )
     bcfg = dataclasses.replace(cfg, newton_tol=None)
     last = "no admissible start"
-    for start in (U, constant_guess(bspec)):
+    for start in (state.u, constant_guess(bspec)):
         try:
             rep = damped_newton(start, 1.0, bspec, bcfg)
         except InadmissibleStartError as exc:
@@ -536,16 +520,18 @@ def _barrier_solve(spec: ProblemSpec, u, cfg: ContinuationConfig | None, order: 
     raise SolverError(f"barrier problem (order {order}) did not converge: {last}")
 
 
-def solve_upper_barrier(spec: ProblemSpec, u, cfg: ContinuationConfig | None = None):
+def solve_upper_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
+                        cfg: ContinuationConfig | None = None):
     """Mean-curvature barrier: sigma_1[s] = n (psi / C(n,k))^{1/k} with psi
-    frozen on the computed solution, s = phi on the boundary."""
-    return _barrier_solve(spec, u, cfg, order=1)
+    frozen on the computed solution ``state``, s = phi on the boundary."""
+    return _barrier_solve(spec, state, cfg, order=1)
 
 
-def solve_lower_barrier(spec: ProblemSpec, u, cfg: ContinuationConfig | None = None):
+def solve_lower_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
+                        cfg: ContinuationConfig | None = None):
     """Top-order barrier: sigma_n[s] = (psi / C(n,k))^{n/k}, s = phi on the
-    boundary, psi frozen on the computed solution."""
-    return _barrier_solve(spec, u, cfg, order=spec.n)
+    boundary, psi frozen on the computed solution ``state``."""
+    return _barrier_solve(spec, state, cfg, order=spec.n)
 
 
 @dataclasses.dataclass

@@ -1,7 +1,7 @@
 """Elementary symmetric function kernel.
 
-Provides sigma_k and its exclusion values sigma_k(lam | i), the classical
-identity bundle relating them, the positivity cones
+Provides sigma_k, the classical identity bundle relating it to its
+exclusion values sigma_k(lam | i), the positivity cones
 
     Gamma_k = { lam : sigma_1(lam) > 0, ..., sigma_k(lam) > 0 },
 
@@ -27,19 +27,15 @@ import numpy as np
 
 __all__ = [
     "InadmissibleError",
-    "SigmaEval",
     "FEval",
     "sigma_all",
     "sigma",
-    "sigma_excl",
     "identity_residuals",
     "gamma_cone_contains",
     "F_eval",
     "quadratic_form_terms",
     "quadratic_form",
     "newton_maclaurin_check",
-    "trace_Fij",
-    "evaluate",
 ]
 
 # Relative gap below which an off-diagonal difference quotient switches to
@@ -104,17 +100,6 @@ def sigma(lam, k: int) -> float:
     if not 0 <= k <= lam.size:
         raise ValueError(f"k = {k} out of range 0..{lam.size}")
     return float(_elementary(lam)[k])
-
-
-def sigma_excl(lam, k: int, i: int) -> float:
-    """sigma_k evaluated with lam_i set to zero (equivalently e_k of the
-    remaining entries)."""
-    lam = _as_lam(lam)
-    if not 0 <= i < lam.size:
-        raise ValueError(f"index i = {i} out of range 0..{lam.size - 1}")
-    if not 0 <= k <= lam.size:
-        raise ValueError(f"k = {k} out of range 0..{lam.size}")
-    return float(_elementary(lam * _zeroing(lam.size)[0][1 + i])[k])
 
 
 def _rel_residual(lhs, rhs):
@@ -264,43 +249,3 @@ def newton_maclaurin_check(lam, k: int) -> tuple[bool, float]:
     slack = rhs - lhs
     scale = max(1.0, abs(lhs), abs(rhs))
     return bool(slack >= -1e-12 * scale), float(slack)
-
-
-def trace_Fij(lam, k: int) -> float:
-    """Trace of the derivative of F with respect to the matrix argument;
-    equals sum_i P_i = (n-k+1) sigma_{k-1} / (k F^{k-1}), strictly positive
-    on Gamma_k."""
-    return float(np.sum(F_eval(lam, k).grad))
-
-
-@dataclasses.dataclass
-class SigmaEval:
-    """Bundle of sigma data at a curvature vector: values through order
-    min(n, k+2), exclusion values of order k-1, F = sigma_k^{1/k} with its
-    derivatives, and cone membership flags for Gamma_1..Gamma_k."""
-
-    k: int
-    sigmas: np.ndarray
-    grad_excl: np.ndarray
-    F: float
-    P: np.ndarray
-    P_hess: np.ndarray
-    cone_flags: np.ndarray
-
-
-def evaluate(lam, k: int) -> SigmaEval:
-    """Convenience bundle; raises :class:`InadmissibleError` off Gamma_k."""
-    lam = _as_lam(lam)
-    n = lam.size
-    fe = F_eval(lam, k)
-    e = _elementary(lam * _zeroing(n)[0][: n + 1])
-    top = min(n, k + 2)
-    return SigmaEval(
-        k=k,
-        sigmas=e[0, : top + 1].copy(),
-        grad_excl=e[1:, k - 1].copy(),
-        F=fe.F,
-        P=fe.grad,
-        P_hess=fe.hess,
-        cone_flags=np.logical_and.accumulate(e[0, 1 : k + 1] > 0.0),
-    )

@@ -1,9 +1,12 @@
 """Reference implementations for the tests: a sparse matrix built one unit
-vector at a time, and the graph's points, tangents and unit normal as vectors
-in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
+vector at a time, the Laplace-Beltrami operator from the array stencils, and
+the graph's points, tangents and unit normal as vectors in Minkowski R^3,
+<a, b> = a1 b1 + a2 b2 - a3 b3."""
 
 import numpy as np
 import scipy.sparse as sp
+
+from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
 
 
 def matrix_from_columns(column, n: int) -> sp.csc_matrix:
@@ -19,6 +22,17 @@ def matrix_from_columns(column, n: int) -> sp.csc_matrix:
         indptr.append(indptr[-1] + nz.size)
     return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
                          shape=(col.size, n))
+
+
+def laplace_beltrami(u, grid):
+    """Laplace-Beltrami operator: the metric trace of the covariant Hessian,
+
+        Lap u = d2u/drho2 + coth(rho) du/drho + d2u/dtheta2 / sinh(rho)^2,
+
+    as H_rr + H_tt / sinh(rho)^2 with the covariant Hessian's formulas.
+    """
+    H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * partial_rho(u, grid)
+    return partial_rho2(u, grid) + H_tt / grid.sinh_rho ** 2
 
 
 def lorentz_inner(p, q):

@@ -239,8 +239,9 @@ def test_criterion_6_barrier_sandwich(run_sigma1, run_sigma2, pinned_study, orde
     tight_ok = True
     details = []
     for spec, result, _ in (run_sigma1, run_sigma2):
-        s_plus = solve_upper_barrier(spec, result.u)
-        s_minus = solve_lower_barrier(spec, result.u)
+        state = geom.extrinsic_state(result.u, spec.grid)
+        s_plus = solve_upper_barrier(spec, state)
+        s_minus = solve_lower_barrier(spec, state)
         gap_up = float(np.max(np.abs(s_plus - result.u)))
         gap_lo = float(np.max(np.abs(s_minus - result.u)))
         tight_ok &= gap_up <= 1e-8 and gap_lo <= 1e-8
@@ -248,8 +249,9 @@ def test_criterion_6_barrier_sandwich(run_sigma1, run_sigma2, pinned_study, orde
     man_ok = True
     for row in (pinned_study[1], order_study[1]):  # the 64^2 runs
         spec, u, grid = row["spec"], row["u"], row["grid"]
-        s_plus = solve_upper_barrier(spec, u)
-        s_minus = solve_lower_barrier(spec, u)
+        state = geom.extrinsic_state(u, grid)
+        s_plus = solve_upper_barrier(spec, state)
+        s_minus = solve_lower_barrier(spec, state)
         report = barrier_sandwich_check(u, s_minus, s_plus, grid)
         man_ok &= report.passed
         details.append(f"margins {report.min_upper_margin:.1e}/{report.min_lower_margin:.1e}")
@@ -262,10 +264,10 @@ def test_criterion_7_gradient_bound(run_sigma1, run_sigma2, pinned_study, order_
     const_ok = abs(s1_ref - (9 + math.sqrt(97)) / 2) <= 1e-10
     bound_ok = True
     for spec, result, _ in (run_sigma1, run_sigma2):
-        rep = build_report(result.u, spec)
+        rep = build_report(geom.extrinsic_state(result.u, spec.grid), spec)
         bound_ok &= rep.gradient_bound_passed
     for row in (pinned_study[1], order_study[1]):
-        rep = build_report(row["u"], row["spec"])
+        rep = build_report(geom.extrinsic_state(row["u"], row["grid"]), row["spec"])
         bound_ok &= rep.gradient_bound_passed
     check(7, "lapse bound sup W <= (sup_b W) exp(S2(2 sup|phi| + diam))",
           const_ok and bound_ok,

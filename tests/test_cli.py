@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weingarten import cli
 from weingarten.cli import ConfigError, parse_config, run
@@ -50,11 +52,16 @@ BAD_INPUTS = {
     "no_equals_200000": ([], "x" * 200000 + "\n"),
     "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
     "study_grid": (STUDY, "[study]\ngrids = 2\n"),
+    "study_grid_repeated": (STUDY, "[study]\ngrids = 8,8\n"),
     "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
     "study_not_radial": (STUDY, "[study]\ngrids = 8\nu_star = 1+0.01*cos(theta)\n"),
     "u_star_power_tower": (STUDY, "[study]\ngrids = 8\nu_star = 9**9**9\n"),
     "fields_row": ([("mode = solve", "mode = verify\nfields_in = {fields}")], ""),
 }
+# disk radii whose chart factors leave the float range, or whose metric does in Newton
+HYPERPLANE = ("phi_family = constant", "phi_family = hyperplane")
+for radius in ("1e-200", "1e-155", "250", "1e300"):
+    BAD_INPUTS[f"rho_max_{radius}"] = ([("rho_max = 0.8", f"rho_max = {radius}"), HYPERPLANE], "")
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -225,6 +232,18 @@ class TestStudyMode:
         e16, e24 = (row["error_inf"] for row in study["rows"])
         assert study["orders"][0] == pytest.approx(np.log(e16 / e24) / np.log(24 / 16), rel=1e-12)
 
+    def test_exact_reproduction_has_no_order(self, tmp_path):
+        # u_star = 1 is reproduced exactly on every grid: an error of 0 has no order
+        text = BASE_CONFIG.replace("mode = solve", "mode = study").replace("k = 1", "k = 2")
+        text += "\n[study]\ngrids = 8,16\nu_star = 1\nrefine = 2\n"
+        out = tmp_path / "study_out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        study = json.loads((out / "study.json").read_text())
+        assert [row["error_inf"] for row in study["rows"]] == [0.0, 0.0]
+        assert study["orders"] == [None]
+        assert "observed order 8 -> 16: none (zero error)" in (out / "log.txt").read_text()
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 0
+
     def test_study_without_psi_family(self, tmp_path):
         # study mode tabulates its own psi, so the config need not name one
         text = BASE_CONFIG.replace("mode = solve", "mode = study").replace(
@@ -310,3 +329,56 @@ class TestMain:
         table[5, 3] = np.inf
         with pytest.raises(FloatingPointError):
             _check_finite(table, g)
+
+
+# small pools of valid and invalid inputs for the CLI fuzz test
+FUZZ_RADII = ("0.8", "2.4", "1e-200", "1e-155", "250", "1e300")
+FUZZ_PSI_H = ("2", "2/u*(1+0.1*rho*cos(theta))", "4*(1+0.2*rho*sin(theta))", "-1", "1/0", "foo")
+FUZZ_U_STAR = ("1", "0.5", "1 + 0.05*rho**2", "1 + 0.01*cos(theta)", "2 - rho**2")
+FUZZ_U = ("1", "0.5", "nan", "-1", "1,1")  # fields.csv u entries; "1,1" is a wrong width
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fuzz_exit_contract(tmp_path_factory, data):
+    """Drawn configs (and fields files) keep the exit-code contract: the code is
+    0, 2, 3 or 4, a parsed config leaves a manifest carrying it, each run takes
+    under 2 s, and a successful run's report holds no NaN."""
+    draw = data.draw
+    mode = draw(st.sampled_from(("solve", "verify", "study")))
+    n_rho, n_theta = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    text = (f"[problem]\nk = {draw(st.sampled_from((1, 2)))}\n"
+            f"rho_max = {draw(st.sampled_from(FUZZ_RADII))}\n"
+            f"n_rho = {n_rho}\nn_theta = {n_theta}\n"
+            f"psi_family = {draw(st.sampled_from(('power', 'exponential')))}\n"
+            f"psi_p = {draw(st.sampled_from((0, 1, 2)))}\n"
+            f"psi_h = {draw(st.sampled_from(FUZZ_PSI_H))}\n"
+            f"phi_family = {draw(st.sampled_from(('constant', 'hyperplane')))}\n"
+            f"phi_c = {draw(st.sampled_from(('1.0', '0.5', '-1', 'nan')))}\n"
+            f"[run]\nmode = {mode}\n")
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if mode == "verify":
+        us = [draw(st.sampled_from(FUZZ_U)) if draw(st.booleans()) else "1"
+              for _ in range(n_rho * n_theta)]
+        rows = [f"0.1,0,{u},1,1,1,2,1,0" for u in us]
+        (tmp / "fields.csv").write_text(cli._CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        text += f"fields_in = {tmp / 'fields.csv'}\n"
+    if mode == "study":
+        grids = draw(st.lists(st.sampled_from((4, 5, 6, 8, 12)), min_size=1, max_size=2))
+        text += (f"[study]\ngrids = {','.join(map(str, grids))}\n"
+                 f"u_star = {draw(st.sampled_from(FUZZ_U_STAR))}\n"
+                 f"refine = {draw(st.sampled_from((1, 2)))}\n")
+    cfg, out = write_config(tmp, text), tmp / "out"
+    try:
+        parse_config(cfg)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    t0 = time.perf_counter()
+    code = cli.main(["--config", cfg, "--out", str(out)])
+    assert time.perf_counter() - t0 < 2.0
+    assert code in (0, 2, 3, 4)
+    if parsed and code != 4:
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == code
+    if code == 0:
+        assert "NaN" not in (out / "report.json").read_text()

@@ -140,7 +140,7 @@ class TestReport:
             phi=PhiSpec("constant", c=1.0),
         )
         res = continuation_solve(spec, None)
-        rep = build_report(res.u, spec)
+        rep = build_report(geom.extrinsic_state(res.u, g), spec)
         assert rep.spacelike_gap == 0.0
         assert rep.gradient_bound_passed
         assert rep.support_identity_residual <= 1e-12

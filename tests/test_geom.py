@@ -36,6 +36,14 @@ def kernel(u, u_rho, u_theta, sinh_rho, hessian=(0.0, 0.0, 0.0)):
     return graph_geometry(u, u_rho, u_theta, *hessian, sinh_rho)
 
 
+def metric_and_form(st, g):
+    """(g, h) of a state as (rr, rt, tt) triples: the kernel applied to the
+    state's chart data."""
+    _, metric, form, _, _ = graph_geometry(
+        st.u, st.u_rho, st.u_theta, st.H_rr, st.H_rt, st.H_tt, g.sinh_rho)
+    return metric, form
+
+
 class TestLapse:
     def test_values(self):
         s = math.sinh(1.0)
@@ -109,16 +117,17 @@ class TestInducedMetric:
         g = disk(24, 24)
         u = spacelike_sample(g, seed=5)
         st = extrinsic_state(u, g)
-        one = st.g_rr * st.ginv_rr + st.g_rt * st.ginv_rt
-        zero = st.g_rr * st.ginv_rt + st.g_rt * st.ginv_tt
-        one2 = st.g_rt * st.ginv_rt + st.g_tt * st.ginv_tt
+        (g_rr, g_rt, g_tt), _ = metric_and_form(st, g)
+        one = g_rr * st.ginv_rr + g_rt * st.ginv_rt
+        zero = g_rr * st.ginv_rt + g_rt * st.ginv_tt
+        one2 = g_rt * st.ginv_rt + g_tt * st.ginv_tt
         assert np.max(np.abs(one - 1)) < 1e-12
         assert np.max(np.abs(zero)) < 1e-12
         assert np.max(np.abs(one2 - 1)) < 1e-12
         X_r, X_t = ambient_tangents(g.rho_col, g.theta_row, u, st.u_rho, st.u_theta)
-        assert np.max(np.abs(lorentz_inner(X_r, X_r) - st.g_rr)) < 1e-12
-        assert np.max(np.abs(lorentz_inner(X_r, X_t) - st.g_rt)) < 1e-12
-        assert np.max(np.abs(lorentz_inner(X_t, X_t) - st.g_tt)) < 1e-12
+        assert np.max(np.abs(lorentz_inner(X_r, X_r) - g_rr)) < 1e-12
+        assert np.max(np.abs(lorentz_inner(X_r, X_t) - g_rt)) < 1e-12
+        assert np.max(np.abs(lorentz_inner(X_t, X_t) - g_tt)) < 1e-12
 
 
 class TestNormal:
@@ -139,10 +148,10 @@ class TestSecondFundamentalForm:
         g = disk()
         R = 1.3
         u = np.full(g.shape, R)
-        st = extrinsic_state(u, g)
-        assert np.max(np.abs(st.h_rr[:-1] - R)) < 1e-12
-        assert np.max(np.abs(st.h_rt)) < 1e-12
-        assert np.max(np.abs(st.h_tt - R * g.sinh_rho ** 2)) < 1e-10
+        _, (h_rr, h_rt, h_tt) = metric_and_form(extrinsic_state(u, g), g)
+        assert np.max(np.abs(h_rr[:-1] - R)) < 1e-12
+        assert np.max(np.abs(h_rt)) < 1e-12
+        assert np.max(np.abs(h_tt - R * g.sinh_rho ** 2)) < 1e-10
 
     def test_half_hyperboloid_curvatures(self):
         # u = 0.5 has lam = (2, 2), so the top symmetric function is 4
@@ -159,7 +168,7 @@ class TestSecondFundamentalForm:
         def u_fn(rho, theta):
             return 1 + 0.05 * rho ** 2 + 0.0 * theta
         u = u_fn(g.rho_col, g.theta_row) + np.zeros(g.shape)
-        st = extrinsic_state(u, g)
+        _, (h_rr, h_rt, h_tt) = metric_and_form(extrinsic_state(u, g), g)
         d = 1e-4  # balances O(d^2) truncation against O(eps/d^2) rounding
         for (i, j) in [(10, 3), (24, 17), (40, 40)]:
             rho, theta = g.rho[i], g.theta[j]
@@ -172,9 +181,9 @@ class TestSecondFundamentalForm:
             ur = 0.1 * rho
             v = math.sqrt(1 - ur ** 2 / u_fn(rho, theta) ** 2)
             nu = ambient_normal(rho, theta, u_fn(rho, theta), ur, 0.0, v)
-            assert -lorentz_inner(P_rr, nu) == pytest.approx(st.h_rr[i, j], rel=1e-5, abs=1e-6)
-            assert -lorentz_inner(P_rt, nu) == pytest.approx(st.h_rt[i, j], rel=1e-5, abs=1e-6)
-            assert -lorentz_inner(P_tt, nu) == pytest.approx(st.h_tt[i, j], rel=1e-5, abs=1e-6)
+            assert -lorentz_inner(P_rr, nu) == pytest.approx(h_rr[i, j], rel=1e-5, abs=1e-6)
+            assert -lorentz_inner(P_rt, nu) == pytest.approx(h_rt[i, j], rel=1e-5, abs=1e-6)
+            assert -lorentz_inner(P_tt, nu) == pytest.approx(h_tt[i, j], rel=1e-5, abs=1e-6)
 
 
 class TestPrincipalCurvatures:
@@ -200,7 +209,7 @@ class TestPrincipalCurvatures:
         assert lam2 == pytest.approx(min(roots), rel=1e-13)
 
     def test_not_positive_definite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGraphError):
             principal_curvatures(1.0, 0.0, 1.0, 1.0, 2.0, 1.0)
 
 

@@ -12,8 +12,8 @@ from weingarten.hchart import (
     covariant_hessian,
     derivative_matrices,
     geodesic_diameter,
-    laplace_beltrami,
 )
+from oracles import laplace_beltrami
 
 # independently evaluated reference constants
 SINH2_1 = 1.3810978455418155      # sinh(1)^2

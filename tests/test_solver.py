@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, spsolve
 
-from oracles import matrix_from_columns
-from weingarten import geom, hchart, solver
+from oracles import laplace_beltrami, matrix_from_columns
+from weingarten import geom, solver
+from weingarten.geom import extrinsic_state
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import ContinuationConfig, PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
 from weingarten.solver import (
@@ -41,19 +42,21 @@ def gauss_curvature_problem(g, psi="4", c=0.5):
 class TestResidual:
     def test_exact_mean_curvature_solution(self):
         g = disk()
-        R = assemble_residual(np.ones(g.shape), 1.0, mean_curvature_problem(g))
+        u = np.ones(g.shape)
+        R = assemble_residual(extrinsic_state(u, g), 1.0, mean_curvature_problem(g))
         assert np.max(np.abs(R)) == 0.0
 
     def test_exact_gauss_curvature_solution(self):
         g = disk()
-        R = assemble_residual(np.full(g.shape, 0.5), 1.0, gauss_curvature_problem(g))
+        u = np.full(g.shape, 0.5)
+        R = assemble_residual(extrinsic_state(u, g), 1.0, gauss_curvature_problem(g))
         assert np.max(np.abs(R)) == 0.0
 
     def test_boundary_rows_hold_dirichlet_gap(self):
         g = disk()
         spec = mean_curvature_problem(g)
         u = np.full(g.shape, 1.1)
-        R = assemble_residual(u, 1.0, spec)
+        R = assemble_residual(extrinsic_state(u, g), 1.0, spec)
         assert np.allclose(R[-1, :], 0.1)
 
     def test_not_spacelike_raises(self):
@@ -61,15 +64,16 @@ class TestResidual:
         u = np.ones(g.shape)
         u[5, :] = 1.5
         with pytest.raises(geom.NotSpacelikeError):
-            assemble_residual(u, 1.0, mean_curvature_problem(g))
+            assemble_residual(extrinsic_state(u, g), 1.0, mean_curvature_problem(g))
 
     def test_homotopy_blend(self):
         g = disk()
         spec = mean_curvature_problem(g)
         u = 1.0 + 0.02 * (g.rho_col / 0.8) ** 2 + np.zeros(g.shape)
-        r0 = assemble_residual(u, 0.0, spec)
-        r1 = assemble_residual(u, 1.0, spec)
-        rt = assemble_residual(u, 0.3, spec)
+        state = extrinsic_state(u, g)
+        r0 = assemble_residual(state, 0.0, spec)
+        r1 = assemble_residual(state, 1.0, spec)
+        rt = assemble_residual(state, 0.3, spec)
         inner = g.interior_mask
         blend = 0.3 * (r1 + 2.0) + 0.7 * (r0 + 2.0) - 2.0  # psi = 2 subtracted once
         assert np.max(np.abs(rt[inner] - blend[inner])) < 1e-12
@@ -77,20 +81,19 @@ class TestResidual:
     @pytest.mark.parametrize("k, p, h", [(1, 1, "2/u*(1+0.1*rho*cos(theta))"),
                                          (2, 2, "4*(1+0.2*rho*sin(theta))")])
     def test_residual_is_the_jacobian_local_map(self, k, p, h):
-        # the residual and the function the Jacobian differentiates share one kernel
+        # the residual and the function the Jacobian differentiates share one
+        # kernel and one homotopy formula, so they agree to the last bit
         g = disk()
         spec = ProblemSpec(grid=g, k=k, psi=PsiSpec("power", p=p, h=h),
                            phi=PhiSpec("hyperplane", c=1.0))
         rn = g.rho_col / g.chart.rho_max
         u = 1.0 + (0.05 + 0.02 * np.cos(g.theta_row) + 0.01 * np.sin(2 * g.theta_row)) * rn ** 2
-        u_r, u_t, _ = hchart.covariant_gradient(u, g)
-        chart_data = (u, u_r, u_t, *hchart.covariant_hessian(u, g))
+        state = extrinsic_state(u, g)
+        chart_data = (u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt)
         inner = g.interior_mask
-        R = assemble_residual(u, 1.0, spec)
-        assert np.all(R[inner] == solver._local_residual(1.0, spec, *chart_data)[inner])
-        R = assemble_residual(u, 0.3, spec)
-        L = solver._local_residual(0.3, spec, *chart_data)
-        assert np.max(np.abs(R - L)[inner]) <= 1e-15 * np.max(np.abs(R[inner]))
+        for t in (1.0, 0.3):
+            R = assemble_residual(state, t, spec)
+            assert np.all(R[inner] == solver._local_residual(t, spec, *chart_data)[inner])
 
 
 class TestJacobian:
@@ -107,10 +110,11 @@ class TestJacobian:
                                                 + c[2] * np.sin(g.theta_row)) * rn ** 2)
             assert np.all(geom.extrinsic_state(u, g).admissible_mask(2)[g.interior_mask])
             w = rng.normal(size=g.shape) * 0.01
-            J = assemble_jacobian(u, 1.0, mspec)
+            J = assemble_jacobian(extrinsic_state(u, g), 1.0, mspec)
             eps = 1e-6
-            dd = (assemble_residual(u + eps * w, 1.0, mspec)
-                  - assemble_residual(u - eps * w, 1.0, mspec)).ravel() / (2 * eps)
+            dd = (assemble_residual(extrinsic_state(u + eps * w, g), 1.0, mspec)
+                  - assemble_residual(extrinsic_state(u - eps * w, g), 1.0, mspec)
+                  ).ravel() / (2 * eps)
             err = np.max(np.abs(J @ w.ravel() - dd)) / max(1.0, np.max(np.abs(dd)))
             assert err < 1e-5
 
@@ -122,12 +126,13 @@ class TestJacobian:
         u = constant_guess(mspec)
         rng = np.random.default_rng(1)
         w = rng.normal(size=g.shape) * 0.01
-        J = assemble_jacobian(u, 1.0, mspec)
+        J = assemble_jacobian(extrinsic_state(u, g), 1.0, mspec)
         ref = J @ w.ravel()
 
         def probe(eps):
-            dd = (assemble_residual(u + eps * w, 1.0, mspec)
-                  - assemble_residual(u - eps * w, 1.0, mspec)).ravel() / (2 * eps)
+            dd = (assemble_residual(extrinsic_state(u + eps * w, g), 1.0, mspec)
+                  - assemble_residual(extrinsic_state(u - eps * w, g), 1.0, mspec)
+                  ).ravel() / (2 * eps)
             return np.max(np.abs(dd - ref))
 
         e1, e2 = probe(2e-3), probe(1e-3)
@@ -138,13 +143,13 @@ class TestJacobian:
         g = disk(20, 20)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         u = constant_guess(mspec)
-        Ja = assemble_jacobian(u, 0.6, mspec)
+        Ja = assemble_jacobian(extrinsic_state(u, g), 0.6, mspec)
         eps = 1e-6 * max(1.0, float(np.max(np.abs(u))))
 
         def column(e):
             e = eps * e.reshape(g.shape)
-            return (assemble_residual(u + e, 0.6, mspec)
-                    - assemble_residual(u - e, 0.6, mspec)) / (2.0 * eps)
+            return (assemble_residual(extrinsic_state(u + e, g), 0.6, mspec)
+                    - assemble_residual(extrinsic_state(u - e, g), 0.6, mspec)) / (2.0 * eps)
 
         Jf = matrix_from_columns(column, g.n_nodes)
         scale = np.max(np.abs(Ja.data))
@@ -153,7 +158,7 @@ class TestJacobian:
     def test_boundary_rows_are_identity(self):
         g = disk(12, 12)
         spec = mean_curvature_problem(g)
-        J = assemble_jacobian(np.ones(g.shape), 1.0, spec).toarray()
+        J = assemble_jacobian(extrinsic_state(np.ones(g.shape), g), 1.0, spec).toarray()
         nb = g.n_theta
         bnd = slice(g.n_nodes - nb, g.n_nodes)
         block = J[bnd, :]
@@ -168,8 +173,8 @@ class TestJacobian:
         g = disk(8, 8)
         spec = mean_curvature_problem(g)
         u = np.full(g.shape, 1.0)
-        J = assemble_jacobian(u, 0.0, spec).toarray()
-        L = matrix_from_columns(lambda e: hchart.laplace_beltrami(e.reshape(g.shape), g),
+        J = assemble_jacobian(extrinsic_state(u, g), 0.0, spec).toarray()
+        L = matrix_from_columns(lambda e: laplace_beltrami(e.reshape(g.shape), g),
                                 g.n_nodes).toarray()
         inner = g.interior_mask.ravel()
         assert np.max(np.abs(J[inner] - L[inner])) < 1e-9
@@ -197,7 +202,7 @@ class TestSparseSolve:
         g = disk(*shape)
         spec, u = tilted_gauss_state(g)
         b = np.random.default_rng(0).normal(size=g.n_nodes)
-        for A in (assemble_jacobian(u, 0.6, spec), solver._laplace_system(g)):
+        for A in (assemble_jacobian(extrinsic_state(u, g), 0.6, spec), solver._laplace_system(g)):
             ref = spsolve(A, b)
             x = solver._sparse_solve(A, b, g)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -208,7 +213,7 @@ class TestSparseSolve:
 
         def res(e):
             U = e.reshape(g.shape)
-            R = hchart.laplace_beltrami(U, g)
+            R = laplace_beltrami(U, g)
             R[-1, :] = U[-1, :]
             return R
 
@@ -222,14 +227,14 @@ class TestSparseSolve:
             g = disk(12, 12, rho_max)
             u = g.rho_col * np.cos(g.theta_row)
             Lu = (solver._laplace_system(g) @ u.ravel()).reshape(g.shape)
-            lap = hchart.laplace_beltrami(u, g)
+            lap = laplace_beltrami(u, g)
             inner = g.interior_mask
             assert np.max(np.abs(Lu[inner] - lap[inner])) <= 1e-12 * np.max(np.abs(lap))
 
     def test_dissection_keeps_diagonal_pivots_and_cuts_fill(self):
         g = disk(128, 128)
         spec, u = tilted_gauss_state(g)
-        J = assemble_jacobian(u, 1.0, spec)
+        J = assemble_jacobian(extrinsic_state(u, g), 1.0, spec)
         B, _, _ = solver._ordered_system(J, g)
         lu = splu(B, permc_spec="NATURAL")
         assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -277,7 +282,7 @@ class TestDampedNewton:
                            phi=PhiSpec("constant", c=1.0))
         rep = damped_newton(np.ones(g.shape), 0.0, spec, None)
         assert rep.converged and rep.iterations == 1
-        lap = hchart.laplace_beltrami(rep.u, g)
+        lap = laplace_beltrami(rep.u, g)
         assert np.max(np.abs(lap[g.interior_mask] - 0.3)) < 1e-10
         assert np.allclose(rep.u[-1, :], 1.0)
 
@@ -304,7 +309,7 @@ class TestInitialGuess:
                            phi=PhiSpec("hyperplane", c=0.6))
         u = harmonic_extension(spec)
         assert np.allclose(u[-1, :], spec.boundary_values())
-        lap = hchart.laplace_beltrami(u, g)
+        lap = laplace_beltrami(u, g)
         assert np.max(np.abs(lap[g.interior_mask])) < 1e-9
 
     def test_initial_guess_mean_curvature_admissible(self):
@@ -369,8 +374,9 @@ class TestBarriers:
         g = disk()
         for spec, c in [(mean_curvature_problem(g), 1.0), (gauss_curvature_problem(g), 0.5)]:
             res = continuation_solve(spec, None)
-            s_plus = solve_upper_barrier(spec, res.u)
-            s_minus = solve_lower_barrier(spec, res.u)
+            state = extrinsic_state(res.u, g)
+            s_plus = solve_upper_barrier(spec, state)
+            s_minus = solve_lower_barrier(spec, state)
             assert np.max(np.abs(s_plus - res.u)) <= 1e-8
             assert np.max(np.abs(s_minus - res.u)) <= 1e-8
             report = barrier_sandwich_check(res.u, s_minus, s_plus, g)
@@ -380,8 +386,9 @@ class TestBarriers:
         g = disk(32, 32)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         res = continuation_solve(mspec, None)
-        s_plus = solve_upper_barrier(mspec, res.u)
-        s_minus = solve_lower_barrier(mspec, res.u)
+        state = extrinsic_state(res.u, g)
+        s_plus = solve_upper_barrier(mspec, state)
+        s_minus = solve_lower_barrier(mspec, state)
         report = barrier_sandwich_check(res.u, s_minus, s_plus, g)
         assert report.passed
         assert report.min_upper_margin >= -report.eps_h
@@ -391,8 +398,9 @@ class TestBarriers:
         g = disk()
         spec = gauss_curvature_problem(g)
         res = continuation_solve(spec, None)
-        s_plus = solve_upper_barrier(spec, res.u)
-        s_minus = solve_lower_barrier(spec, res.u)
+        state = extrinsic_state(res.u, g)
+        s_plus = solve_upper_barrier(spec, state)
+        s_minus = solve_lower_barrier(spec, state)
         bump = 0.1 * np.exp(-((g.rho_col - 0.3) / 0.15) ** 2) + np.zeros(g.shape)
         report = barrier_sandwich_check(res.u + bump, s_minus, s_plus, g)
         assert not report.passed

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weingarten.symk import (
     InadmissibleError,
     F_eval,
-    evaluate,
     gamma_cone_contains,
     identity_residuals,
     newton_maclaurin_check,
@@ -18,8 +17,6 @@ from weingarten.symk import (
     quadratic_form_terms,
     sigma,
     sigma_all,
-    sigma_excl,
-    trace_Fij,
 )
 
 
@@ -31,6 +28,16 @@ def brute_sigma(lam, k):
     if k > len(lam):
         return 0.0
     return float(sum(np.prod(c) for c in itertools.combinations(lam, k)))
+
+
+def excl(lam, k, i):
+    # exclusion value sigma_k(lam | i): sigma_k of the other entries
+    return brute_sigma(np.delete(lam, i), k)
+
+
+def trace_F(lam, k):
+    # trace of dF with respect to the matrix argument: sum_i dF/dlam_i
+    return float(F_eval(lam, k).grad.sum())
 
 
 def F_matrix(A, k):
@@ -67,44 +74,19 @@ class TestSigma:
             assert e[k] == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-class TestSigmaExcl:
-    def test_examples(self):
-        # lam = (3,2,1), zeroing the entry equal to 1 (index 2)
-        assert sigma_excl([3, 2, 1], 2, 2) == pytest.approx(6.0)
-        assert sigma_excl([3, 2, 1], 0, 1) == 1.0
-        # symmetric vector: C(n-1, k) c^k
-        c = 0.7
-        assert sigma_excl([c] * 4, 2, 0) == pytest.approx(math.comb(3, 2) * c ** 2)
-
-    @given(lam=lam_vectors)
-    @settings(max_examples=100, deadline=None)
-    def test_against_enumeration(self, lam):
-        lam = np.asarray(lam)
-        for i in range(lam.size):
-            reduced = np.delete(lam, i)
-            for k in range(lam.size):
-                assert sigma_excl(lam, k, i) == pytest.approx(
-                    brute_sigma(reduced, k), rel=1e-12, abs=1e-12
-                )
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            sigma_excl([1.0, 2.0], 1, 2)
-
-
 class TestIdentities:
     def test_worked_example(self):
         # sigma_2 = sigma_2(lam|1) + lam_1 sigma_1(lam|1): 11 = 2 + 3*3
         lam = [3.0, 2.0, 1.0]
-        assert sigma(lam, 2) == pytest.approx(sigma_excl(lam, 2, 0) + 3 * sigma_excl(lam, 1, 0))
+        assert sigma(lam, 2) == pytest.approx(excl(lam, 2, 0) + 3 * excl(lam, 1, 0))
         # sum lam_i sigma_1(lam|i) = 2 sigma_2 = 22
-        total = sum(lam[i] * sigma_excl(lam, 1, i) for i in range(3))
+        total = sum(lam[i] * excl(lam, 1, i) for i in range(3))
         assert total == pytest.approx(22.0)
 
     def test_symmetric_vector(self):
         lam = [0.9] * 4
         for k in range(3):
-            total = sum(sigma_excl(lam, k, i) for i in range(4))
+            total = sum(excl(lam, k, i) for i in range(4))
             assert total == pytest.approx((4 - k) * sigma(lam, k), rel=1e-13)
 
     @given(lam=lam_vectors)
@@ -325,16 +307,16 @@ class TestNewtonMaclaurin:
 
 class TestTrace:
     def test_examples(self):
-        assert trace_Fij([1.0, 1.0], 1) == pytest.approx(2.0)
-        assert trace_Fij([1.0, 1.0, 1.0], 3) == pytest.approx(1.0)
+        assert trace_F([1.0, 1.0], 1) == pytest.approx(2.0)
+        assert trace_F([1.0, 1.0, 1.0], 3) == pytest.approx(1.0)
 
     def test_closed_form_agreement(self):
         lam = [3.0, 2.0, 1.0]
         n, k = 3, 2
         f = sigma(lam, k) ** (1.0 / k)
         closed = (n - k + 1) * sigma(lam, k - 1) / (k * f ** (k - 1))
-        assert trace_Fij(lam, k) == pytest.approx(closed, rel=1e-13)
-        assert trace_Fij(lam, k) == pytest.approx(12.0 / (2.0 * math.sqrt(11.0)), rel=1e-13)
+        assert trace_F(lam, k) == pytest.approx(closed, rel=1e-13)
+        assert trace_F(lam, k) == pytest.approx(12.0 / (2.0 * math.sqrt(11.0)), rel=1e-13)
 
     def test_positive_on_cone(self):
         rng = np.random.default_rng(5)
@@ -342,7 +324,7 @@ class TestTrace:
             n = int(rng.integers(2, 6))
             k = int(rng.integers(1, n + 1))
             lam = rng.uniform(0.05, 2.0, n)
-            assert trace_Fij(lam, k) > 0
+            assert trace_F(lam, k) > 0
 
 
 class TestConcavity:
@@ -356,18 +338,3 @@ class TestConcavity:
         mu = np.array(data.draw(st.lists(pos, min_size=n, max_size=n)))
         mid = F_eval(0.5 * (lam + mu), k).F
         assert mid >= 0.5 * (F_eval(lam, k).F + F_eval(mu, k).F) - 1e-12
-
-
-class TestEvaluateBundle:
-    def test_bundle(self):
-        ev = evaluate([3.0, 2.0, 1.0], 2)
-        assert ev.k == 2
-        assert ev.sigmas[0] == 1.0 and ev.sigmas[2] == 11.0
-        assert np.all(ev.cone_flags)
-        assert ev.F == pytest.approx(math.sqrt(11.0))
-        assert np.all(ev.P > 0)
-        assert ev.grad_excl[0] == pytest.approx(3.0)
-
-    def test_bundle_inadmissible(self):
-        with pytest.raises(InadmissibleError):
-            evaluate([1.0, -1.0], 2)
