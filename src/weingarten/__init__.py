@@ -17,7 +17,6 @@ from .geom import (  # noqa: F401
     InvalidGraphError,
     NotSpacelikeError,
     extrinsic_state,
-    spacelike_gap,
 )
 from .problem import (  # noqa: F401
     ContinuationConfig,

@@ -434,8 +434,8 @@ def _run_study(rc: RunConfig, log):
             log(f"grid {size}: solver failed ({result.status})")
             return 2, "failed", None, spec, {"study": rows, "warnings": rc.warnings}
         err = float(np.max(np.abs(result.u - u_star)))
-        gap = geom.spacelike_gap(result.u, grid)
         state = geom.extrinsic_state(result.u, grid)
+        gap = state.spacelike_gap
         ratio = estimates.curvature_ratio(state)["ratio"]
         profile = estimates.interior_profile(state, spec.phi_field(), grid)
         ident = estimates.support_laplace_identity_check(state, grid)

@@ -232,7 +232,7 @@ class EstimateReport:
 def build_report(state: geom.ExtrinsicState, spec) -> EstimateReport:
     """Run the whole estimate battery on the state of a solution field."""
     grid = spec.grid
-    gap = geom.spacelike_gap(state.u, grid)
+    gap = state.spacelike_gap
     psi = spec.psi_field(state.u, state.theta_support)
     _, _, psi_grad_sq = hchart.covariant_gradient(psi, grid)
     sup_dpsi = float(np.sqrt(np.max(psi_grad_sq)))

@@ -6,8 +6,8 @@ by u(x) * x, with x on the unit hyperboloid in Minkowski space
 :func:`graph_geometry`, holds the formulas for the lapse, the induced metric,
 the second fundamental form and sigma_1, sigma_2; :func:`extrinsic_state`
 guards the field, calls it and packages u with its covariant gradient and
-Hessian, the inverse metric, the principal curvatures, the support function
-and the squared curvature norm.  Everything is vectorised over
+Hessian, the inverse metric, the principal curvatures, the support function,
+the squared curvature norm and the spacelike gap.  Everything is vectorised over
 (n_rho, n_theta) arrays and works equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
@@ -27,7 +27,6 @@ __all__ = [
     "InvalidGraphError",
     "NotSpacelikeError",
     "ExtrinsicState",
-    "spacelike_gap",
     "graph_geometry",
     "principal_curvatures",
     "extrinsic_state",
@@ -58,14 +57,6 @@ def _check_graph(U: np.ndarray, grid: Grid):
             f"graph function not finite and positive at {grid.node_label(node)}: "
             f"u = {float(U.flat[node])!r}"
         )
-
-
-def spacelike_gap(u, grid: Grid) -> float:
-    """max over nodes of |Du|/u; the graph is spacelike iff this is < 1."""
-    U = np.asarray(u, dtype=float)
-    _check_graph(U, grid)
-    _, _, grad_sq = hchart.covariant_gradient(U, grid)
-    return float(np.sqrt(np.max(grad_sq / U ** 2)))
 
 
 def _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
@@ -129,6 +120,7 @@ class ExtrinsicState:
     computed from the characteristic polynomial of the (h, g) pencil, which
     avoids the half-precision loss the split eigenvalues suffer near umbilic
     points; ``norm_a_sq`` = sigma1^2 - 2 sigma2 for the same reason.
+    ``spacelike_gap`` is max over nodes of |Du|/u, below 1 by construction.
     """
 
     u: np.ndarray
@@ -147,6 +139,7 @@ class ExtrinsicState:
     sigma2: np.ndarray
     theta_support: np.ndarray
     norm_a_sq: np.ndarray
+    spacelike_gap: float
 
     def sigma_k(self, k: int) -> np.ndarray:
         if k == 1:
@@ -183,9 +176,10 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
             node=flat,
             gap=worst,
         )
+    gap = float(np.sqrt(np.max(ratio)))
     # temporaries are freed as soon as they are spent: peak memory at 1024^2
     del grad_sq, ratio
-    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, grid)
+    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, u_r, u_t, grid)
     v, g, h, sigma1, sigma2 = graph_geometry(U, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
     lam1, lam2 = principal_curvatures(*h, *g)
     del g, h
@@ -210,4 +204,5 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         sigma2=sigma2,
         theta_support=U / v,
         norm_a_sq=sigma1 ** 2 - 2.0 * sigma2,
+        spacelike_gap=gap,
     )

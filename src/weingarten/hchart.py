@@ -151,8 +151,9 @@ def covariant_gradient(u, grid: Grid):
     return u_r, u_t, grad_sq
 
 
-def covariant_hessian(u, grid: Grid):
-    """Coordinate components (H_rr, H_rt, H_tt) of the covariant Hessian.
+def covariant_hessian(u, u_r, u_t, grid: Grid):
+    """Coordinate components (H_rr, H_rt, H_tt) of the covariant Hessian,
+    given the gradient (u_r, u_t) that :func:`covariant_gradient` returns.
 
     With Gamma^theta_{rho theta} = coth(rho) and
     Gamma^rho_{theta theta} = -sinh(rho) cosh(rho):
@@ -161,8 +162,6 @@ def covariant_hessian(u, grid: Grid):
         H_rt = d2u/drho dtheta - coth(rho) du/dtheta
         H_tt = d2u/dtheta2 + sinh(rho) cosh(rho) du/drho
     """
-    u_r = partial_rho(u, grid)
-    u_t = partial_theta(u, grid)
     H_rr = partial_rho2(u, grid)
     H_rt = partial_theta(u_r, grid) - grid.coth_rho * u_t
     H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * u_r

@@ -93,7 +93,7 @@ def _study(u_expr, sizes=(32, 64, 128)):
                 "result": result,
                 "state": state,
                 "err": float(np.max(np.abs(result.u - u_star))),
-                "gap": geom.spacelike_gap(result.u, grid),
+                "gap": state.spacelike_gap,
                 "ratio": curvature_ratio(state)["ratio"],
                 "sup_eta_lam1": profile["sup_eta_lam1"],
                 "identity": support_laplace_identity_check(state, grid),

@@ -12,7 +12,6 @@ from weingarten.geom import (
     extrinsic_state,
     graph_geometry,
     principal_curvatures,
-    spacelike_gap,
 )
 from weingarten.hchart import Grid, PolarChart
 
@@ -62,15 +61,14 @@ class TestLapse:
         for bad in (-1.0, 0.0, np.nan, np.inf):
             u = np.ones(g.shape)
             u[2, 3] = bad
-            for fn in (extrinsic_state, spacelike_gap):
-                with pytest.raises(InvalidGraphError, match="i=2, j=3"):
-                    fn(u, g)
+            with pytest.raises(InvalidGraphError, match="i=2, j=3"):
+                extrinsic_state(u, g)
 
 
 class TestSpacelikeGap:
     def test_constant(self):
         g = disk()
-        assert spacelike_gap(np.ones(g.shape), g) == 0.0
+        assert extrinsic_state(np.ones(g.shape), g).spacelike_gap == 0.0
 
     def test_manufactured_vs_dense_sampling(self):
         # brute-force max of |u'|/u over a fine 1-d sample for u = 1 + 0.05 rho^2
@@ -78,7 +76,7 @@ class TestSpacelikeGap:
         u = 1 + 0.05 * g.rho_col ** 2 + np.zeros(g.shape)
         rr = np.linspace(1e-4, 0.8, 20001)
         dense = np.max(0.1 * rr / (1 + 0.05 * rr ** 2))
-        got = spacelike_gap(u, g)
+        got = extrinsic_state(u, g).spacelike_gap
         assert got == pytest.approx(dense, rel=1e-2)
         assert got < dense + 1e-6  # grid max cannot exceed the true sup by much
 
@@ -87,7 +85,7 @@ class TestSpacelikeGap:
         u = np.ones(g.shape)
         u[3, 3] = -0.2
         with pytest.raises(InvalidGraphError):
-            spacelike_gap(u, g)
+            extrinsic_state(u, g)
 
 
 class TestInducedMetric:

@@ -102,7 +102,7 @@ class TestCovariantCalculus:
         u_r, u_t, grad_sq = covariant_gradient(u, g)
         assert np.all(u_r[:-1] == 0) and np.all(u_t == 0) and np.all(grad_sq[:-1] == 0)
         assert np.max(np.abs(u_r[-1])) < 1e-12
-        H = covariant_hessian(u, g)
+        H = covariant_hessian(u, u_r, u_t, g)
         assert all(np.all(h[:-1] == 0) for h in H)
         lap = laplace_beltrami(u, g)
         assert np.all(lap[:-1] == 0)
@@ -116,7 +116,7 @@ class TestCovariantCalculus:
         u_r, u_t, grad_sq = covariant_gradient(u, g)
         assert u_r[i, j] == pytest.approx(2 * rho, abs=1e-10)  # exact for quadratics
         assert grad_sq[i, j] == pytest.approx(4 * rho ** 2, abs=1e-9)
-        H_rr, H_rt, H_tt = covariant_hessian(u, g)
+        H_rr, H_rt, H_tt = covariant_hessian(u, u_r, u_t, g)
         assert H_rr[i, j] == pytest.approx(2.0, abs=1e-9)
         assert H_rt[i, j] == pytest.approx(0.0, abs=1e-9)
         # H_tt = sinh cosh * 2 rho
@@ -133,7 +133,7 @@ class TestCovariantCalculus:
         _, u_t, grad_sq = covariant_gradient(u, g)
         assert u_t[i, j] == pytest.approx(-math.sin(theta), abs=2e-4)
         assert grad_sq[i, j] == pytest.approx(math.sin(theta) ** 2 / math.sinh(rho) ** 2, rel=1e-3)
-        _, H_rt, _ = covariant_hessian(u, g)
+        _, H_rt, _ = covariant_hessian(u, *covariant_gradient(u, g)[:2], g)
         coth = math.cosh(rho) / math.sinh(rho)
         assert H_rt[i, j] == pytest.approx(coth * math.sin(theta), rel=1e-3)
 
@@ -149,7 +149,7 @@ class TestCovariantCalculus:
         g = disk(24, 24)
         rng = np.random.default_rng(7)
         u = 1.0 + 0.1 * rng.standard_normal(g.shape)
-        H_rr, _, H_tt = covariant_hessian(u, g)
+        H_rr, _, H_tt = covariant_hessian(u, *covariant_gradient(u, g)[:2], g)
         lap = laplace_beltrami(u, g)
         assert np.max(np.abs(H_rr + H_tt / g.sinh_rho ** 2 - lap)) < 1e-14
 
@@ -187,7 +187,7 @@ class TestConvergence:
         for n in (24, 48):
             g = disk(n, n, rho_max=1.0)
             u = smooth_test_field(g)
-            H = covariant_hessian(u, g)
+            H = covariant_hessian(u, *covariant_gradient(u, g)[:2], g)
             He = smooth_field_hessian(g)
             errs.append(max(np.max(np.abs(a - b)) for a, b in zip(H, He)))
         assert errs[0] / errs[1] >= 3.5
@@ -203,7 +203,7 @@ class TestConvergence:
             (mats.d_rho2, hchart.partial_rho2(u, g)),
             (mats.d_theta2, hchart.partial_theta2(u, g)),
         ]
-        H_rr, H_rt, H_tt = covariant_hessian(u, g)
+        H_rr, H_rt, H_tt = covariant_hessian(u, *covariant_gradient(u, g)[:2], g)
         pairs += [(mats.hess_rt, H_rt), (mats.hess_tt, H_tt)]
         for mat, ref in pairs:
             got = (mat @ u.ravel()).reshape(g.shape)
