@@ -23,12 +23,18 @@ differences of the residual would not do: the pole ring's metric factor
 couplings, which finite differences cannot resolve on fine grids.  Boundary
 rows are identity rows.
 
-Every linear solve (Newton corrections, barrier solves, the harmonic
-extension) goes through one sparse LU: rows are divided by their absolute
-diagonal, the unknowns are put in a nested-dissection order of the polar
-grid, and SuperLU factors the result with its natural column order.  With
-equilibrated rows its partial pivoting keeps to the diagonal, so the fill is
-the dissection's.  The factorisation is sequential and deterministic, so
+No linear solve factors a sparse matrix.  The t = 0 operator L (Laplace-
+Beltrami rows inside, identity rows on the boundary ring) is invariant under
+rotation, so a real FFT in theta splits it into n_theta/2 + 1 tridiagonal
+radial systems, one per Fourier mode m; the across-pole ghost couples mode m
+of ring 0 to itself with the sign (-1)^m.  Their Thomas factorisation,
+vectorised over modes and cached per (shape, rho_max), gives the exact
+harmonic extension.  A Newton correction J x = b (staged steps, the direct
+attempt and the barrier solves alike) is solved by GMRES on the rows divided
+by their diagonal, right-preconditioned by y -> L^{-1}(diag(L) y): both
+operators then have a unit diagonal, and their product is close to the
+identity wherever J is close to a row-scaled L.  GMRES is written here with
+numpy reductions for every inner product and norm, not BLAS calls, so
 results do not depend on BLAS thread counts.
 """
 
@@ -39,7 +45,9 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+# Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
+# looks the name up in this module, so it stays bound.
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from . import geom, hchart
 from .hchart import Grid
@@ -55,6 +63,7 @@ __all__ = [
     "UniquenessReport",
     "assemble_residual",
     "assemble_jacobian",
+    "linear_solve",
     "damped_newton",
     "harmonic_extension",
     "constant_guess",
@@ -118,7 +127,7 @@ def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     return _homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
 
 
-def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> sp.csc_matrix:
+def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> sp.csr_matrix:
     """Analytic Jacobian dR/du at the graph of ``state``.
 
     Per-node partials of the local residual with respect to the state's
@@ -146,85 +155,133 @@ def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -
     M = sum(op.multiply(w[:, None]).tocsr() for op, w in zip(ops, weights))
     interior = grid.interior_mask.ravel().astype(float)
     J = sp.diags(interior) @ M + sp.diags(1.0 - interior)
-    return J.tocsc()
+    return J.tocsr()
 
 
-# --- sparse solves ------------------------------------------------------------
+# --- linear solves --------------------------------------------------------------
 
-# Boxes of at most this many nodes are not dissected further.
-_LEAF_NODES = 16
-
-_ORDER_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_LAPLACE_CACHE: dict[tuple[tuple[int, int], float], tuple] = {}
 
 
-def _dissection_order(shape: tuple[int, int]) -> np.ndarray:
-    """Nested-dissection elimination order of the polar grid's nodes.
+def _laplace_factors(grid: Grid):
+    """Thomas factorisation of the t = 0 operator's per-mode radial systems,
+    with the physical stencil rows' diagonal; cached per (shape, rho_max).
 
-    Interior rows couple only nodes with |di| <= 1 and |dj| <= 1 (theta
-    periodic), ring 0 also couples across the pole, and boundary rows are
-    identity rows.  Ring 0 with the columns j = 0 and j = n_theta/2
-    therefore separates the remaining nodes into two boxes; a box is split
-    by the grid line across the middle of its longer side until it is a
-    leaf.  Every separator follows the two parts it separates.  Ring 0,
-    whose rows carry the 1/sinh(rho)^2-sized pole couplings, comes last:
-    so ordered, partial pivoting of the equilibrated matrices picks every
-    pivot on the diagonal.  Depends on the shape alone.
+    Interior ring i of mode m reads, from hchart's stencils,
+
+        (1/h^2 - coth rho_i/(2h)) x_{i-1} + (-2/h^2 + mu_m/sinh^2 rho_i) x_i
+            + (1/h^2 + coth rho_i/(2h)) x_{i+1},   mu_m = -4 sin^2(m dtheta/2)/dtheta^2,
+
+    ring 0's ghost x_{-1} = (-1)^m x_0 is folded into its diagonal, and the
+    boundary ring is an identity row.  Returns (lower, c_prime, inv_pivot,
+    diag): lower[i] multiplies x_{i-1}; c_prime[i, m] = upper_i / pivot[i, m]
+    and inv_pivot[i, m] = 1 / pivot[i, m] come from the forward sweep; diag[i]
+    is the diagonal of the stencil rows of ring i, as a column.
     """
-    order = _ORDER_CACHE.get(shape)
-    if order is not None:
-        return order
-    nr, nt = shape
-    idx = np.arange(nr * nt).reshape(nr, nt)
-    half = nt // 2
-    parts: list[np.ndarray] = []
-
-    def dissect(i0, i1, j0, j1):
-        di, dj = i1 - i0, j1 - j0
-        if di * dj <= _LEAF_NODES:
-            parts.append(idx[i0:i1, j0:j1].ravel())
-        elif di >= dj:
-            m = (i0 + i1) // 2
-            dissect(i0, m, j0, j1)
-            dissect(m + 1, i1, j0, j1)
-            parts.append(idx[m, j0:j1])
-        else:
-            m = (j0 + j1) // 2
-            dissect(i0, i1, j0, m)
-            dissect(i0, i1, m + 1, j1)
-            parts.append(idx[i0:i1, m])
-
-    dissect(1, nr, 1, half)
-    dissect(1, nr, half + 1, nt)
-    parts += [idx[1:, 0], idx[1:, half], idx[0]]
-    order = np.concatenate(parts)
-    _ORDER_CACHE[shape] = order
-    return order
-
-
-def _ordered_system(A: sp.spmatrix, grid: Grid):
-    """A with each row divided by its absolute diagonal (rows with a zero
-    diagonal are left as they are) and the unknowns permuted symmetrically
-    into :func:`_dissection_order`.  Returns the matrix, the row scales and
-    the order."""
-    d = np.abs(A.diagonal())
-    d[d == 0.0] = 1.0
-    order = _dissection_order(grid.shape)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    C = A.tocoo()
-    B = sp.csc_matrix((C.data / d[C.row], (pos[C.row], pos[C.col])), shape=A.shape)
-    return B, d, order
+    key = (grid.shape, grid.chart.rho_max)
+    factors = _LAPLACE_CACHE.get(key)
+    if factors is not None:
+        return factors
+    h, dth = grid.d_rho, grid.d_theta
+    coth = grid.coth_rho[:, 0]
+    inv_s2 = 1.0 / grid.sinh_rho[:, 0] ** 2
+    m = np.arange(grid.n_theta // 2 + 1)
+    mu = -4.0 * np.sin(0.5 * m * dth) ** 2 / dth ** 2
+    lower = 1.0 / h ** 2 - coth / (2.0 * h)
+    upper = 1.0 / h ** 2 + coth / (2.0 * h)
+    main = -2.0 / h ** 2 + inv_s2[:, None] * mu[None, :]
+    main[0] += np.where(m % 2 == 0, 1.0, -1.0) * lower[0]
+    lower[0] = 0.0
+    lower[-1], upper[-1] = 0.0, 0.0
+    main[-1] = 1.0
+    inv_pivot = np.empty_like(main)
+    c_prime = np.empty_like(main)
+    inv_pivot[0] = 1.0 / main[0]
+    c_prime[0] = upper[0] * inv_pivot[0]
+    for i in range(1, grid.n_rho):
+        inv_pivot[i] = 1.0 / (main[i] - lower[i] * c_prime[i - 1])
+        c_prime[i] = upper[i] * inv_pivot[i]
+    diag = -2.0 / h ** 2 - 2.0 * inv_s2 / dth ** 2
+    diag[-1] = 1.0
+    factors = (lower, c_prime, inv_pivot, diag[:, None])
+    _LAPLACE_CACHE[key] = factors
+    return factors
 
 
-def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve A x = rhs for a stencil matrix on ``grid``: SuperLU on the
-    :func:`_ordered_system`, in its order (natural column order, default
-    threshold pivoting)."""
-    B, d, order = _ordered_system(A, grid)
-    y = spsolve(B, rhs[order] / d[order], permc_spec="NATURAL")
-    x = np.empty_like(y)
-    x[order] = y
+def _laplace_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b for the t = 0 operator L on ``grid`` (b and x of the
+    grid's shape): real FFT in theta, one Thomas sweep over the rings for all
+    modes at once, inverse FFT."""
+    lower, c_prime, inv_pivot, _ = _laplace_factors(grid)
+    x = np.fft.rfft(b, axis=1)
+    x[0] *= inv_pivot[0]
+    for i in range(1, grid.n_rho):
+        x[i] -= lower[i] * x[i - 1]
+        x[i] *= inv_pivot[i]
+    for i in range(grid.n_rho - 2, -1, -1):
+        x[i] -= c_prime[i] * x[i + 1]
+    return np.fft.irfft(x, n=grid.n_theta, axis=1)
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(v * v)))
+
+
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """Unrestarted GMRES from zero for apply(y) = b, with classical Gram-
+    Schmidt run twice and Givens rotations.  Stops once the residual norm is
+    at most _KRYLOV_RTOL |b|, or after _KRYLOV_MAX_ITERS iterations with the
+    last iterate.  The basis grows only as far as the iterations go."""
+    beta = _norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b)
+    size = _KRYLOV_MAX_ITERS
+    H = np.zeros((size + 1, size))
+    cs, sn = np.zeros(size), np.zeros(size)
+    g = np.zeros(size + 1)
+    g[0] = beta
+    V = [b / beta]
+    for j in range(size):
+        w = apply(V[j])
+        for _ in range(2):
+            h = np.array([np.sum(v * w) for v in V])
+            for h_i, v in zip(h, V):
+                w -= h_i * v
+            H[: j + 1, j] += h
+        h_next = _norm(w)
+        for i in range(j):
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        r = math.hypot(H[j, j], h_next)
+        cs[j], sn[j] = H[j, j] / r, h_next / r
+        H[j, j] = r
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or h_next == 0.0:
+            break
+        V.append(w / h_next)
+    k = j + 1
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - np.sum(H[i, i + 1:k] * y[i + 1:k])) / H[i, i]
+    x = y[0] * V[0]
+    for y_i, v in zip(y[1:], V[1:]):
+        x += y_i * v
     return x
+
+
+def linear_solve(J: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve J x = rhs for a Newton Jacobian on ``grid``: GMRES on the rows of
+    J divided by their diagonal (a zero diagonal counts as 1), right-
+    preconditioned by y -> L^{-1}(diag(L) y) with L the t = 0 operator."""
+    diag_l = _laplace_factors(grid)[3]
+    d = J.diagonal()
+    d[d == 0.0] = 1.0
+
+    def precondition(y):
+        return _laplace_solve(grid, diag_l * y.reshape(grid.shape)).ravel()
+
+    return precondition(_gmres(lambda y: (J @ precondition(y)) / d, rhs / d))
 
 
 # --- Newton ------------------------------------------------------------------
@@ -232,6 +289,14 @@ def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
 
 # The line search gives up once the step length falls below this.
 _DAMPING_FLOOR = 2.0 ** -20
+# GMRES stops once its (Givens) residual estimate is this small relative to
+# the right-hand side, or after this many iterations with its last iterate,
+# which the line search then judges like any other step.  The true residual
+# levels off near 5e-12 at 256^2 while the estimate keeps falling, so the test
+# ends one or two iterations past 1e-10, and the step then agrees with a direct
+# solve to ~1e-10 where 1e-10 would leave 1e-9 to 1e-8 (128^2, k = 2).
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_MAX_ITERS = 60
 
 
 @dataclasses.dataclass
@@ -298,7 +363,7 @@ def damped_newton(
         if iterations >= max_iters:
             return NewtonReport(u, False, "max-iterations", iterations, rnorm)
         J = assemble_jacobian(state, t, spec)
-        delta = _sparse_solve(J, -R.ravel(), grid).reshape(grid.shape)
+        delta = linear_solve(J, -R.ravel(), grid).reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             return NewtonReport(u, False, "stalled", iterations, rnorm)
         alpha = 1.0
@@ -329,25 +394,6 @@ def damped_newton(
 # --- initial guesses ----------------------------------------------------------
 
 
-_LINEAR_CACHE: dict[tuple[tuple[int, int], float], sp.csc_matrix] = {}
-
-
-def _laplace_system(grid: Grid) -> sp.csc_matrix:
-    """The t = 0 operator: Laplace-Beltrami stencil rows on the interior,
-    identity rows on the boundary ring."""
-    key = (grid.shape, grid.chart.rho_max)
-    L = _LINEAR_CACHE.get(key)
-    if L is None:
-        mats = hchart.derivative_matrices(grid)
-        coth = np.repeat(grid.coth_rho.ravel(), grid.n_theta)
-        inv_s2 = np.repeat(1.0 / grid.sinh_rho.ravel() ** 2, grid.n_theta)
-        lap = mats.d_rho2 + sp.diags(coth) @ mats.d_rho + sp.diags(inv_s2) @ mats.d_theta2
-        interior = grid.interior_mask.ravel().astype(float)
-        L = (sp.diags(interior) @ lap + sp.diags(1.0 - interior)).tocsc()
-        _LINEAR_CACHE[key] = L
-    return L
-
-
 def harmonic_extension(spec: ProblemSpec) -> np.ndarray:
     """Discrete harmonic extension of the boundary data (constant data short-
     circuits to the exact constant field)."""
@@ -356,7 +402,7 @@ def harmonic_extension(spec: ProblemSpec) -> np.ndarray:
         return np.full(grid.shape, spec.phi.c)
     b = np.zeros(grid.shape)
     b[-1, :] = spec.boundary_values()
-    return _sparse_solve(_laplace_system(grid), b.ravel(), grid).reshape(grid.shape)
+    return _laplace_solve(grid, b)
 
 
 def constant_guess(spec: ProblemSpec) -> np.ndarray:

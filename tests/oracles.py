@@ -1,12 +1,12 @@
 """Reference implementations for the tests: a sparse matrix built one unit
-vector at a time, the Laplace-Beltrami operator from the array stencils, and
-the graph's points, tangents and unit normal as vectors in Minkowski R^3,
-<a, b> = a1 b1 + a2 b2 - a3 b3."""
+vector at a time, the Laplace-Beltrami operator from the array stencils and
+the t = 0 system from the stencil matrices, and the graph's points, tangents
+and unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
+from weingarten.hchart import derivative_matrices, partial_rho, partial_rho2, partial_theta2
 
 
 def matrix_from_columns(column, n: int) -> sp.csc_matrix:
@@ -33,6 +33,18 @@ def laplace_beltrami(u, grid):
     """
     H_tt = partial_theta2(u, grid) + grid.sinh_rho * grid.cosh_rho * partial_rho(u, grid)
     return partial_rho2(u, grid) + H_tt / grid.sinh_rho ** 2
+
+
+def laplace_system(grid) -> sp.csc_matrix:
+    """The solver's t = 0 operator as a sparse matrix: Laplace-Beltrami rows
+    d_rho2 + coth(rho) d_rho + d_theta2 / sinh(rho)^2 from the stencil
+    matrices on the interior, identity rows on the boundary ring."""
+    mats = derivative_matrices(grid)
+    coth = np.repeat(grid.coth_rho.ravel(), grid.n_theta)
+    inv_s2 = np.repeat(1.0 / grid.sinh_rho.ravel() ** 2, grid.n_theta)
+    lap = mats.d_rho2 + sp.diags(coth) @ mats.d_rho + sp.diags(inv_s2) @ mats.d_theta2
+    interior = grid.interior_mask.ravel().astype(float)
+    return (sp.diags(interior) @ lap + sp.diags(1.0 - interior)).tocsc()
 
 
 def lorentz_inner(p, q):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -151,6 +153,27 @@ class TestSolveMode:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # a non-radial 128^2 solve in fresh interpreters with one and with two
+        # BLAS/OpenMP threads writes the same bytes; 128^2 since OpenBLAS
+        # splits a dot product between threads only past 10,000 entries
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 128")
+                .replace("n_theta = 16", "n_theta = 128").replace("k = 1", "k = 2")
+                .replace("psi_p = 0", "psi_p = 2")
+                .replace("psi_h = 2", "psi_h = 4*(1+0.2*rho*sin(theta))")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        config = write_config(tmp_path, text)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = "import sys; from weingarten import cli; sys.exit(cli.main(sys.argv[1:]))"
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script, "--config", config,
+                                   "--out", str(tmp_path / threads)], env=env, timeout=120)
+            assert proc.returncode == 0
+        for name in ("fields.csv", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_uniqueness_probe_in_report(self, tmp_path):
         text = BASE_CONFIG.replace("seed = 0", "seed = 0\nuniqueness_starts = 2")
