@@ -5,8 +5,12 @@ Modes:
   verify  re-check a previously written fields.csv against the config
   study   manufactured-solution convergence study over a list of grids
 
-Exit codes: 0 converged and verified, 2 solver failure or non-finite output,
-3 verification failure, 4 I/O failure.
+Exit codes: 0 converged and verified, 2 solver failure, non-finite output or
+a config error, 3 verification failure, 4 I/O failure.  Once the config file
+reads (known sections and keys, required keys present, values of their
+types), the output directory is known and every exit but 4 leaves a
+manifest.json carrying its code; a config that does not read exits 2 with
+none.
 
 Artifacts (in the output directory): fields.csv, report.json, manifest.json,
 log.txt (study mode adds study.json).  fields.csv and report.json are
@@ -99,7 +103,16 @@ def _parse_value(kind, text, where):
 
 
 def parse_config(path: str) -> RunConfig:
-    """Parse a sectioned key=value config file; unknown keys are hard errors."""
+    """Parse and validate a sectioned key=value config file; unknown keys
+    are hard errors."""
+    rc = _read_config(path)
+    _validate_problem(rc)
+    return rc
+
+
+def _read_config(path: str) -> RunConfig:
+    """Read a config file's sections and keys against the schema, without
+    checking the values' ranges (see :func:`_validate_problem`)."""
     raw: dict = {}
     section = None
     try:
@@ -132,15 +145,14 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"missing required key {key!r} in [{section_name}]")
     rc = RunConfig(raw=raw, path=path)
     rc.mode = rc.get("run", "mode", "solve")
-    if rc.mode not in ("solve", "verify", "study"):
-        raise ConfigError(f"unknown mode {excerpt(rc.mode)}")
     rc.out_dir = rc.get("run", "out_dir", "out")
     rc.seed = rc.get("run", "seed", 0)
-    _validate_problem(rc)
     return rc
 
 
 def _validate_problem(rc: RunConfig):
+    if rc.mode not in ("solve", "verify", "study"):
+        raise ConfigError(f"unknown mode {excerpt(rc.mode)}")
     k = rc.get("problem", "k")
     if not 1 <= k <= ProblemSpec.n:
         raise ConfigError(f"k = {k} out of range 1..{ProblemSpec.n}")
@@ -254,14 +266,18 @@ def _write_manifest(out_dir, manifest):
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
-def _grid_hash(rc: RunConfig) -> str:
-    """Hash of the configured grid's nodes.  Built from the grid keys alone,
-    so the manifest is written whatever the rest of the config holds."""
-    grid = Grid(
-        PolarChart(rho_max=rc.get("problem", "rho_max")),
-        rc.get("problem", "n_rho"),
-        rc.get("problem", "n_theta"),
-    )
+def _grid_hash(rc: RunConfig) -> str | None:
+    """Hash of the configured grid's nodes, None when the grid keys do not
+    make a grid.  Built from the grid keys alone, so the manifest is written
+    whatever the rest of the config holds."""
+    try:
+        grid = Grid(
+            PolarChart(rho_max=rc.get("problem", "rho_max")),
+            rc.get("problem", "n_rho"),
+            rc.get("problem", "n_theta"),
+        )
+    except ValueError:
+        return None
     h = hashlib.sha256()
     h.update(grid.rho.tobytes())
     h.update(grid.theta.tobytes())
@@ -494,7 +510,14 @@ def run(rc: RunConfig) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 4
+    return _finish(rc, t0, status, code)
+
+
+def _finish(rc: RunConfig, t0: float, status: str, code: int) -> int:
+    """Write the run's manifest and return its exit code, or 4 when the
+    manifest cannot be written."""
     try:
+        os.makedirs(rc.out_dir, exist_ok=True)
         manifest = {
             "config": rc.raw,
             "config_path": rc.path,
@@ -526,26 +549,32 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", help="override grid as NxM, e.g. 64x64")
     parser.add_argument("--seed", type=int, help="override the run seed")
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        rc = parse_config(args.config)
-        if args.mode:
-            rc.mode = args.mode
-            _validate_problem(rc)
-        if args.out:
-            rc.out_dir = args.out
-        if args.seed is not None:
-            rc.seed = args.seed
+        rc = _read_config(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    # From here on the output directory is known: a config the checks below
+    # refuse still leaves a manifest with exit code 2.
+    if args.mode:
+        rc.mode = args.mode
+    if args.out:
+        rc.out_dir = args.out
+    if args.seed is not None:
+        rc.seed = args.seed
+    try:
         if args.grid:
             try:
                 nr, nt = (int(s) for s in args.grid.lower().split("x"))
             except ValueError:
                 raise ConfigError(f"--grid must look like 64x64, got {excerpt(args.grid)}")
-            rc.raw.setdefault("problem", {})["n_rho"] = nr
+            rc.raw["problem"]["n_rho"] = nr
             rc.raw["problem"]["n_theta"] = nt
-            _validate_problem(rc)
+        _validate_problem(rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _finish(rc, t0, "failed", 2)
     with np.errstate(all="ignore"):  # one stderr line: the guards report non-finite values
         return run(rc)
 

@@ -191,10 +191,7 @@ class StencilMatrices:
 
 
 def derivative_matrices(grid: Grid) -> StencilMatrices:
-    """Build (and cache on the grid) the stencil operators as sparse matrices."""
-    cached = getattr(grid, "_stencil_matrices", None)
-    if cached is not None:
-        return cached
+    """Build the stencil operators as sparse matrices."""
     nr, nt = grid.shape
     n = nr * nt
     h, dth, shift = grid.d_rho, grid.d_theta, grid.pole_shift
@@ -247,6 +244,4 @@ def derivative_matrices(grid: Grid) -> StencilMatrices:
     sc = np.ravel(grid.sinh_rho * grid.cosh_rho + np.zeros(grid.shape))
     hess_rt = (d_theta @ d_rho - sp.diags(coth) @ d_theta).tocsr()
     hess_tt = (d_theta2 + sp.diags(sc) @ d_rho).tocsr()
-    mats = StencilMatrices(d_rho, d_theta, d_rho2, d_theta2, hess_rt, hess_tt)
-    grid._stencil_matrices = mats
-    return mats
+    return StencilMatrices(d_rho, d_theta, d_rho2, d_theta2, hess_rt, hess_tt)

@@ -21,30 +21,37 @@ machine-accurate) composed with the sparse stencil operators.  Finite
 differences of the residual would not do: the pole ring's metric factor
 1/sinh(rho)^2 ~ 1/h^2 makes its huge entries cancel to O(1) physical
 couplings, which finite differences cannot resolve on fine grids.  Boundary
-rows are identity rows.
+rows are identity rows.  The sparsity pattern depends on the grid alone, so
+the stencil matrices are turned once per grid into a CSR pattern
+and, for each operator, the positions and values of its entries in it; each
+assembly writes the weighted entries into a fresh data array, adding them in
+the same order as a sum of the weighted matrices would.
 
 No linear solve factors a sparse matrix.  The t = 0 operator L (Laplace-
 Beltrami rows inside, identity rows on the boundary ring) is invariant under
 rotation, so a real FFT in theta splits it into n_theta/2 + 1 tridiagonal
 radial systems, one per Fourier mode m; the across-pole ghost couples mode m
-of ring 0 to itself with the sign (-1)^m.  Their Thomas factorisation,
-vectorised over modes and cached per (shape, rho_max), gives the exact
+of ring 0 to itself with the sign (-1)^m.  Laid out mode after mode they form
+one block-diagonal tridiagonal system, which LAPACK's ?gttrf factors once per
+grid and ?gttrs solves in one call per right-hand side: the exact
 harmonic extension.  A Newton correction J x = b (staged steps, the direct
 attempt and the barrier solves alike) is solved by GMRES on the rows divided
 by their diagonal, right-preconditioned by y -> L^{-1}(diag(L) y): both
 operators then have a unit diagonal, and their product is close to the
 identity wherever J is close to a row-scaled L.  GMRES is written here with
-numpy reductions for every inner product and norm, not BLAS calls, so
-results do not depend on BLAS thread counts.
+numpy reductions for every inner product and norm, not BLAS calls, and
+?gttrs calls no BLAS routine, so results do not depend on BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 # Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
 # looks the name up in this module, so it stays bound.
 from scipy.sparse.linalg import spsolve  # noqa: F401
@@ -127,45 +134,99 @@ def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     return _homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
 
 
+# Per-grid caches of the Jacobian pattern and the Laplace factors: an entry
+# lives as long as its grid, so a finished run keeps none (the pattern takes
+# ~17 MB at 256^2).
+_JACOBIAN_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
+_LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
+
+
+def _jacobian_pattern(grid: Grid):
+    """The Jacobian's CSR pattern and where the stencil operators' entries land
+    in it; cached per grid.
+
+    Interior rows hold the union of the patterns of the identity and the five
+    operators of :func:`hchart.derivative_matrices` (d_rho, d_theta, d_rho2,
+    hess_rt, hess_tt, in the order of the chart slots after u); boundary rows
+    hold their diagonal alone.  Returns (indptr, indices, diag, terms): diag
+    holds the positions of the interior diagonal, and terms one (positions,
+    values, counts) per operator, listing its interior-row entries in row
+    order: where each sits in the pattern, its value, and how many entries
+    each row has.  Of the operator matrices only these values are kept; the
+    index arrays are read-only, since every Jacobian shares them.
+    """
+    pattern = _JACOBIAN_CACHE.get(grid)
+    if pattern is not None:
+        return pattern
+    n = grid.n_nodes
+    n_int = n - grid.n_theta  # the boundary ring's rows come last
+    mats = hchart.derivative_matrices(grid)
+    ops = []
+    for op in (sp.identity(n, format="csr"), mats.d_rho, mats.d_theta, mats.d_rho2,
+               mats.hess_rt, mats.hess_tt):
+        cut = op.indptr[n_int]  # the interior rows, as views
+        op = sp.csr_matrix((op.data[:cut], op.indices[:cut], op.indptr[:n_int + 1]),
+                           shape=(n_int, n))
+        op.sort_indices()
+        ops.append(op)
+    del mats  # frees d_theta2 before the temporaries below
+
+    def ones(op):
+        return sp.csr_matrix((np.ones(op.nnz), op.indices, op.indptr), shape=op.shape)
+
+    union = sum(ones(op) for op in ops)
+    union.data = np.arange(1.0, union.nnz + 1)  # 1 + position, exact in a float
+    positions = [(ones(op).multiply(union).data - 1).astype(np.int32) for op in ops]
+    nnz = union.nnz
+    indptr = np.concatenate([union.indptr, nnz + np.arange(1, grid.n_theta + 1)])
+    indices = np.concatenate([union.indices, np.arange(n_int, n)])
+    # uint8 counts: a stencil row has a handful of entries, and memory is the
+    # limit on fine grids
+    terms = [(pos, op.data, np.diff(op.indptr).astype(np.uint8))
+             for pos, op in zip(positions[1:], ops[1:])]
+    indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    pattern = (indptr, indices, positions[0], terms)
+    _JACOBIAN_CACHE[grid] = pattern
+    return pattern
+
+
 def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> sp.csr_matrix:
     """Analytic Jacobian dR/du at the graph of ``state``.
 
-    Per-node partials of the local residual with respect to the state's
+    Per-node partials w_m of the local residual with respect to the state's
     chart data (u, u_rho, u_theta, H_rr, H_rt, H_tt) are computed by
-    complex-step differentiation (exact to round-off), then composed with
-    the sparse stencil operators.  Boundary rows are identity rows."""
+    complex-step differentiation (exact to round-off).  Interior row i is
+    sum_m w_m[i] op_m[i, :] over the identity and the stencil operators of
+    :func:`_jacobian_pattern`, each entry summed in the order m = 0..5 and
+    written into the data array of the cached pattern.  Boundary rows are
+    identity rows."""
     grid = spec.grid
     slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
-    weights = []
+    indptr, indices, diag, terms = _jacobian_pattern(grid)
+    n_int = diag.size
+    data = np.zeros(indices.size)
+    data[-grid.n_theta:] = 1.0  # boundary rows: one entry each, the last ones
+    interior = data[:-grid.n_theta]
     for m in range(len(slots)):
         pert = list(slots)
         pert[m] = pert[m] + 1j * _CS_EPS
         val = _local_residual(t, spec, *pert)
-        w = np.imag(val) / _CS_EPS
-        weights.append(np.ravel(np.broadcast_to(w, grid.shape)))
-    mats = hchart.derivative_matrices(grid)
-    ops = [
-        sp.identity(grid.n_nodes, format="csr"),
-        mats.d_rho,
-        mats.d_theta,
-        mats.d_rho2,
-        mats.hess_rt,
-        mats.hess_tt,
-    ]
-    M = sum(op.multiply(w[:, None]).tocsr() for op, w in zip(ops, weights))
-    interior = grid.interior_mask.ravel().astype(float)
-    J = sp.diags(interior) @ M + sp.diags(1.0 - interior)
-    return J.tocsr()
+        w = np.ravel(np.broadcast_to(np.imag(val) / _CS_EPS, grid.shape))[:n_int]
+        if m == 0:
+            interior[diag] = w
+        else:
+            pos, values, counts = terms[m - 1]
+            interior[pos] += np.repeat(w, counts) * values
+    return sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
 
 
 # --- linear solves --------------------------------------------------------------
 
-_LAPLACE_CACHE: dict[tuple[tuple[int, int], float], tuple] = {}
-
 
 def _laplace_factors(grid: Grid):
-    """Thomas factorisation of the t = 0 operator's per-mode radial systems,
-    with the physical stencil rows' diagonal; cached per (shape, rho_max).
+    """LU factors of the t = 0 operator's per-mode radial systems, with the
+    physical stencil rows' diagonal; cached per grid.
 
     Interior ring i of mode m reads, from hchart's stencils,
 
@@ -173,13 +234,13 @@ def _laplace_factors(grid: Grid):
             + (1/h^2 + coth rho_i/(2h)) x_{i+1},   mu_m = -4 sin^2(m dtheta/2)/dtheta^2,
 
     ring 0's ghost x_{-1} = (-1)^m x_0 is folded into its diagonal, and the
-    boundary ring is an identity row.  Returns (lower, c_prime, inv_pivot,
-    diag): lower[i] multiplies x_{i-1}; c_prime[i, m] = upper_i / pivot[i, m]
-    and inv_pivot[i, m] = 1 / pivot[i, m] come from the forward sweep; diag[i]
-    is the diagonal of the stencil rows of ring i, as a column.
+    boundary ring is an identity row.  The n_theta/2 + 1 systems, laid out
+    mode after mode, form one block-diagonal tridiagonal system, which LAPACK's
+    ?gttrf factors (in complex form, for the complex Fourier coefficients).
+    Returns (lu, diag): lu = (dl, d, du, du2, ipiv) as ?gttrs takes them, and
+    diag[i] the diagonal of the stencil rows of ring i, as a column.
     """
-    key = (grid.shape, grid.chart.rho_max)
-    factors = _LAPLACE_CACHE.get(key)
+    factors = _LAPLACE_CACHE.get(grid)
     if factors is not None:
         return factors
     h, dth = grid.d_rho, grid.d_theta
@@ -194,33 +255,29 @@ def _laplace_factors(grid: Grid):
     lower[0] = 0.0
     lower[-1], upper[-1] = 0.0, 0.0
     main[-1] = 1.0
-    inv_pivot = np.empty_like(main)
-    c_prime = np.empty_like(main)
-    inv_pivot[0] = 1.0 / main[0]
-    c_prime[0] = upper[0] * inv_pivot[0]
-    for i in range(1, grid.n_rho):
-        inv_pivot[i] = 1.0 / (main[i] - lower[i] * c_prime[i - 1])
-        c_prime[i] = upper[i] * inv_pivot[i]
+    *lu, info = lapack.zgttrf(np.tile(lower, m.size)[1:].astype(complex),
+                              main.T.ravel().astype(complex),
+                              np.tile(upper, m.size)[:-1].astype(complex))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Laplace system singular (zgttrf info {info})")
     diag = -2.0 / h ** 2 - 2.0 * inv_s2 / dth ** 2
     diag[-1] = 1.0
-    factors = (lower, c_prime, inv_pivot, diag[:, None])
-    _LAPLACE_CACHE[key] = factors
+    factors = (tuple(lu), diag[:, None])
+    _LAPLACE_CACHE[grid] = factors
     return factors
 
 
 def _laplace_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for the t = 0 operator L on ``grid`` (b and x of the
-    grid's shape): real FFT in theta, one Thomas sweep over the rings for all
-    modes at once, inverse FFT."""
-    lower, c_prime, inv_pivot, _ = _laplace_factors(grid)
-    x = np.fft.rfft(b, axis=1)
-    x[0] *= inv_pivot[0]
-    for i in range(1, grid.n_rho):
-        x[i] -= lower[i] * x[i - 1]
-        x[i] *= inv_pivot[i]
-    for i in range(grid.n_rho - 2, -1, -1):
-        x[i] -= c_prime[i] * x[i + 1]
-    return np.fft.irfft(x, n=grid.n_theta, axis=1)
+    grid's shape): real FFT in theta into mode-major order, one ?gttrs solve
+    for all modes, inverse FFT."""
+    lu, _ = _laplace_factors(grid)
+    x = np.empty((grid.n_theta // 2 + 1, grid.n_rho), dtype=complex)
+    np.fft.rfft(b.T, axis=0, out=x)
+    x = lapack.zgttrs(*lu, x.reshape(-1, 1), overwrite_b=1)[0].reshape(x.shape)
+    out = np.empty(grid.shape)
+    np.fft.irfft(x, n=grid.n_theta, axis=0, out=out.T)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -274,7 +331,7 @@ def linear_solve(J: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve J x = rhs for a Newton Jacobian on ``grid``: GMRES on the rows of
     J divided by their diagonal (a zero diagonal counts as 1), right-
     preconditioned by y -> L^{-1}(diag(L) y) with L the t = 0 operator."""
-    diag_l = _laplace_factors(grid)[3]
+    diag_l = _laplace_factors(grid)[1]
     d = J.diagonal()
     d[d == 0.0] = 1.0
 

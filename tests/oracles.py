@@ -1,11 +1,14 @@
 """Reference implementations for the tests: a sparse matrix built one unit
-vector at a time, the Laplace-Beltrami operator from the array stencils and
-the t = 0 system from the stencil matrices, and the graph's points, tangents
-and unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
+vector at a time, the Laplace-Beltrami operator from the array stencils, the
+t = 0 system from the stencil matrices and its solve by a Thomas sweep over
+the rings, the Jacobian as a weighted sum of stencil matrices, and the graph's
+points, tangents and unit normal as vectors in Minkowski R^3,
+<a, b> = a1 b1 + a2 b2 - a3 b3."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from weingarten import solver
 from weingarten.hchart import derivative_matrices, partial_rho, partial_rho2, partial_theta2
 
 
@@ -45,6 +48,67 @@ def laplace_system(grid) -> sp.csc_matrix:
     lap = mats.d_rho2 + sp.diags(coth) @ mats.d_rho + sp.diags(inv_s2) @ mats.d_theta2
     interior = grid.interior_mask.ravel().astype(float)
     return (sp.diags(interior) @ lap + sp.diags(1.0 - interior)).tocsc()
+
+
+def thomas_laplace_solve(grid, b):
+    """Solve the t = 0 system L x = b: real FFT in theta, then one Thomas
+    sweep over the rings for all n_theta/2 + 1 radial systems at once (the
+    rows of ``solver._laplace_factors``), inverse FFT."""
+    h, dth = grid.d_rho, grid.d_theta
+    coth = grid.coth_rho[:, 0]
+    inv_s2 = 1.0 / grid.sinh_rho[:, 0] ** 2
+    m = np.arange(grid.n_theta // 2 + 1)
+    mu = -4.0 * np.sin(0.5 * m * dth) ** 2 / dth ** 2
+    lower = 1.0 / h ** 2 - coth / (2.0 * h)
+    upper = 1.0 / h ** 2 + coth / (2.0 * h)
+    main = -2.0 / h ** 2 + inv_s2[:, None] * mu[None, :]
+    main[0] += np.where(m % 2 == 0, 1.0, -1.0) * lower[0]
+    lower[0] = 0.0
+    lower[-1], upper[-1] = 0.0, 0.0
+    main[-1] = 1.0
+    inv_pivot = np.empty_like(main)
+    c_prime = np.empty_like(main)
+    inv_pivot[0] = 1.0 / main[0]
+    c_prime[0] = upper[0] * inv_pivot[0]
+    for i in range(1, grid.n_rho):
+        inv_pivot[i] = 1.0 / (main[i] - lower[i] * c_prime[i - 1])
+        c_prime[i] = upper[i] * inv_pivot[i]
+    x = np.fft.rfft(b, axis=1)
+    x[0] *= inv_pivot[0]
+    for i in range(1, grid.n_rho):
+        x[i] -= lower[i] * x[i - 1]
+        x[i] *= inv_pivot[i]
+    for i in range(grid.n_rho - 2, -1, -1):
+        x[i] -= c_prime[i] * x[i + 1]
+    return np.fft.irfft(x, n=grid.n_theta, axis=1)
+
+
+def jacobian(state, t, spec) -> sp.csr_matrix:
+    """The Jacobian dR/du as the sum of the identity and the stencil matrices,
+    each row scaled by the complex-step partial of the local residual with
+    respect to its chart slot, with identity rows on the boundary."""
+    grid = spec.grid
+    slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
+    weights = []
+    for m in range(len(slots)):
+        pert = list(slots)
+        pert[m] = pert[m] + 1j * solver._CS_EPS
+        val = solver._local_residual(t, spec, *pert)
+        w = np.imag(val) / solver._CS_EPS
+        weights.append(np.ravel(np.broadcast_to(w, grid.shape)))
+    mats = derivative_matrices(grid)
+    ops = [
+        sp.identity(grid.n_nodes, format="csr"),
+        mats.d_rho,
+        mats.d_theta,
+        mats.d_rho2,
+        mats.hess_rt,
+        mats.hess_tt,
+    ]
+    M = sum(op.multiply(w[:, None]).tocsr() for op, w in zip(ops, weights))
+    interior = grid.interior_mask.ravel().astype(float)
+    J = sp.diags(interior) @ M + sp.diags(1.0 - interior)
+    return J.tocsr()
 
 
 def lorentz_inner(p, q):

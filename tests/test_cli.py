@@ -289,7 +289,21 @@ class TestMain:
 
     def test_bad_grid_flag(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert cli.main(["--config", cfg, "--grid", "16by16"]) == 2
+        out = tmp_path / "cli_out"
+        assert cli.main(["--config", cfg, "--grid", "16by16", "--out", str(out)]) == 2
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    @pytest.mark.parametrize("old, new", [("phi_c = 1.0", "phi_c = nan"),
+                                          ("n_theta = 16", "n_theta = 5"),
+                                          ("k = 1", "k = 3")])
+    def test_range_error_writes_manifest(self, tmp_path, capsys, old, new):
+        # a config that reads but fails a range check leaves a manifest
+        out = tmp_path / "cli_out"
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and manifest["status"] == "failed"
 
     def test_bad_psi_expression_writes_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("psi_h = 2", "psi_h = foo"))
@@ -365,8 +379,10 @@ FUZZ_U = ("1", "0.5", "nan", "-1", "1,1")  # fields.csv u entries; "1,1" is a wr
 @settings(max_examples=60, deadline=None)
 def test_fuzz_exit_contract(tmp_path_factory, data):
     """Drawn configs (and fields files) keep the exit-code contract: the code is
-    0, 2, 3 or 4, a parsed config leaves a manifest carrying it, each run takes
-    under 2 s, and a successful run's report holds no NaN."""
+    0, 2, 3 or 4, each run takes under 2 s, and a successful run's report
+    holds no NaN.  Every drawn config file reads (its sections, keys and value
+    types are valid, whatever the values), so every exit but 4 leaves a
+    manifest carrying its code."""
     draw = data.draw
     mode = draw(st.sampled_from(("solve", "verify", "study")))
     n_rho, n_theta = draw(st.integers(4, 12)), draw(st.integers(4, 12))
@@ -392,16 +408,11 @@ def test_fuzz_exit_contract(tmp_path_factory, data):
                  f"u_star = {draw(st.sampled_from(FUZZ_U_STAR))}\n"
                  f"refine = {draw(st.sampled_from((1, 2)))}\n")
     cfg, out = write_config(tmp, text), tmp / "out"
-    try:
-        parse_config(cfg)
-        parsed = True
-    except ConfigError:
-        parsed = False
     t0 = time.perf_counter()
     code = cli.main(["--config", cfg, "--out", str(out)])
     assert time.perf_counter() - t0 < 2.0
     assert code in (0, 2, 3, 4)
-    if parsed and code != 4:
+    if code != 4:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == code
     if code == 0:
         assert "NaN" not in (out / "report.json").read_text()

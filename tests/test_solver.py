@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+import oracles
 from oracles import laplace_beltrami, laplace_system, matrix_from_columns
 from weingarten import geom, solver
 from weingarten.geom import extrinsic_state
@@ -96,6 +100,17 @@ class TestResidual:
             assert np.all(R[inner] == solver._local_residual(t, spec, *chart_data)[inner])
 
 
+SOLVE_SHAPES = [(4, 4), (5, 6), (4, 8), (48, 16), (16, 48), (33, 34), (128, 128)]
+
+
+def tilted_gauss_state(g):
+    """The k = 2 problem and a state near its solution without rotational
+    symmetry, so the Jacobian is not symmetric."""
+    rn = g.rho_col / g.chart.rho_max
+    u = 0.5 * (1.0 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn)
+    return gauss_curvature_problem(g), u
+
+
 class TestJacobian:
     def test_directional_consistency(self):
         # dR in random directions matches J @ w at random admissible states
@@ -179,16 +194,36 @@ class TestJacobian:
         inner = g.interior_mask.ravel()
         assert np.max(np.abs(J[inner] - L[inner])) < 1e-9
 
+    @pytest.mark.parametrize("shape", SOLVE_SHAPES[:-1])
+    def test_matches_the_stencil_matrix_sum(self, shape):
+        # the cached pattern adds each entry's weighted stencil terms in the
+        # order of the sum of weighted stencil matrices, so J is bit-identical;
+        # in the smallest grids the pole ghosts coincide with theta-neighbours
+        g = disk(*shape)
+        spec, u = tilted_gauss_state(g)
+        state = extrinsic_state(u, g)
+        for t in (0.0, 0.6, 1.0):
+            J = assemble_jacobian(state, t, spec)
+            assert np.array_equal(J.toarray(), oracles.jacobian(state, t, spec).toarray())
 
-SOLVE_SHAPES = [(4, 4), (5, 6), (4, 8), (48, 16), (16, 48), (33, 34), (128, 128)]
+    def test_products_match_the_stencil_matrix_sum_at_128(self):
+        g = disk(128, 128)
+        spec, u = tilted_gauss_state(g)
+        state = extrinsic_state(u, g)
+        x = np.random.default_rng(2).normal(size=g.n_nodes)
+        for t in (0.0, 0.6, 1.0):
+            J, ref = assemble_jacobian(state, t, spec), oracles.jacobian(state, t, spec)
+            assert np.array_equal(J @ x, ref @ x)
+            assert np.array_equal(J.diagonal(), ref.diagonal())
 
-
-def tilted_gauss_state(g):
-    """The k = 2 problem and a state near its solution without rotational
-    symmetry, so the Jacobian is not symmetric."""
-    rn = g.rho_col / g.chart.rho_max
-    u = 0.5 * (1.0 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn)
-    return gauss_curvature_problem(g), u
+    def test_pattern_uses_the_grid_radius(self):
+        # grids of one shape but different radii do not share stencil values
+        for rho_max in (0.8, 2.0):
+            g = disk(12, 12, rho_max)
+            spec, u = tilted_gauss_state(g)
+            state = extrinsic_state(u, g)
+            J = assemble_jacobian(state, 1.0, spec)
+            assert np.array_equal(J.toarray(), oracles.jacobian(state, 1.0, spec).toarray())
 
 
 class TestSparseSolve:
@@ -230,6 +265,27 @@ class TestSparseSolve:
             b[-1, :] = u[-1, :]
             x = solver._laplace_solve(g, b)
             assert np.max(np.abs(x - u)) <= 1e-12
+
+    def test_agrees_with_the_thomas_sweep_at_512(self):
+        # the LAPACK solve against a Thomas sweep over the rings of the same
+        # per-mode systems (measured 3e-15 relative)
+        g = disk(512, 512, 2.4)
+        b = np.random.default_rng(3).normal(size=g.shape)
+        ref = oracles.thomas_laplace_solve(g, b)
+        x = solver._laplace_solve(g, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_caches_live_as_long_as_their_grid(self):
+        # a finished run keeps no Jacobian pattern and no Laplace factors
+        g = disk(16, 16)
+        spec, u = tilted_gauss_state(g)
+        state = extrinsic_state(u, g)
+        solver.linear_solve(assemble_jacobian(state, 1.0, spec), np.ones(g.n_nodes), g)
+        assert g in solver._JACOBIAN_CACHE and g in solver._LAPLACE_CACHE
+        grid = weakref.ref(g)
+        del g, spec, state
+        gc.collect()
+        assert grid() is None
 
     def test_krylov_iterations_stay_few(self, monkeypatch):
         # GMRES applies the Laplace preconditioner once per iteration and once
