@@ -116,7 +116,8 @@ def _read_config(path: str) -> RunConfig:
     raw: dict = {}
     section = None
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
@@ -215,10 +216,15 @@ def build_problem(rc: RunConfig):
         raise ConfigError(f"psi_h: {exc}") from None
     phi = PhiSpec(family=rc.get("problem", "phi_family"), c=rc.get("problem", "phi_c"))
     spec = ProblemSpec(grid=grid, k=rc.get("problem", "k"), psi=psi, phi=phi)
+    return spec, _continuation_config(rc)
+
+
+def _continuation_config(rc: RunConfig) -> ContinuationConfig:
+    """The [continuation] section as a ContinuationConfig, in every mode."""
     tol_text = rc.get("continuation", "newton_tol", "auto")
     tol = None if tol_text == "auto" else _parse_value("float", tol_text, "newton_tol")
     try:
-        cfg = ContinuationConfig(
+        return ContinuationConfig(
             dt_init=rc.get("continuation", "dt_init", 0.25),
             dt_min=rc.get("continuation", "dt_min", 1e-3),
             newton_tol=tol,
@@ -226,7 +232,6 @@ def build_problem(rc: RunConfig):
         )
     except ValueError as exc:
         raise ConfigError(f"[continuation]: {exc}") from None
-    return spec, cfg
 
 
 # --- artifacts -----------------------------------------------------------------
@@ -435,6 +440,7 @@ def _run_study(rc: RunConfig, log):
         u_expr = Expr(u_star_text, variables=("rho", "theta"))
     except ExpressionError as exc:
         raise ConfigError(f"u_star: {exc}") from None
+    cfg = _continuation_config(rc)
     k = rc.get("problem", "k")
     _check_chart_factors(rc.get("problem", "rho_max"), refine * max(sizes))  # finest grid
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
@@ -445,7 +451,7 @@ def _run_study(rc: RunConfig, log):
             spec, u_star = manufactured_problem(u_expr, grid, k, refine=refine)
         except ValueError as exc:  # u_star not radial, spacelike or admissible
             raise ConfigError(f"u_star: {exc}") from None
-        result = solver.continuation_solve(spec, ContinuationConfig())
+        result = solver.continuation_solve(spec, cfg)
         if not result.converged:
             log(f"grid {size}: solver failed ({result.status})")
             return 2, "failed", None, spec, {"study": rows, "warnings": rc.warnings}

@@ -17,7 +17,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ChartDomainError",
@@ -30,8 +29,6 @@ __all__ = [
     "covariant_gradient",
     "covariant_hessian",
     "geodesic_diameter",
-    "StencilMatrices",
-    "derivative_matrices",
 ]
 
 
@@ -172,76 +169,3 @@ def geodesic_diameter(grid: Grid) -> float:
     """Diameter of the geodesic disk: twice the chart radius."""
     return 2.0 * grid.chart.rho_max
 
-
-@dataclasses.dataclass(frozen=True)
-class StencilMatrices:
-    """Sparse matrix forms of the derivative stencils (flat node ordering).
-
-    ``hess_rt`` and ``hess_tt`` are the covariant Hessian component operators,
-    i.e. they include the Christoffel corrections.  The matrices reproduce
-    :func:`partial_rho` etc. exactly, ghost handling included.
-    """
-
-    d_rho: sp.csr_matrix
-    d_theta: sp.csr_matrix
-    d_rho2: sp.csr_matrix
-    d_theta2: sp.csr_matrix
-    hess_rt: sp.csr_matrix
-    hess_tt: sp.csr_matrix
-
-
-def derivative_matrices(grid: Grid) -> StencilMatrices:
-    """Build the stencil operators as sparse matrices."""
-    nr, nt = grid.shape
-    n = nr * nt
-    h, dth, shift = grid.d_rho, grid.d_theta, grid.pole_shift
-    idx = np.arange(n).reshape(nr, nt)
-    J = np.arange(nt)
-
-    def build(entries):
-        rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
-        cols = np.concatenate([np.ravel(c) for _, c, _ in entries])
-        vals = np.concatenate(
-            [np.full(np.size(r), v, dtype=float) for r, _, v in entries]
-        )
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    I = np.arange(1, nr - 1)[:, None]
-    ghost_cols = idx[0, (J + shift) % nt]
-
-    d_rho = build([
-        (idx[I, J], idx[I + 1, J], 1.0 / (2 * h)),
-        (idx[I, J], idx[I - 1, J], -1.0 / (2 * h)),
-        (idx[0, J], idx[1, J], 1.0 / (2 * h)),
-        (idx[0, J], ghost_cols, -1.0 / (2 * h)),
-        (idx[-1, J], idx[-1, J], 3.0 / (2 * h)),
-        (idx[-1, J], idx[-2, J], -4.0 / (2 * h)),
-        (idx[-1, J], idx[-3, J], 1.0 / (2 * h)),
-    ])
-    d_rho2 = build([
-        (idx[I, J], idx[I + 1, J], 1.0 / h ** 2),
-        (idx[I, J], idx[I, J], -2.0 / h ** 2),
-        (idx[I, J], idx[I - 1, J], 1.0 / h ** 2),
-        (idx[0, J], idx[1, J], 1.0 / h ** 2),
-        (idx[0, J], idx[0, J], -2.0 / h ** 2),
-        (idx[0, J], ghost_cols, 1.0 / h ** 2),
-        (idx[-1, J], idx[-1, J], 2.0 / h ** 2),
-        (idx[-1, J], idx[-2, J], -5.0 / h ** 2),
-        (idx[-1, J], idx[-3, J], 4.0 / h ** 2),
-        (idx[-1, J], idx[-4, J], -1.0 / h ** 2),
-    ])
-    A = np.arange(nr)[:, None]
-    d_theta = build([
-        (idx[A, J], idx[A, (J + 1) % nt], 1.0 / (2 * dth)),
-        (idx[A, J], idx[A, (J - 1) % nt], -1.0 / (2 * dth)),
-    ])
-    d_theta2 = build([
-        (idx[A, J], idx[A, (J + 1) % nt], 1.0 / dth ** 2),
-        (idx[A, J], idx[A, J], -2.0 / dth ** 2),
-        (idx[A, J], idx[A, (J - 1) % nt], 1.0 / dth ** 2),
-    ])
-    coth = np.ravel(grid.coth_rho + np.zeros(grid.shape))
-    sc = np.ravel(grid.sinh_rho * grid.cosh_rho + np.zeros(grid.shape))
-    hess_rt = (d_theta @ d_rho - sp.diags(coth) @ d_theta).tocsr()
-    hess_tt = (d_theta2 + sp.diags(sc) @ d_rho).tocsr()
-    return StencilMatrices(d_rho, d_theta, d_rho2, d_theta2, hess_rt, hess_tt)

@@ -270,7 +270,6 @@ class ContinuationConfig:
     newton_tol: float | None = None  # None: 1e-10 for constant data, else 1e-8 * sup psi
     max_newton_iters: int = 30
     direct_attempt: bool = True
-    direct_max_iters: int = 15
 
     def __post_init__(self):
         if not 0.0 < self.dt_init <= 1.0:

@@ -17,15 +17,14 @@ one homotopy formula the residual itself is built from.  Both take the
 :class:`geom.ExtrinsicState` of the field, which carries these chart
 quantities.  So dR/du factors into exact per-node partial derivatives
 (obtained by complex-step differentiation of the local map, which is
-machine-accurate) composed with the sparse stencil operators.  Finite
-differences of the residual would not do: the pole ring's metric factor
-1/sinh(rho)^2 ~ 1/h^2 makes its huge entries cancel to O(1) physical
-couplings, which finite differences cannot resolve on fine grids.  Boundary
-rows are identity rows.  The sparsity pattern depends on the grid alone, so
-the stencil matrices are turned once per grid into a CSR pattern
-and, for each operator, the positions and values of its entries in it; each
-assembly writes the weighted entries into a fresh data array, adding them in
-the same order as a sum of the weighted matrices would.
+machine-accurate) composed with the chart's stencils.  Finite differences of
+the residual would not do: the pole ring's metric factor 1/sinh(rho)^2 ~ 1/h^2
+makes its huge entries cancel to O(1) physical couplings, which finite
+differences cannot resolve on fine grids.  GMRES asks the Jacobian only for
+products and its diagonal, so no matrix is formed: a product applies the
+array stencils of :mod:`hchart` (the same functions that build the state) to
+the direction field and weights the results node by node, and boundary rows
+are identity rows.
 
 No linear solve factors a sparse matrix.  The t = 0 operator L (Laplace-
 Beltrami rows inside, identity rows on the boundary ring) is invariant under
@@ -50,7 +49,6 @@ import math
 import weakref
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 # Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
 # looks the name up in this module, so it stays bound.
@@ -68,6 +66,7 @@ __all__ = [
     "SolveResult",
     "SandwichReport",
     "UniquenessReport",
+    "JacobianOperator",
     "assemble_residual",
     "assemble_jacobian",
     "linear_solve",
@@ -134,94 +133,62 @@ def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
     return _homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
 
 
-# Per-grid caches of the Jacobian pattern and the Laplace factors: an entry
-# lives as long as its grid, so a finished run keeps none (the pattern takes
-# ~17 MB at 256^2).
-_JACOBIAN_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
-_LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
+@dataclasses.dataclass(frozen=True, eq=False)
+class JacobianOperator:
+    """The Jacobian dR/du at one state, as the products and the diagonal that
+    :func:`linear_solve` asks of it (fields flattened in the grid's node
+    order).  ``weights`` holds the per-node partials w_0..w_5 of the local
+    residual with respect to the chart slots (u, u_rho, u_theta, H_rr, H_rt,
+    H_tt); their boundary-ring values are not used."""
+
+    grid: Grid
+    weights: tuple
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Interior rows: sum_m w_m times slot m of the chart data of x, from
+        the same stencils as :func:`geom.extrinsic_state`; boundary rows: x."""
+        grid = self.grid
+        x = np.reshape(x, grid.shape)
+        x_r = hchart.partial_rho(x, grid)
+        x_t = hchart.partial_theta(x, grid)
+        H_rr, H_rt, H_tt = hchart.covariant_hessian(x, x_r, x_t, grid)
+        w0, w1, w2, w3, w4, w5 = self.weights
+        y = w0 * x + w1 * x_r + w2 * x_t + w3 * H_rr + w4 * H_rt + w5 * H_tt
+        y[-1] = x[-1]
+        return y.ravel()
+
+    def diagonal(self) -> np.ndarray:
+        """Only u, d^2/drho^2 and d^2/dtheta^2 put a node on its own row, with
+        the stencil weights -2/d_rho^2 and -2/d_theta^2; boundary rows hold 1."""
+        w0, _, _, w3, _, w5 = self.weights
+        d = w0 + w3 * (-2.0 / self.grid.d_rho ** 2) + w5 * (-2.0 / self.grid.d_theta ** 2)
+        d[-1] = 1.0
+        return d.ravel()
 
 
-def _jacobian_pattern(grid: Grid):
-    """The Jacobian's CSR pattern and where the stencil operators' entries land
-    in it; cached per grid.
-
-    Interior rows hold the union of the patterns of the identity and the five
-    operators of :func:`hchart.derivative_matrices` (d_rho, d_theta, d_rho2,
-    hess_rt, hess_tt, in the order of the chart slots after u); boundary rows
-    hold their diagonal alone.  Returns (indptr, indices, diag, terms): diag
-    holds the positions of the interior diagonal, and terms one (positions,
-    values, counts) per operator, listing its interior-row entries in row
-    order: where each sits in the pattern, its value, and how many entries
-    each row has.  Of the operator matrices only these values are kept; the
-    index arrays are read-only, since every Jacobian shares them.
-    """
-    pattern = _JACOBIAN_CACHE.get(grid)
-    if pattern is not None:
-        return pattern
-    n = grid.n_nodes
-    n_int = n - grid.n_theta  # the boundary ring's rows come last
-    mats = hchart.derivative_matrices(grid)
-    ops = []
-    for op in (sp.identity(n, format="csr"), mats.d_rho, mats.d_theta, mats.d_rho2,
-               mats.hess_rt, mats.hess_tt):
-        cut = op.indptr[n_int]  # the interior rows, as views
-        op = sp.csr_matrix((op.data[:cut], op.indices[:cut], op.indptr[:n_int + 1]),
-                           shape=(n_int, n))
-        op.sort_indices()
-        ops.append(op)
-    del mats  # frees d_theta2 before the temporaries below
-
-    def ones(op):
-        return sp.csr_matrix((np.ones(op.nnz), op.indices, op.indptr), shape=op.shape)
-
-    union = sum(ones(op) for op in ops)
-    union.data = np.arange(1.0, union.nnz + 1)  # 1 + position, exact in a float
-    positions = [(ones(op).multiply(union).data - 1).astype(np.int32) for op in ops]
-    nnz = union.nnz
-    indptr = np.concatenate([union.indptr, nnz + np.arange(1, grid.n_theta + 1)])
-    indices = np.concatenate([union.indices, np.arange(n_int, n)])
-    # uint8 counts: a stencil row has a handful of entries, and memory is the
-    # limit on fine grids
-    terms = [(pos, op.data, np.diff(op.indptr).astype(np.uint8))
-             for pos, op in zip(positions[1:], ops[1:])]
-    indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
-    indptr.flags.writeable = indices.flags.writeable = False
-    pattern = (indptr, indices, positions[0], terms)
-    _JACOBIAN_CACHE[grid] = pattern
-    return pattern
-
-
-def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> sp.csr_matrix:
+def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> JacobianOperator:
     """Analytic Jacobian dR/du at the graph of ``state``.
 
     Per-node partials w_m of the local residual with respect to the state's
     chart data (u, u_rho, u_theta, H_rr, H_rt, H_tt) are computed by
-    complex-step differentiation (exact to round-off).  Interior row i is
-    sum_m w_m[i] op_m[i, :] over the identity and the stencil operators of
-    :func:`_jacobian_pattern`, each entry summed in the order m = 0..5 and
-    written into the data array of the cached pattern.  Boundary rows are
-    identity rows."""
-    grid = spec.grid
+    complex-step differentiation (exact to round-off); the returned operator
+    composes them with the chart's stencils."""
     slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
-    indptr, indices, diag, terms = _jacobian_pattern(grid)
-    n_int = diag.size
-    data = np.zeros(indices.size)
-    data[-grid.n_theta:] = 1.0  # boundary rows: one entry each, the last ones
-    interior = data[:-grid.n_theta]
+    weights = []
     for m in range(len(slots)):
         pert = list(slots)
         pert[m] = pert[m] + 1j * _CS_EPS
         val = _local_residual(t, spec, *pert)
-        w = np.ravel(np.broadcast_to(np.imag(val) / _CS_EPS, grid.shape))[:n_int]
-        if m == 0:
-            interior[diag] = w
-        else:
-            pos, values, counts = terms[m - 1]
-            interior[pos] += np.repeat(w, counts) * values
-    return sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
+        weights.append(np.imag(val) / _CS_EPS)
+    return JacobianOperator(spec.grid, tuple(weights))
 
 
 # --- linear solves --------------------------------------------------------------
+
+
+# Laplace factors per grid: an entry lives as long as its grid, so a finished
+# run keeps none.
+_LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
 
 
 def _laplace_factors(grid: Grid):
@@ -327,7 +294,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def linear_solve(J: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
+def linear_solve(J: JacobianOperator, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve J x = rhs for a Newton Jacobian on ``grid``: GMRES on the rows of
     J divided by their diagonal (a zero diagonal counts as 1), right-
     preconditioned by y -> L^{-1}(diag(L) y) with L the t = 0 operator."""
@@ -346,6 +313,9 @@ def linear_solve(J: sp.spmatrix, rhs: np.ndarray, grid: Grid) -> np.ndarray:
 
 # The line search gives up once the step length falls below this.
 _DAMPING_FLOOR = 2.0 ** -20
+# Newton iterations allowed to the direct attempt at the target problem
+# (capped by the configured max_newton_iters).
+_DIRECT_MAX_ITERS = 15
 # GMRES stops once its (Givens) residual estimate is this small relative to
 # the right-hand side, or after this many iterations with its last iterate,
 # which the line search then judges like any other step.  The true residual
@@ -534,7 +504,7 @@ def continuation_solve(
     if cfg.direct_attempt:
         try:
             rep = damped_newton(
-                u0, 1.0, spec, cfg, max_iters=min(cfg.direct_max_iters, cfg.max_newton_iters)
+                u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
             )
             total += rep.iterations
             if rep.converged:

@@ -1,15 +1,17 @@
 """Reference implementations for the tests: a sparse matrix built one unit
-vector at a time, the Laplace-Beltrami operator from the array stencils, the
-t = 0 system from the stencil matrices and its solve by a Thomas sweep over
-the rings, the Jacobian as a weighted sum of stencil matrices, and the graph's
-points, tangents and unit normal as vectors in Minkowski R^3,
-<a, b> = a1 b1 + a2 b2 - a3 b3."""
+vector at a time, the chart's stencils written out as sparse matrices, the
+Laplace-Beltrami operator from the array stencils, the t = 0 system from the
+stencil matrices and its solve by a Thomas sweep over the rings, the Jacobian
+as a weighted sum of stencil matrices, and the graph's points, tangents and
+unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
+
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
 
 from weingarten import solver
-from weingarten.hchart import derivative_matrices, partial_rho, partial_rho2, partial_theta2
+from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
 
 
 def matrix_from_columns(column, n: int) -> sp.csc_matrix:
@@ -25,6 +27,81 @@ def matrix_from_columns(column, n: int) -> sp.csc_matrix:
         indptr.append(indptr[-1] + nz.size)
     return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
                          shape=(col.size, n))
+
+
+@dataclasses.dataclass(frozen=True)
+class StencilMatrices:
+    """Sparse matrix forms of the derivative stencils of ``weingarten.hchart``
+    (flat node ordering), written out entry by entry.
+
+    ``hess_rt`` and ``hess_tt`` are the covariant Hessian component operators,
+    i.e. they include the Christoffel corrections.  The matrices reproduce
+    ``partial_rho`` etc., ghost handling included.
+    """
+
+    d_rho: sp.csr_matrix
+    d_theta: sp.csr_matrix
+    d_rho2: sp.csr_matrix
+    d_theta2: sp.csr_matrix
+    hess_rt: sp.csr_matrix
+    hess_tt: sp.csr_matrix
+
+
+def derivative_matrices(grid) -> StencilMatrices:
+    """Build the stencil operators as sparse matrices."""
+    nr, nt = grid.shape
+    n = nr * nt
+    h, dth, shift = grid.d_rho, grid.d_theta, grid.pole_shift
+    idx = np.arange(n).reshape(nr, nt)
+    J = np.arange(nt)
+
+    def build(entries):
+        rows = np.concatenate([np.ravel(r) for r, _, _ in entries])
+        cols = np.concatenate([np.ravel(c) for _, c, _ in entries])
+        vals = np.concatenate(
+            [np.full(np.size(r), v, dtype=float) for r, _, v in entries]
+        )
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    I = np.arange(1, nr - 1)[:, None]
+    ghost_cols = idx[0, (J + shift) % nt]
+
+    d_rho = build([
+        (idx[I, J], idx[I + 1, J], 1.0 / (2 * h)),
+        (idx[I, J], idx[I - 1, J], -1.0 / (2 * h)),
+        (idx[0, J], idx[1, J], 1.0 / (2 * h)),
+        (idx[0, J], ghost_cols, -1.0 / (2 * h)),
+        (idx[-1, J], idx[-1, J], 3.0 / (2 * h)),
+        (idx[-1, J], idx[-2, J], -4.0 / (2 * h)),
+        (idx[-1, J], idx[-3, J], 1.0 / (2 * h)),
+    ])
+    d_rho2 = build([
+        (idx[I, J], idx[I + 1, J], 1.0 / h ** 2),
+        (idx[I, J], idx[I, J], -2.0 / h ** 2),
+        (idx[I, J], idx[I - 1, J], 1.0 / h ** 2),
+        (idx[0, J], idx[1, J], 1.0 / h ** 2),
+        (idx[0, J], idx[0, J], -2.0 / h ** 2),
+        (idx[0, J], ghost_cols, 1.0 / h ** 2),
+        (idx[-1, J], idx[-1, J], 2.0 / h ** 2),
+        (idx[-1, J], idx[-2, J], -5.0 / h ** 2),
+        (idx[-1, J], idx[-3, J], 4.0 / h ** 2),
+        (idx[-1, J], idx[-4, J], -1.0 / h ** 2),
+    ])
+    A = np.arange(nr)[:, None]
+    d_theta = build([
+        (idx[A, J], idx[A, (J + 1) % nt], 1.0 / (2 * dth)),
+        (idx[A, J], idx[A, (J - 1) % nt], -1.0 / (2 * dth)),
+    ])
+    d_theta2 = build([
+        (idx[A, J], idx[A, (J + 1) % nt], 1.0 / dth ** 2),
+        (idx[A, J], idx[A, J], -2.0 / dth ** 2),
+        (idx[A, J], idx[A, (J - 1) % nt], 1.0 / dth ** 2),
+    ])
+    coth = np.ravel(grid.coth_rho + np.zeros(grid.shape))
+    sc = np.ravel(grid.sinh_rho * grid.cosh_rho + np.zeros(grid.shape))
+    hess_rt = (d_theta @ d_rho - sp.diags(coth) @ d_theta).tocsr()
+    hess_tt = (d_theta2 + sp.diags(sc) @ d_rho).tocsr()
+    return StencilMatrices(d_rho, d_theta, d_rho2, d_theta2, hess_rt, hess_tt)
 
 
 def laplace_beltrami(u, grid):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ BAD_INPUTS = {
     "n_rho_200000": ([("n_rho = 8", "n_rho = " + "x" * 200000)], ""),
     "no_equals_200000": ([], "x" * 200000 + "\n"),
     "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
+    "study_dt_init": (STUDY, "[continuation]\ndt_init = 5\n"),
+    "study_newton_tol_text": (STUDY, "[continuation]\nnewton_tol = banana\n"),
     "study_grid": (STUDY, "[study]\ngrids = 2\n"),
     "study_grid_repeated": (STUDY, "[study]\ngrids = 8,8\n"),
     "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
@@ -113,6 +116,13 @@ class TestParseConfig:
         text = BASE_CONFIG.replace("rho_max = 0.8", "rho_max = big")
         with pytest.raises(ConfigError, match="expected float"):
             parse_config(write_config(tmp_path, text))
+
+    def test_closes_the_config_file(self, tmp_path):
+        path = write_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_config(path)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_verify_requires_fields(self, tmp_path):
         text = BASE_CONFIG.replace("mode = solve", "mode = verify")

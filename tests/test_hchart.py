@@ -10,10 +10,9 @@ from weingarten.hchart import (
     PolarChart,
     covariant_gradient,
     covariant_hessian,
-    derivative_matrices,
     geodesic_diameter,
 )
-from oracles import laplace_beltrami
+from oracles import derivative_matrices, laplace_beltrami
 
 # independently evaluated reference constants
 SINH2_1 = 1.3810978455418155      # sinh(1)^2
