@@ -207,3 +207,17 @@ class TestConvergence:
         for mat, ref in pairs:
             got = (mat @ u.ravel()).reshape(g.shape)
             assert np.max(np.abs(got - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestShiftsBySlicing:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (6, 6), (9, 8), (20, 24)])
+    def test_equal_the_roll_forms(self, shape):
+        # the theta shifts and the pole ghost are slices joined by concatenate;
+        # the stencils must equal their np.roll forms bit for bit
+        g = Grid(PolarChart(rho_max=0.8), *shape)
+        U = np.random.default_rng(3).standard_normal(shape)
+        up, down = np.roll(U, -1, axis=1), np.roll(U, 1, axis=1)
+        assert np.array_equal(hchart._pole_ghost(U, g), np.roll(U[0], shape[1] // 2))
+        assert np.array_equal(hchart.partial_theta(U, g), (up - down) / (2.0 * g.d_theta))
+        assert np.array_equal(hchart.partial_theta2(U, g),
+                              (up - 2.0 * U + down) / g.d_theta ** 2)
