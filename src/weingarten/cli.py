@@ -340,7 +340,8 @@ def _run_solve(rc: RunConfig, log):
     result = solver.continuation_solve(spec, cfg)
     log(f"continuation status: {result.status}, newton iterations: {result.newton_total}")
     for step in result.steps:
-        log(f"  t={step.t:.4f} iters={step.iterations} residual={step.residual_norm:.3e}")
+        log(f"  grid {step.grid[0]}x{step.grid[1]} t={step.t:.4f} iters={step.iterations} "
+            f"residual={step.residual_norm:.3e}")
     if not result.converged:
         print(f"run failed: {result.status}: {result.detail}", file=sys.stderr)
         return 2, result.status, None, spec, {

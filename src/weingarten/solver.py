@@ -7,8 +7,19 @@ The residual of the homotopy family at parameter t in [0, 1] is
 at interior nodes, with boundary rows enforcing u = phi.  t = 0 is the
 Laplace problem, t = 1 the curvature problem.  Newton's method runs with a
 backtracking line search that only ever accepts spacelike (and, for t > 0,
-cone-admissible) iterates; the continuation driver first tries the target
+cone-admissible) iterates; the homotopy driver first tries the target
 problem directly and falls back to adaptive stepping in t.
+
+The continuation runs coarse to fine.  The homotopy driver runs only on the
+coarsest grid of a halving chain (both counts halve while n_rho is even,
+n_theta is divisible by 4 and at least 8, and at least 10 rings remain).
+Its solution is carried to each finer grid in turn, and each finer grid
+takes one Newton solve at t = 1.  Discrete solutions on successive grids
+differ by O(h^2), so a carried solution starts inside Newton's quadratic
+basin, and the finer grids need two or three iterations each.  A tabulated
+psi exists on one grid only, so its chain has one level.  If a level fails,
+the driver runs on the target grid as if the chain had not run.  Each step
+of the solve records its grid, and the iteration total sums all levels.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
@@ -49,6 +60,7 @@ import math
 import weakref
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 # Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
 # looks the name up in this module, so it stays bound.
@@ -465,6 +477,7 @@ class ContinuationStep:
     t: float
     iterations: int
     residual_norm: float
+    grid: tuple  # (n_rho, n_theta) of the level the step ran on
 
 
 @dataclasses.dataclass
@@ -481,23 +494,107 @@ class SolveResult:
         return self.status == "converged"
 
 
+# The coarsest level of the grid chain keeps at least this many rings.
+_COARSEST_RINGS = 10
+
+
+def _grid_chain(spec: ProblemSpec) -> list:
+    """Grid shapes (n_rho, n_theta) of the coarse-to-fine chain, coarsest
+    first and ending with the shape of ``spec``'s grid.  Both counts halve
+    while n_rho is even, n_theta is divisible by 4 and at least 8, and the
+    halved n_rho is at least _COARSEST_RINGS.  A tabulated psi has values on
+    its own grid only, so its chain has one level."""
+    n_rho, n_theta = spec.grid.shape
+    shapes = [(n_rho, n_theta)]
+    if spec.psi.family != "tabulated":
+        while (n_rho % 2 == 0 and n_theta % 4 == 0 and n_theta >= 8
+               and n_rho // 2 >= _COARSEST_RINGS):
+            n_rho, n_theta = n_rho // 2, n_theta // 2
+            shapes.append((n_rho, n_theta))
+    return shapes[::-1]
+
+
+def _carry(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Carry a field from the grid with half the counts of ``spec``'s grid to
+    that grid: a cubic spline in rho through the pole (on the even extension
+    u(-rho, theta) = u(rho, theta + pi)), a zero-padded real FFT in theta,
+    then the harmonic extension of the boundary mismatch phi - u on the new
+    outer ring, which lies further out than the old one."""
+    grid = spec.grid
+    n_rho, n_theta = u.shape
+    rho = (np.arange(n_rho) + 0.5) * (grid.chart.rho_max / n_rho)
+    s = n_theta // 2
+    across_pole = np.concatenate((u[::-1, s:], u[::-1, :s]), axis=1)
+    U = CubicSpline(np.concatenate((-rho[::-1], rho)), np.concatenate((across_pole, u)),
+                    axis=0)(grid.rho)
+    coeffs = np.fft.rfft(U, axis=1)
+    coeffs[:, -1] *= 0.5  # the coarse Nyquist mode splits between +-m on the finer grid
+    U = 2.0 * np.fft.irfft(coeffs, n=grid.n_theta, axis=1)  # irfft divides by the finer count
+    b = np.zeros(grid.shape)
+    b[-1] = spec.boundary_values() - U[-1]
+    return U + _laplace_solve(grid, b)
+
+
 def continuation_solve(
     spec: ProblemSpec,
     cfg: ContinuationConfig | None = None,
     initial_guess=None,
 ) -> SolveResult:
-    """Drive the homotopy parameter from the Laplace problem to the curvature
-    problem.
+    """Solve the curvature problem coarse to fine.
 
-    The target problem (t = 1) is attempted directly first; when that fails
-    the driver solves t = 0, then advances t with adaptive halving on Newton
-    failure and doubling (capped at the initial step) on success.
+    The homotopy driver (:func:`_homotopy_solve`) runs on the coarsest grid
+    of :func:`_grid_chain`; its solution is carried up one grid at a time,
+    and each finer grid takes one damped Newton solve at t = 1.  If any level
+    is inadmissible or does not converge, the result is the driver's on
+    ``spec``'s own grid, as if the chain had not run.  ``initial_guess``, if
+    given, maps a level's ProblemSpec to its start (default
+    :func:`build_initial_guess`).
     """
     cfg = cfg or ContinuationConfig()
-    if initial_guess is None:
-        u0 = build_initial_guess(spec)
-    else:
-        u0 = np.array(initial_guess, dtype=float, copy=True)
+    start = initial_guess or build_initial_guess
+    result = _chain_solve(spec, cfg, start)
+    return result if result is not None else _homotopy_solve(spec, cfg, start(spec))
+
+
+def _chain_solve(spec: ProblemSpec, cfg: ContinuationConfig, start) -> SolveResult | None:
+    """The coarse-to-fine chain of :func:`continuation_solve`; None when the
+    chain has one level or a level fails."""
+    shapes = _grid_chain(spec)
+    if len(shapes) == 1:
+        return None
+    level = dataclasses.replace(spec, grid=Grid(spec.grid.chart, *shapes[0]))
+    result = _homotopy_solve(level, cfg, start(level))
+    if not result.converged:
+        return None
+    u, steps, total = result.u, result.steps, result.newton_total
+    for shape in shapes[1:]:
+        # rebinding level and u drops the coarser grid, its cached Laplace
+        # factors and its field before the finer solve
+        level = spec if shape == shapes[-1] else dataclasses.replace(
+            spec, grid=Grid(spec.grid.chart, *shape))
+        u = _carry(u, level)
+        try:
+            rep = damped_newton(u, 1.0, level, cfg)
+        except InadmissibleStartError:
+            return None
+        if not rep.converged:
+            return None
+        u, total = rep.u, total + rep.iterations
+        steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
+    return SolveResult(u, "converged", steps, total, rep.residual_norm)
+
+
+def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResult:
+    """Drive the homotopy parameter from the Laplace problem to the curvature
+    problem on ``spec``'s grid, from the start ``u0``.
+
+    The target problem (t = 1) is attempted directly first (when
+    ``cfg.direct_attempt``); when that fails the driver solves t = 0, then
+    advances t with adaptive halving on Newton failure and doubling (capped
+    at the initial step) on success.
+    """
+    u0 = np.array(u0, dtype=float, copy=True)
+    shape = spec.grid.shape
     steps: list[ContinuationStep] = []
     total = 0
 
@@ -508,7 +605,7 @@ def continuation_solve(
             )
             total += rep.iterations
             if rep.converged:
-                steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm))
+                steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
                 return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
         except InadmissibleStartError:
             pass
@@ -529,7 +626,7 @@ def continuation_solve(
             f"Newton {rep.status} at t=0",
         )
     u = rep.u
-    steps.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm))
+    steps.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm, shape))
 
     t, dt = 0.0, cfg.dt_init
     fallback_used = False
@@ -549,7 +646,7 @@ def continuation_solve(
             total += rep.iterations
         if rep is not None and rep.converged:
             u, t = rep.u, t_try
-            steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm))
+            steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm, shape))
             dt = min(2.0 * dt, cfg.dt_init)
         else:
             dt *= 0.5
@@ -640,6 +737,22 @@ class UniquenessReport:
     runs: list
 
 
+def _probe_start(c):
+    """The probe start with bump coefficients ``c``, as a function of a
+    level's ProblemSpec: the initial guess times 1 + a bump that is a closed
+    form in (rho / rho_max, theta), so every level gets the same bump."""
+    def start(level: ProblemSpec) -> np.ndarray:
+        grid = level.grid
+        rn = grid.rho_col / grid.chart.rho_max
+        bump = (
+            c[0]
+            + c[1] * rn ** 2
+            + (c[2] * np.cos(grid.theta_row) + c[3] * np.sin(grid.theta_row)) * rn
+        )
+        return build_initial_guess(level) * (1.0 + _PROBE_AMPLITUDE * bump)
+    return start
+
+
 def uniqueness_probe(
     spec: ProblemSpec,
     cfg: ContinuationConfig | None = None,
@@ -648,21 +761,12 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     """Re-run the continuation from seeded perturbed starts and report the
     largest pairwise sup-distance between the solutions found."""
-    grid = spec.grid
     rng = np.random.default_rng(seed)
-    base = build_initial_guess(spec)
-    rn = grid.rho_col / grid.chart.rho_max
     sols, runs = [], []
     monotone = True
     for _ in range(n_starts):
-        c = rng.normal(0.0, 1.0, size=4)
-        bump = (
-            c[0]
-            + c[1] * rn ** 2
-            + (c[2] * np.cos(grid.theta_row) + c[3] * np.sin(grid.theta_row)) * rn
-        )
-        u0 = base * (1.0 + _PROBE_AMPLITUDE * bump)
-        result = continuation_solve(spec, cfg, initial_guess=u0)
+        start = _probe_start(rng.normal(0.0, 1.0, size=4))
+        result = continuation_solve(spec, cfg, initial_guess=start)
         ts = [s.t for s in result.steps]
         mono = all(b >= a for a, b in zip(ts, ts[1:]))
         monotone &= mono
@@ -672,6 +776,7 @@ def uniqueness_probe(
                 "newton_total": result.newton_total,
                 "residual_norm": result.residual_norm,
                 "t_monotone": mono,
+                "steps": [dataclasses.asdict(s) for s in result.steps],
             }
         )
         if result.converged:

@@ -194,6 +194,27 @@ class TestSolveMode:
         assert report["uniqueness"]["max_pairwise_distance"] <= 1e-8
 
 
+    def test_coarse_to_fine_at_rho_max_3(self, tmp_path):
+        # k = 2, psi = support^2 on a wide disk: the 12^2 level steps t = 0..1,
+        # then 24^2 and 48^2 take one Newton solve each; steps and probe runs
+        # record their level's grid, and the log names it
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 48")
+                .replace("n_theta = 16", "n_theta = 48").replace("k = 1", "k = 2")
+                .replace("rho_max = 0.8", "rho_max = 3.0").replace("psi_p = 0", "psi_p = 2")
+                .replace("psi_h = 2", "psi_h = 1")
+                .replace("phi_family = constant", "phi_family = hyperplane")
+                .replace("seed = 0", "seed = 0\nuniqueness_starts = 1"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        grids = [tuple(s["grid"]) for s in report["solve"]["steps"]]
+        assert grids[-2:] == [(24, 24), (48, 48)] and set(grids[:-2]) == {(12, 12)}
+        assert report["solve"]["steps"][0]["t"] == 0.0
+        run_steps = report["uniqueness"]["runs"][0]["steps"]
+        assert [tuple(s["grid"]) for s in run_steps][-2:] == [(24, 24), (48, 48)]
+        assert "grid 48x48 t=1.0000" in (out / "log.txt").read_text()
+
+
 class TestVerifyMode:
     def _solved(self, tmp_path):
         rc = parse_config(write_config(tmp_path))

@@ -430,6 +430,132 @@ class TestContinuation:
         assert res.residual_norm <= 1e-10
 
 
+def hyperplane_problem(n, k, p, h, rho_max=0.8):
+    return ProblemSpec(grid=disk(n, n, rho_max), k=k, psi=PsiSpec("power", p=p, h=h),
+                       phi=PhiSpec("hyperplane", c=1.0))
+
+
+def single_level(spec, cfg=None):
+    """The homotopy driver on the spec's own grid, as continuation_solve ran
+    it before the coarse-to-fine chain."""
+    return solver._homotopy_solve(spec, cfg or ContinuationConfig(), build_initial_guess(spec))
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("shape, chain", [
+        ((80, 80), [(10, 10), (20, 20), (40, 40), (80, 80)]),
+        ((256, 256), [(16, 16), (32, 32), (64, 64), (128, 128), (256, 256)]),
+        ((24, 24), [(12, 12), (24, 24)]),
+        ((40, 8), [(20, 4), (40, 8)]),        # n_theta stops at 4
+        ((20, 4), [(20, 4)]),
+        ((30, 32), [(15, 16), (30, 32)]),     # odd n_rho stops
+        ((48, 18), [(48, 18)]),               # n_theta not divisible by 4
+        ((18, 36), [(18, 36)]),               # 9 rings would be too few
+    ])
+    def test_chain_rule(self, shape, chain):
+        assert solver._grid_chain(mean_curvature_problem(disk(*shape))) == chain
+
+    def test_tabulated_psi_takes_one_level(self):
+        g = disk(32, 32)
+        mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
+        assert solver._grid_chain(mspec) == [(32, 32)]
+        res = continuation_solve(mspec, None)
+        assert res.converged
+        assert {s.grid for s in res.steps} == {(32, 32)}
+
+    def test_carry_reproduces_low_degree_fields(self):
+        # along every line through the pole the field is a cubic in the signed
+        # radius, in theta a trigonometric polynomial up to the coarse Nyquist
+        # mode, and it equals phi = 1 on the finer grid's outer ring: the
+        # spline, the padded FFT (halved Nyquist coefficient) and the boundary
+        # correction then reproduce it
+        fine = disk(24, 16)
+        spec = ProblemSpec(grid=fine, k=1, psi=PsiSpec("power", p=0.0, h="2"),
+                           phi=PhiSpec("constant", c=1.0))
+        r2 = fine.rho[-1] ** 2
+
+        def field(g):
+            rho, th = g.rho_col, g.theta_row
+            q = rho ** 2 - r2
+            return (1.0 + 0.1 * q + 0.05 * rho * q * np.cos(th) + 0.02 * q * np.sin(2 * th)
+                    + 0.01 * q * np.cos(4 * th))
+
+        carried = solver._carry(field(disk(12, 8)), spec)
+        assert np.max(np.abs(carried - field(fine))) <= 1e-14
+        assert np.max(np.abs(carried[-1] - 1.0)) <= 1e-15
+
+    def test_carry_meets_the_boundary_data(self):
+        # a constant carries to itself, so the boundary correction is all of
+        # phi - 1 and the carried field is phi's harmonic extension
+        spec = hyperplane_problem(24, 1, 0, "2")
+        carried = solver._carry(np.ones((12, 12)), spec)
+        assert np.max(np.abs(carried[-1] - spec.boundary_values())) <= 1e-15
+        assert np.max(np.abs(carried - harmonic_extension(spec))) <= 1e-14
+
+    def test_radial_staged_matches_single_level(self):
+        # the continuation-k2-80 problem at 96^2: the 12^2 level fails its
+        # direct attempt and steps t = 0..1; 24^2, 48^2 and 96^2 take one
+        # Newton solve each
+        spec = hyperplane_problem(96, 2, 2, "1", rho_max=2.4)
+        chain, ref = continuation_solve(spec, None), single_level(spec)
+        assert chain.converged and ref.converged
+        assert [s.grid for s in chain.steps[-3:]] == [(24, 24), (48, 48), (96, 96)]
+        assert all(s.grid == (12, 12) for s in chain.steps[:-3])
+        assert chain.newton_total < ref.newton_total
+        assert np.max(np.abs(chain.u - ref.u)) <= 1e-12
+
+    @pytest.mark.parametrize("k, p, h", [(1, 1, "2/u*(1+0.1*rho*cos(theta))"),
+                                         (2, 2, "4*(1+0.2*rho*sin(theta))")])
+    def test_non_radial_matches_single_level(self, k, p, h):
+        # both converge directly, each only to the tolerance, so they agree to
+        # about the tolerance and not to round-off
+        spec = hyperplane_problem(96, k, p, h)
+        chain, ref = continuation_solve(spec, None), single_level(spec)
+        assert [s.grid for s in chain.steps] == [(12, 12), (24, 24), (48, 48), (96, 96)]
+        for res in (chain, ref):
+            assert res.converged
+            tol = solver.resolve_newton_tol(ContinuationConfig(), spec,
+                                            extrinsic_state(res.u, spec.grid))
+            assert res.residual_norm <= tol
+        assert np.max(np.abs(chain.u - ref.u)) <= 1e-9 * np.max(np.abs(ref.u))
+
+    def test_failed_levels_give_the_single_level_result(self, monkeypatch):
+        spec = hyperplane_problem(24, 2, 2, "4*(1+0.2*rho*sin(theta))")
+        ref = single_level(spec)
+        real_newton = solver.damped_newton
+        calls = []
+
+        def fail_once_on_the_target(u0, t, level, cfg=None, max_iters=None):
+            if level.grid is spec.grid and not calls:
+                calls.append(t)
+                return solver.NewtonReport(u0, False, "stalled", 0, 1.0)
+            return real_newton(u0, t, level, cfg, max_iters)
+
+        failures = {
+            "inadmissible carry": ("_carry", lambda u, level: np.zeros(level.grid.shape)),
+            "no convergence": ("damped_newton", fail_once_on_the_target),
+        }
+        for name, fn in failures.values():
+            with monkeypatch.context() as m:
+                m.setattr(solver, name, fn)
+                res = continuation_solve(spec, None)
+            assert np.array_equal(res.u, ref.u)
+            assert (res.status, res.steps, res.newton_total, res.residual_norm) == (
+                ref.status, ref.steps, ref.newton_total, ref.residual_norm)
+        assert calls == [1.0]
+
+    def test_probe_starts_are_laid_on_each_level(self):
+        # the same closed-form bump in (rho / rho_max, theta) on every grid
+        start = solver._probe_start(np.array([0.5, -1.0, 2.0, 0.3]))
+        for n in (12, 24):
+            level = hyperplane_problem(n, 1, 1, "2/u*(1+0.1*rho*cos(theta))")
+            g = level.grid
+            rn = g.rho_col / 0.8
+            bump = 0.5 - rn ** 2 + (2.0 * np.cos(g.theta_row) + 0.3 * np.sin(g.theta_row)) * rn
+            assert np.allclose(start(level), build_initial_guess(level) * (1.0 + 0.01 * bump),
+                               rtol=1e-15, atol=0.0)
+
+
 class TestBarriers:
     def test_tight_on_exact_solutions(self):
         g = disk()
