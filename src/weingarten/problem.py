@@ -269,7 +269,6 @@ class ContinuationConfig:
     dt_min: float = 1e-3
     newton_tol: float | None = None  # None: 1e-10 for constant data, else 1e-8 * sup psi
     max_newton_iters: int = 30
-    direct_attempt: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.dt_init <= 1.0:

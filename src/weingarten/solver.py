@@ -10,16 +10,16 @@ backtracking line search that only ever accepts spacelike (and, for t > 0,
 cone-admissible) iterates; the homotopy driver first tries the target
 problem directly and falls back to adaptive stepping in t.
 
-The continuation runs coarse to fine.  The homotopy driver runs only on the
-coarsest grid of a halving chain (both counts halve while n_rho is even,
-n_theta is divisible by 4 and at least 8, and at least 10 rings remain).
-Its solution is carried to each finer grid in turn, and each finer grid
-takes one Newton solve at t = 1.  Discrete solutions on successive grids
-differ by O(h^2), so a carried solution starts inside Newton's quadratic
-basin, and the finer grids need two or three iterations each.  A tabulated
-psi exists on one grid only, so its chain has one level.  If a level fails,
-the driver runs on the target grid as if the chain had not run.  Each step
-of the solve records its grid, and the iteration total sums all levels.
+The continuation runs coarse to fine: the homotopy driver runs on each grid
+of a halving chain (both counts halve while n_rho is even, n_theta is
+divisible by 4 and at least 8, and at least 10 rings remain), and each
+level's solution is carried to the next grid as its start.  Discrete
+solutions on successive grids differ by O(h^2), so a carried solution starts
+inside Newton's quadratic basin, and the direct attempt on a finer grid
+needs two or three iterations; a carried start that is not admissible steps
+t on its own level.  A tabulated psi exists on one grid only, so its chain
+has one level.  The first level that fails ends the solve.  Each step of the
+solve records its grid, and the iteration total sums all levels.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
@@ -482,6 +482,10 @@ class ContinuationStep:
 
 @dataclasses.dataclass
 class SolveResult:
+    """Outcome of :func:`continuation_solve`.  ``steps`` and ``newton_total``
+    cover every level that ran.  On failure ``u`` is the failing level's
+    field, and ``detail`` starts with that level's grid."""
+
     u: np.ndarray
     status: str  # converged | step-floor | inadmissible-start
     steps: list
@@ -542,73 +546,55 @@ def continuation_solve(
 ) -> SolveResult:
     """Solve the curvature problem coarse to fine.
 
-    The homotopy driver (:func:`_homotopy_solve`) runs on the coarsest grid
-    of :func:`_grid_chain`; its solution is carried up one grid at a time,
-    and each finer grid takes one damped Newton solve at t = 1.  If any level
-    is inadmissible or does not converge, the result is the driver's on
-    ``spec``'s own grid, as if the chain had not run.  ``initial_guess``, if
-    given, maps a level's ProblemSpec to its start (default
-    :func:`build_initial_guess`).
+    The homotopy driver (:func:`_homotopy_solve`) runs on every grid of
+    :func:`_grid_chain`, coarsest first: from ``initial_guess(level)`` on the
+    coarsest grid (default :func:`build_initial_guess`), and from the previous
+    level's solution carried up (:func:`_carry`) on each finer one.  The first
+    level that does not converge ends the solve with its own status, its
+    detail prefixed with its grid.
     """
     cfg = cfg or ContinuationConfig()
     start = initial_guess or build_initial_guess
-    result = _chain_solve(spec, cfg, start)
-    return result if result is not None else _homotopy_solve(spec, cfg, start(spec))
-
-
-def _chain_solve(spec: ProblemSpec, cfg: ContinuationConfig, start) -> SolveResult | None:
-    """The coarse-to-fine chain of :func:`continuation_solve`; None when the
-    chain has one level or a level fails."""
-    shapes = _grid_chain(spec)
-    if len(shapes) == 1:
-        return None
-    level = dataclasses.replace(spec, grid=Grid(spec.grid.chart, *shapes[0]))
-    result = _homotopy_solve(level, cfg, start(level))
-    if not result.converged:
-        return None
-    u, steps, total = result.u, result.steps, result.newton_total
-    for shape in shapes[1:]:
-        # rebinding level and u drops the coarser grid, its cached Laplace
-        # factors and its field before the finer solve
-        level = spec if shape == shapes[-1] else dataclasses.replace(
-            spec, grid=Grid(spec.grid.chart, *shape))
-        u = _carry(u, level)
-        try:
-            rep = damped_newton(u, 1.0, level, cfg)
-        except InadmissibleStartError:
-            return None
-        if not rep.converged:
-            return None
-        u, total = rep.u, total + rep.iterations
-        steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
-    return SolveResult(u, "converged", steps, total, rep.residual_norm)
+    steps, total, result = [], 0, None
+    for n_rho, n_theta in _grid_chain(spec):
+        # rebinding level drops the coarser grid and its cached Laplace
+        # factors before the finer solve
+        level = spec if (n_rho, n_theta) == spec.grid.shape else dataclasses.replace(
+            spec, grid=Grid(spec.grid.chart, n_rho, n_theta))
+        u0 = start(level) if result is None else _carry(result.u, level)
+        result = _homotopy_solve(level, cfg, u0)
+        steps += result.steps
+        total += result.newton_total
+        if not result.converged:
+            return dataclasses.replace(result, steps=steps, newton_total=total,
+                                       detail=f"grid {n_rho}x{n_theta}: {result.detail}")
+    return dataclasses.replace(result, steps=steps, newton_total=total)
 
 
 def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResult:
     """Drive the homotopy parameter from the Laplace problem to the curvature
     problem on ``spec``'s grid, from the start ``u0``.
 
-    The target problem (t = 1) is attempted directly first (when
-    ``cfg.direct_attempt``); when that fails the driver solves t = 0, then
-    advances t with adaptive halving on Newton failure and doubling (capped
-    at the initial step) on success.
+    The target problem (t = 1) is attempted directly first; when that fails
+    the driver solves t = 0, then advances t with adaptive halving on Newton
+    failure and doubling (capped at the initial step) on success.  ``u0`` is
+    not modified.
     """
-    u0 = np.array(u0, dtype=float, copy=True)
+    u0 = np.asarray(u0, dtype=float)
     shape = spec.grid.shape
     steps: list[ContinuationStep] = []
     total = 0
 
-    if cfg.direct_attempt:
-        try:
-            rep = damped_newton(
-                u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
-            )
-            total += rep.iterations
-            if rep.converged:
-                steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
-                return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
-        except InadmissibleStartError:
-            pass
+    try:
+        rep = damped_newton(
+            u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
+        )
+        total += rep.iterations
+        if rep.converged:
+            steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
+            return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
+    except InadmissibleStartError:
+        pass
 
     # staged path from the Laplace end
     u = u0
@@ -733,7 +719,6 @@ _PROBE_AMPLITUDE = 0.01
 class UniquenessReport:
     max_pairwise_distance: float
     all_converged: bool
-    t_monotone: bool
     runs: list
 
 
@@ -763,19 +748,14 @@ def uniqueness_probe(
     largest pairwise sup-distance between the solutions found."""
     rng = np.random.default_rng(seed)
     sols, runs = [], []
-    monotone = True
     for _ in range(n_starts):
         start = _probe_start(rng.normal(0.0, 1.0, size=4))
         result = continuation_solve(spec, cfg, initial_guess=start)
-        ts = [s.t for s in result.steps]
-        mono = all(b >= a for a, b in zip(ts, ts[1:]))
-        monotone &= mono
         runs.append(
             {
                 "status": result.status,
                 "newton_total": result.newton_total,
                 "residual_norm": result.residual_norm,
-                "t_monotone": mono,
                 "steps": [dataclasses.asdict(s) for s in result.steps],
             }
         )
@@ -788,7 +768,6 @@ def uniqueness_probe(
     return UniquenessReport(
         max_pairwise_distance=dist,
         all_converged=len(sols) == n_starts,
-        t_monotone=monotone,
         runs=runs,
     )
 

@@ -196,8 +196,8 @@ class TestSolveMode:
 
     def test_coarse_to_fine_at_rho_max_3(self, tmp_path):
         # k = 2, psi = support^2 on a wide disk: the 12^2 level steps t = 0..1,
-        # then 24^2 and 48^2 take one Newton solve each; steps and probe runs
-        # record their level's grid, and the log names it
+        # then 24^2 and 48^2 converge in their direct attempts; steps and probe
+        # runs record their level's grid, and the log names it
         text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 48")
                 .replace("n_theta = 16", "n_theta = 48").replace("k = 1", "k = 2")
                 .replace("rho_max = 0.8", "rho_max = 3.0").replace("psi_p = 0", "psi_p = 2")
