@@ -407,6 +407,32 @@ class TestContinuation:
             errs.append(np.max(np.abs(res.u - u_star)))
         assert errs[0] / errs[1] > 3.4
 
+    def test_staged_fallback_reaches_target(self, monkeypatch):
+        # forcing the driver down the staged homotopy path on every level (no
+        # direct attempt converges) must still land on the same solution.
+        # (The Laplace anchor is only feasible when psi is not so strong that
+        # it pulls the graph nonpositive, hence the k=1 problem here.)
+        real_newton = solver.damped_newton
+
+        def no_direct_attempt(u0, t, level, cfg=None, max_iters=None):
+            rep = real_newton(u0, t, level, cfg, max_iters)
+            if max_iters is not None:  # only the direct attempt caps its iterations
+                rep = solver.NewtonReport(rep.u, False, "stalled", rep.iterations,
+                                          rep.residual_norm)
+            return rep
+
+        monkeypatch.setattr(solver, "damped_newton", no_direct_attempt)
+        g = disk()
+        res = continuation_solve(mean_curvature_problem(g), None)
+        assert res.converged
+        grids = [s.grid for s in res.steps]
+        assert grids == sorted(grids) and set(grids) == {(12, 12), (24, 24)}
+        for grid in set(grids):
+            ts = [s.t for s in res.steps if s.grid == grid]
+            assert ts[0] == 0.0 and ts[-1] == 1.0
+            assert ts == sorted(ts)
+        assert np.max(np.abs(res.u - 1.0)) < 1e-8
+
     def test_trace_records_stages(self):
         g = disk()
         res = continuation_solve(mean_curvature_problem(g), None)
