@@ -12,10 +12,12 @@ types), the output directory is known and every exit but 4 leaves a
 manifest.json carrying its code; a config that does not read exits 2 with
 none.
 
-Artifacts (in the output directory): fields.csv, report.json, manifest.json,
-log.txt (study mode adds study.json).  fields.csv and report.json are
-byte-stable across reruns with the same config and thread setting; the
-manifest carries the wall time and is not.
+Artifacts (in the output directory): report.json, manifest.json and log.txt;
+solve and study modes add fields.csv, the field they computed, and study
+mode adds study.json.  Verify mode writes no fields.csv: the field it checks
+is its input.  fields.csv and report.json are byte-stable across reruns with
+the same config and thread setting; the manifest carries the wall time and
+is not.
 """
 
 from __future__ import annotations
@@ -45,35 +47,40 @@ class ConfigError(ValueError):
     pass
 
 
+# A key's schema default is its value when the config omits it; every config
+# must give the _REQUIRED keys.  [continuation] keys default to
+# ContinuationConfig's fields.
+_REQUIRED = object()
+
 _SCHEMA = {
     "problem": {
-        "k": ("int", True),
-        "rho_max": ("float", True),
-        "n_rho": ("int", True),
-        "n_theta": ("int", True),
-        "psi_family": ("str", False),
-        "psi_p": ("float", False),
-        "psi_h": ("str", False),
-        "phi_family": ("str", False),
-        "phi_c": ("float", False),
+        "k": ("int", _REQUIRED),
+        "rho_max": ("float", _REQUIRED),
+        "n_rho": ("int", _REQUIRED),
+        "n_theta": ("int", _REQUIRED),
+        "psi_family": ("str", None),
+        "psi_p": ("float", 0.0),
+        "psi_h": ("str", "1"),
+        "phi_family": ("str", None),
+        "phi_c": ("float", None),
     },
     "continuation": {
-        "dt_init": ("float", False),
-        "dt_min": ("float", False),
-        "newton_tol": ("str", False),  # "auto" or a float
-        "max_newton_iters": ("int", False),
+        "dt_init": ("float", None),
+        "dt_min": ("float", None),
+        "newton_tol": ("str", None),  # "auto" or a float
+        "max_newton_iters": ("int", None),
     },
     "run": {
-        "mode": ("str", False),
-        "out_dir": ("str", False),
-        "seed": ("int", False),
-        "fields_in": ("str", False),
-        "uniqueness_starts": ("int", False),
+        "mode": ("str", "solve"),
+        "out_dir": ("str", "out"),
+        "seed": ("int", 0),
+        "fields_in": ("str", None),
+        "uniqueness_starts": ("int", 0),
     },
     "study": {
-        "grids": ("str", False),
-        "u_star": ("str", False),
-        "refine": ("int", False),
+        "grids": ("str", "32,64,128"),
+        "u_star": ("str", "1 + 0.05*rho**2"),
+        "refine": ("int", 4),
     },
 }
 
@@ -82,13 +89,19 @@ _SCHEMA = {
 class RunConfig:
     raw: dict
     path: str
-    mode: str = "solve"
-    out_dir: str = "out"
-    seed: int = 0
+    # the [run] keys that command-line flags override
+    mode: str = dataclasses.field(init=False)
+    out_dir: str = dataclasses.field(init=False)
+    seed: int = dataclasses.field(init=False)
     warnings: list = dataclasses.field(default_factory=list)
 
-    def get(self, section, key, default=None):
-        return self.raw.get(section, {}).get(key, default)
+    def __post_init__(self):
+        self.mode, self.out_dir, self.seed = (
+            self.get("run", key) for key in ("mode", "out_dir", "seed"))
+
+    def get(self, section, key):
+        """The key's value, or its schema default when the config omits it."""
+        return self.raw.get(section, {}).get(key, _SCHEMA[section][key][1])
 
 
 def _parse_value(kind, text, where):
@@ -141,14 +154,10 @@ def _read_config(path: str) -> RunConfig:
         kind, _ = _SCHEMA[section][key]
         raw[section][key] = _parse_value(kind, value, f"line {lineno}: {key}")
     for section_name, keys in _SCHEMA.items():
-        for key, (_, required) in keys.items():
-            if required and key not in raw.get(section_name, {}):
+        for key, (_, default) in keys.items():
+            if default is _REQUIRED and key not in raw.get(section_name, {}):
                 raise ConfigError(f"missing required key {key!r} in [{section_name}]")
-    rc = RunConfig(raw=raw, path=path)
-    rc.mode = rc.get("run", "mode", "solve")
-    rc.out_dir = rc.get("run", "out_dir", "out")
-    rc.seed = rc.get("run", "seed", 0)
-    return rc
+    return RunConfig(raw=raw, path=path)
 
 
 def _validate_problem(rc: RunConfig):
@@ -175,15 +184,16 @@ def _validate_problem(rc: RunConfig):
             raise ConfigError(
                 f"phi_family = {excerpt(phi_family)} must be constant or hyperplane"
             )
-        if not 0.0 < rc.get("problem", "phi_c", 0.0) < math.inf:
+        phi_c = rc.get("problem", "phi_c")
+        if phi_c is None or not 0.0 < phi_c < math.inf:
             raise ConfigError("phi_c must be positive and finite")
-        p = rc.get("problem", "psi_p", 0.0)
+        p = rc.get("problem", "psi_p")
         if p < k:
             rc.warnings.append(
                 f"psi growth exponent p = {p} < k = {k}: the structural convexity "
                 "condition is violated; run proceeds flagged"
             )
-    starts = rc.get("run", "uniqueness_starts", 0)
+    starts = rc.get("run", "uniqueness_starts")
     if starts < 0:
         raise ConfigError(f"uniqueness_starts = {starts} must be >= 0")
     if rc.mode == "verify" and not rc.get("run", "fields_in"):
@@ -209,8 +219,8 @@ def build_problem(rc: RunConfig):
     try:
         psi = PsiSpec(
             family=rc.get("problem", "psi_family"),
-            p=rc.get("problem", "psi_p", 0.0),
-            h=rc.get("problem", "psi_h", "1"),
+            p=rc.get("problem", "psi_p"),
+            h=rc.get("problem", "psi_h"),
         )
     except ExpressionError as exc:
         raise ConfigError(f"psi_h: {exc}") from None
@@ -220,16 +230,15 @@ def build_problem(rc: RunConfig):
 
 
 def _continuation_config(rc: RunConfig) -> ContinuationConfig:
-    """The [continuation] section as a ContinuationConfig, in every mode."""
-    tol_text = rc.get("continuation", "newton_tol", "auto")
-    tol = None if tol_text == "auto" else _parse_value("float", tol_text, "newton_tol")
+    """The [continuation] section as a ContinuationConfig, in every mode: the
+    keys it gives override the dataclass defaults, ``newton_tol = auto`` reads
+    as None."""
+    keys = dict(rc.raw.get("continuation", {}))
+    tol_text = keys.get("newton_tol", "auto")
+    keys["newton_tol"] = (None if tol_text == "auto"
+                          else _parse_value("float", tol_text, "newton_tol"))
     try:
-        return ContinuationConfig(
-            dt_init=rc.get("continuation", "dt_init", 0.25),
-            dt_min=rc.get("continuation", "dt_min", 1e-3),
-            newton_tol=tol,
-            max_newton_iters=rc.get("continuation", "max_newton_iters", 30),
-        )
+        return ContinuationConfig(**keys)
     except ValueError as exc:
         raise ConfigError(f"[continuation]: {exc}") from None
 
@@ -289,9 +298,12 @@ def _grid_hash(rc: RunConfig) -> str | None:
     return h.hexdigest()
 
 
-def _verification_battery(state: geom.ExtrinsicState, spec: ProblemSpec,
-                          cfg: ContinuationConfig, report_est):
-    """Gating checks shared by solve and verify modes."""
+def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec,
+           cfg: ContinuationConfig, log, **measured) -> dict:
+    """The estimate battery and the five gates on a solution, the one check of
+    solve and verify modes.  Returns the report's estimates, verification
+    and warnings keys; ``measured`` joins the verification entry."""
+    report_est = estimates.build_report(state, spec)
     grid = spec.grid
     scale = max(1.0, float(np.max(np.abs(state.sigma1))) ** 2,
                 float(np.max(np.abs(state.sigma2))))
@@ -308,17 +320,23 @@ def _verification_battery(state: geom.ExtrinsicState, spec: ProblemSpec,
         "barrier_sandwich": sandwich.passed,
         "gradient_bound": report_est.gradient_bound_passed,
     }
-    detail = {
+    passed = all(gates.values())
+    log(f"verification {'passed' if passed else 'FAILED'}")
+    verification = {
         "gates": gates,
         "newton_inequality_min_slack": nm_slack,
         "maclaurin_margins": [mac1, mac2],
         "barriers": dataclasses.asdict(sandwich),
-        "passed": all(gates.values()),
+        "passed": passed,
+        **measured,
     }
-    return detail["passed"], detail
+    return {"estimates": report_est.to_dict(), "verification": verification,
+            "warnings": rc.warnings}
 
 
-def _emit(out_dir, state, spec, report_obj, log_lines):
+def _emit(out_dir, state, spec):
+    """Write the field table of ``state`` as fields.csv, refusing a
+    non-finite table before anything is written."""
     table = _field_table(state, spec)
     _check_finite(table, spec.grid)
     np.savetxt(
@@ -329,8 +347,6 @@ def _emit(out_dir, state, spec, report_obj, log_lines):
         header=_CSV_HEADER,
         comments="",
     )
-    _write_json(os.path.join(out_dir, "report.json"), report_obj)
-    _write_text(os.path.join(out_dir, "log.txt"), "\n".join(log_lines) + "\n")
 
 
 def _run_solve(rc: RunConfig, log):
@@ -342,37 +358,26 @@ def _run_solve(rc: RunConfig, log):
     for step in result.steps:
         log(f"  grid {step.grid[0]}x{step.grid[1]} t={step.t:.4f} iters={step.iterations} "
             f"residual={step.residual_norm:.3e}")
-    if not result.converged:
-        print(f"run failed: {result.status}: {result.detail}", file=sys.stderr)
-        return 2, result.status, None, spec, {
-            "solve": _solve_dict(result), "warnings": rc.warnings,
-        }
-    state = geom.extrinsic_state(result.u, spec.grid)
-    report_est = estimates.build_report(state, spec)
-    passed, verification = _verification_battery(state, spec, cfg, report_est)
-    report_obj = {
-        "estimates": report_est.to_dict(),
-        "solve": _solve_dict(result),
-        "verification": verification,
-        "warnings": rc.warnings,
-    }
-    starts = rc.get("run", "uniqueness_starts", 0)
-    if starts:
-        probe = solver.uniqueness_probe(spec, cfg, n_starts=starts, seed=rc.seed)
-        report_obj["uniqueness"] = dataclasses.asdict(probe)
-        log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
-    log(f"verification {'passed' if passed else 'FAILED'}")
-    return (0 if passed else 3), result.status, state, spec, report_obj
-
-
-def _solve_dict(result: solver.SolveResult) -> dict:
-    return {
+    solve = {
         "status": result.status,
         "newton_total": result.newton_total,
         "residual_norm": result.residual_norm,
         "detail": result.detail,
         "steps": [dataclasses.asdict(s) for s in result.steps],
     }
+    if not result.converged:
+        print(f"run failed: {result.status}: {result.detail}", file=sys.stderr)
+        return 2, result.status, None, spec, {"solve": solve, "warnings": rc.warnings}
+    state = geom.extrinsic_state(result.u, spec.grid)
+    report_obj = {"solve": solve}
+    starts = rc.get("run", "uniqueness_starts")
+    if starts:
+        probe = solver.uniqueness_probe(spec, cfg, n_starts=starts, seed=rc.seed)
+        report_obj["uniqueness"] = dataclasses.asdict(probe)
+        log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
+    report_obj.update(_check(rc, state, spec, cfg, log))
+    code = 0 if report_obj["verification"]["passed"] else 3
+    return code, result.status, state, spec, report_obj
 
 
 def _read_u_column(path, grid: Grid) -> np.ndarray:
@@ -390,6 +395,8 @@ def _read_u_column(path, grid: Grid) -> np.ndarray:
 
 
 def _run_verify(rc: RunConfig, log):
+    """Check the field of ``fields_in``; it is the run's input, so the run
+    writes no field of its own."""
     spec, cfg = build_problem(rc)
     path = rc.get("run", "fields_in")
     u = _read_u_column(path, spec.grid)
@@ -399,33 +406,24 @@ def _run_verify(rc: RunConfig, log):
         residual = solver.assemble_residual(state, 1.0, spec)
     except (geom.NotSpacelikeError, geom.InvalidGraphError, ValueError) as exc:
         log(f"geometry rejected the field: {exc}")
-        return 3, "verification-failed", None, spec, {
-            "verification": {"passed": False, "error": str(exc)}, "warnings": rc.warnings,
-        }
-    tol = solver.resolve_newton_tol(cfg, spec, state)
-    rnorm = float(np.max(np.abs(residual)))
-    log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
-    if not rnorm <= tol:  # also fails a NaN norm
-        return 3, "verification-failed", state, spec, {
-            "verification": {"passed": False, "residual_norm": rnorm, "tolerance": tol},
-            "warnings": rc.warnings,
-        }
-    report_est = estimates.build_report(state, spec)
-    passed, verification = _verification_battery(state, spec, cfg, report_est)
-    verification["residual_norm"] = rnorm
-    verification["tolerance"] = tol
-    report_obj = {
-        "estimates": report_est.to_dict(),
-        "verification": verification,
-        "warnings": rc.warnings,
-    }
-    log(f"verification {'passed' if passed else 'FAILED'}")
+        report_obj = {"verification": {"passed": False, "error": str(exc)},
+                      "warnings": rc.warnings}
+    else:
+        tol = solver.resolve_newton_tol(cfg, spec, state)
+        rnorm = float(np.max(np.abs(residual)))
+        log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
+        if rnorm <= tol:
+            report_obj = _check(rc, state, spec, cfg, log, residual_norm=rnorm, tolerance=tol)
+        else:  # also a NaN norm
+            report_obj = {"verification": {"passed": False, "residual_norm": rnorm,
+                                           "tolerance": tol}, "warnings": rc.warnings}
+    passed = report_obj["verification"]["passed"]
     code, status = (0, "verified") if passed else (3, "verification-failed")
-    return code, status, state, spec, report_obj
+    return code, status, None, spec, report_obj
 
 
 def _run_study(rc: RunConfig, log):
-    grids_text = rc.get("study", "grids", "32,64,128")
+    grids_text = rc.get("study", "grids")
     try:
         sizes = [int(s) for s in grids_text.split(",") if s.strip()]
     except ValueError:
@@ -433,8 +431,8 @@ def _run_study(rc: RunConfig, log):
     if not sizes or any(s < 4 or s % 2 for s in sizes) or len(set(sizes)) < len(sizes):
         raise ConfigError(
             f"study grids must be distinct even ints >= 4, got {excerpt(grids_text)}")
-    u_star_text = rc.get("study", "u_star", "1 + 0.05*rho**2")
-    refine = rc.get("study", "refine", 4)
+    u_star_text = rc.get("study", "u_star")
+    refine = rc.get("study", "refine")
     if refine < 1:
         raise ConfigError(f"refine = {refine} must be at least 1")
     try:
@@ -498,16 +496,16 @@ def run(rc: RunConfig) -> int:
     status, code = "failed", 2
     try:
         os.makedirs(rc.out_dir, exist_ok=True)
-        # each mode returns (exit code, status, the output field's state or None, spec, report)
+        # each mode returns (exit code, status, the state of the field it
+        # computed or None, spec, report)
         run_mode = {"solve": _run_solve, "verify": _run_verify, "study": _run_study}[rc.mode]
         code, status, state, spec, report_obj = run_mode(rc, log)
+        if state is not None:
+            _emit(rc.out_dir, state, spec)
         if rc.mode == "study" and code == 0:
             _write_json(os.path.join(rc.out_dir, "study.json"), report_obj["study"])
-        if state is not None:
-            _emit(rc.out_dir, state, spec, report_obj, log_lines)
-        else:
-            _write_json(os.path.join(rc.out_dir, "report.json"), report_obj)
-            _write_text(os.path.join(rc.out_dir, "log.txt"), "\n".join(log_lines) + "\n")
+        _write_json(os.path.join(rc.out_dir, "report.json"), report_obj)
+        _write_text(os.path.join(rc.out_dir, "log.txt"), "\n".join(log_lines) + "\n")
     except FloatingPointError as exc:
         print(f"non-finite output: {exc}", file=sys.stderr)
         code, status = 2, "non-finite"

@@ -615,21 +615,13 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
     steps.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm, shape))
 
     t, dt = 0.0, cfg.dt_init
-    fallback_used = False
     while t < 1.0 - 1e-12:
         t_try = min(1.0, t + dt)
-        rep = None
         try:
             rep = damped_newton(u, t_try, spec, cfg)
-        except InadmissibleStartError:
-            if not fallback_used:
-                fallback_used = True
-                try:
-                    rep = damped_newton(constant_guess(spec), t_try, spec, cfg)
-                except InadmissibleStartError:
-                    rep = None
-        if rep is not None:
             total += rep.iterations
+        except InadmissibleStartError:  # a failed step like any other
+            rep = None
         if rep is not None and rep.converged:
             u, t = rep.u, t_try
             steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm, shape))

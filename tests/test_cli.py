@@ -215,6 +215,16 @@ class TestSolveMode:
         assert "grid 48x48 t=1.0000" in (out / "log.txt").read_text()
 
 
+def assert_verify_outputs(out, code):
+    # verify mode writes its report, log and manifest; the field it checked
+    # is its input, so it writes no fields.csv
+    report = json.loads((out / "report.json").read_text())
+    assert report["verification"]["passed"] == (code == 0)
+    assert (out / "log.txt").read_text().startswith("verify: ")
+    assert json.loads((out / "manifest.json").read_text())["exit_code"] == code
+    assert not (out / "fields.csv").exists()
+
+
 class TestVerifyMode:
     def _solved(self, tmp_path):
         rc = parse_config(write_config(tmp_path))
@@ -231,6 +241,7 @@ class TestVerifyMode:
         rc = parse_config(write_config(tmp_path, text, name="verify.cfg"))
         rc.out_dir = str(tmp_path / "verify_out")
         assert run(rc) == 0
+        assert_verify_outputs(tmp_path / "verify_out", 0)
 
     def test_corrupted_field_fails(self, tmp_path):
         self._solved(tmp_path)
@@ -245,6 +256,7 @@ class TestVerifyMode:
         rc = parse_config(write_config(tmp_path, text, name="verify.cfg"))
         rc.out_dir = str(tmp_path / "verify_out")
         assert run(rc) == 3
+        assert_verify_outputs(tmp_path / "verify_out", 3)
 
     @pytest.mark.parametrize("psi_h", ["2", "2/u*(1+0.1*rho**2)"])
     def test_nan_field_names_the_node(self, tmp_path, psi_h):
@@ -387,6 +399,26 @@ class TestMain:
         rc = parse_config(cfg)
         rc.out_dir = str(blocker / "sub")  # cannot mkdir below a regular file
         assert run(rc) == 4
+
+    def test_nonfinite_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the solve's field table ends the run before it writes
+        # fields.csv, report.json or log.txt; stderr names the node
+        real_table = cli._field_table
+
+        def nan_table(state, spec):
+            table = real_table(state, spec)
+            table[3 * 16 + 5, 4] = np.nan  # lambda1 at ring 3, ray 5
+            return table
+
+        monkeypatch.setattr(cli, "_field_table", nan_table)
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("non-finite output: ") and err.count("\n") == 1
+        assert "at node (i=3, j=5, " in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and manifest["status"] == "non-finite"
+        assert sorted(os.listdir(out)) == ["manifest.json"]
 
     def test_nonfinite_guard(self):
         from weingarten.cli import _check_finite

@@ -433,6 +433,34 @@ class TestContinuation:
             assert ts == sorted(ts)
         assert np.max(np.abs(res.u - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("failure", ["stalled", "inadmissible"])
+    def test_step_floor(self, monkeypatch, failure):
+        # every step past t = 0 fails, as a stalled Newton or as a start the
+        # guard rejects: dt halves from dt_init below dt_min and the first
+        # level ends at the step floor with its t = 0 step alone
+        real_newton = solver.damped_newton
+        iterations, tried = [], []
+
+        def fail_past_t0(u0, t, level, cfg=None, max_iters=None):
+            if 0.0 < t < 1.0:
+                tried.append(t)
+            if t == 0.0:
+                rep = real_newton(u0, t, level, cfg, max_iters)
+            elif failure == "inadmissible" and t < 1.0:
+                raise InadmissibleStartError("start rejected")
+            else:  # the stall also fails the direct attempt at t = 1
+                rep = solver.NewtonReport(u0, False, "stalled", 3, 1.0)
+            iterations.append(rep.iterations)
+            return rep
+
+        monkeypatch.setattr(solver, "damped_newton", fail_past_t0)
+        res = continuation_solve(mean_curvature_problem(disk()), None)
+        assert res.status == "step-floor"
+        assert res.detail.endswith("continuation step floor reached at t=0")
+        assert [(s.t, s.grid) for s in res.steps] == [(0.0, (12, 12))]
+        assert tried == [0.25 / 2 ** i for i in range(8)]  # dt_init 0.25, dt_min 1e-3
+        assert res.newton_total == sum(iterations)
+
     def test_trace_records_stages(self):
         g = disk()
         res = continuation_solve(mean_curvature_problem(g), None)

@@ -3,9 +3,10 @@ compare two kept sets of them.
 
 Runs the three CLI workloads of ``perfbench/workloads.py`` (configs from
 ``write_configs(name, 3, dir)``) and two non-radial 96^2 hyperplane solves
-with ``OMP_NUM_THREADS=1``, then digests their fields.csv, report.json and
-study.json: 13 files.  Two checkouts agree byte for byte when their outputs
-compare equal with ``diff``.  ``--keep DIR`` also copies the 13 files into
+with ``OMP_NUM_THREADS=1``, then digests the fields.csv, report.json and
+study.json each run writes: 12 files (verify mode writes no fields.csv).  Two
+checkouts agree byte for byte when their outputs compare equal with
+``diff``.  ``--keep DIR`` also copies the 12 files into
 DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
 two kept sets and prints, per artifact, its ``newton_total`` leaves and the
 largest |A - B| of each fields.csv column and of each numeric leaf of
