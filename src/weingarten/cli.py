@@ -196,6 +196,8 @@ def _validate_problem(rc: RunConfig):
     starts = rc.get("run", "uniqueness_starts")
     if starts < 0:
         raise ConfigError(f"uniqueness_starts = {starts} must be >= 0")
+    if rc.seed < 0:  # checked after --seed overrides it
+        raise ConfigError(f"seed = {rc.seed} must be >= 0")
     if rc.mode == "verify" and not rc.get("run", "fields_in"):
         raise ConfigError("verify mode requires fields_in in [run]")
 
@@ -283,13 +285,15 @@ def _write_manifest(out_dir, manifest):
 def _grid_hash(rc: RunConfig) -> str | None:
     """Hash of the configured grid's nodes, None when the grid keys do not
     make a grid.  Built from the grid keys alone, so the manifest is written
-    whatever the rest of the config holds."""
+    whatever the rest of the config holds; a radius past the float range
+    makes non-finite nodes, hashed without numpy's warnings."""
     try:
-        grid = Grid(
-            PolarChart(rho_max=rc.get("problem", "rho_max")),
-            rc.get("problem", "n_rho"),
-            rc.get("problem", "n_theta"),
-        )
+        with np.errstate(all="ignore"):
+            grid = Grid(
+                PolarChart(rho_max=rc.get("problem", "rho_max")),
+                rc.get("problem", "n_rho"),
+                rc.get("problem", "n_theta"),
+            )
     except ValueError:
         return None
     h = hashlib.sha256()

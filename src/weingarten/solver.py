@@ -6,9 +6,12 @@ The residual of the homotopy family at parameter t in [0, 1] is
 
 at interior nodes, with boundary rows enforcing u = phi.  t = 0 is the
 Laplace problem, t = 1 the curvature problem.  Newton's method runs with a
-backtracking line search that only ever accepts spacelike (and, for t > 0,
-cone-admissible) iterates; the homotopy driver first tries the target
-problem directly and falls back to adaptive stepping in t.
+backtracking line search, and one guard judges its start and every trial: a
+spacelike graph, psi finite and positive, and for t > 0 k-admissible interior
+nodes.  Newton returns every outcome, with status converged, max-iterations,
+stalled or inadmissible (a refused start, the reason in ``detail``).  The
+homotopy driver first tries the target problem directly and falls back to
+adaptive stepping in t.
 
 The continuation runs coarse to fine: the homotopy driver runs on each grid
 of a halving chain (both counts halve while n_rho is even, n_theta is
@@ -71,7 +74,6 @@ from .hchart import Grid
 from .problem import ContinuationConfig, ProblemSpec, PsiSpec
 
 __all__ = [
-    "InadmissibleStartError",
     "SolverError",
     "NewtonReport",
     "ContinuationStep",
@@ -94,10 +96,6 @@ __all__ = [
     "maclaurin_ordering_margins",
     "newton_inequality_min_slack",
 ]
-
-
-class InadmissibleStartError(ValueError):
-    """A Newton start is rejected by the spacelike/admissibility guard."""
 
 
 class SolverError(RuntimeError):
@@ -340,11 +338,17 @@ _KRYLOV_MAX_ITERS = 60
 
 @dataclasses.dataclass
 class NewtonReport:
+    """Outcome of :func:`damped_newton`; ``detail`` is set for a refused start."""
+
     u: np.ndarray
-    converged: bool
-    status: str  # converged | max-iterations | stalled
+    status: str  # converged | max-iterations | stalled | inadmissible
     iterations: int
     residual_norm: float
+    detail: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, state) -> float:
@@ -358,20 +362,32 @@ def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, state) -> flo
     return 1e-8 * max(float(np.max(np.abs(psi))), 1e-8)
 
 
-def _check_start(u, t, spec) -> geom.ExtrinsicState:
+def _cone_residual(state: geom.ExtrinsicState, t: float, spec: ProblemSpec):
+    """The guard past the spacelike test: (R, "") with R the residual at
+    ``state``, or (None, reason) when t > 0 and an interior node lies outside
+    the k-admissible cone (the first one is named), or when psi is not finite
+    and positive."""
+    if t > 0.0:
+        bad = ~state.admissible_mask(spec.k) & spec.grid.interior_mask
+        if np.any(bad):
+            node = spec.grid.node_label(int(np.argmax(bad)))
+            return None, f"not {spec.k}-admissible at {node}"
+    try:
+        return assemble_residual(state, t, spec), ""
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _start(u, t: float, spec: ProblemSpec):
+    """The guard on a Newton start: (state, R, "") or (None, None, reason).
+    Its state is built here: perfbench/tracer.py counts the extrinsic_state
+    calls made in :func:`damped_newton` itself as line-search trials."""
     try:
         state = geom.extrinsic_state(u, spec.grid)
     except (geom.NotSpacelikeError, geom.InvalidGraphError) as exc:
-        raise InadmissibleStartError(f"start rejected: {exc}") from exc
-    if t > 0.0:
-        ok = state.admissible_mask(spec.k)
-        bad = ~ok & spec.grid.interior_mask
-        if np.any(bad):
-            node = int(np.argmax(bad))
-            raise InadmissibleStartError(
-                f"start not {spec.k}-admissible at {spec.grid.node_label(node)}"
-            )
-    return state
+        return None, None, f"start rejected: {exc}"
+    R, reason = _cone_residual(state, t, spec)
+    return state, R, reason and f"start rejected: {reason}"
 
 
 def damped_newton(
@@ -380,54 +396,50 @@ def damped_newton(
 ) -> NewtonReport:
     """Damped Newton iteration at fixed homotopy parameter t.
 
-    Every accepted iterate is spacelike everywhere and k-admissible at the
-    interior nodes when t > 0; the step is halved until both guards hold and
-    the residual sup-norm strictly decreases.  An exact start is accepted
-    with zero iterations.
+    The start and every trial pass one guard (:func:`_start`,
+    :func:`_cone_residual`); a trial step is halved until the guard holds and
+    the residual sup-norm strictly decreases.  Returns every outcome: status
+    converged (an exact start with zero iterations), max-iterations, stalled
+    (no acceptable step above the damping floor, or a non-finite correction)
+    or inadmissible (a refused start: zero iterations, residual inf, the
+    guard's reason in ``detail``).
     """
     cfg = cfg or ContinuationConfig()
     grid = spec.grid
     u = np.array(u0, dtype=float, copy=True)
     if max_iters is None:
         max_iters = cfg.max_newton_iters
-    state = _check_start(u, t, spec)
-    try:
-        tol = resolve_newton_tol(cfg, spec, state)
-        R = assemble_residual(state, t, spec)
-    except ValueError as exc:  # e.g. psi nonpositive at the start
-        raise InadmissibleStartError(f"start rejected: {exc}") from exc
+    state, R, reason = _start(u, t, spec)
+    if reason:
+        return NewtonReport(u, "inadmissible", 0, math.inf, reason)
+    tol = resolve_newton_tol(cfg, spec, state)
     rnorm = float(np.max(np.abs(R)))
     iterations = 0
     while rnorm > tol:
         if iterations >= max_iters:
-            return NewtonReport(u, False, "max-iterations", iterations, rnorm)
+            return NewtonReport(u, "max-iterations", iterations, rnorm)
         J = assemble_jacobian(state, t, spec)
         delta = linear_solve(J, -R.ravel(), grid).reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
-            return NewtonReport(u, False, "stalled", iterations, rnorm)
+            return NewtonReport(u, "stalled", iterations, rnorm)
         alpha = 1.0
-        accepted = False
-        while alpha >= _DAMPING_FLOOR:
+        while True:
             u_try = u + alpha * delta
             try:
                 st_try = geom.extrinsic_state(u_try, grid)
-                if t > 0.0 and not np.all(
-                    st_try.admissible_mask(spec.k)[grid.interior_mask]
-                ):
-                    raise geom.NotSpacelikeError("iterate left the admissible cone")
-                R_try = assemble_residual(st_try, t, spec)
+                R_try, _ = _cone_residual(st_try, t, spec)
+            except (geom.NotSpacelikeError, geom.InvalidGraphError):
+                R_try = None
+            if R_try is not None:
                 rn_try = float(np.max(np.abs(R_try)))
                 if np.isfinite(rn_try) and rn_try < rnorm:
-                    accepted = True
                     break
-            except (geom.NotSpacelikeError, geom.InvalidGraphError, ValueError):
-                pass
             alpha *= 0.5
-        if not accepted:
-            return NewtonReport(u, False, "stalled", iterations, rnorm)
+            if alpha < _DAMPING_FLOOR:
+                return NewtonReport(u, "stalled", iterations, rnorm)
         u, state, R, rnorm = u_try, st_try, R_try, rn_try
         iterations += 1
-    return NewtonReport(u, True, "converged", iterations, rnorm)
+    return NewtonReport(u, "converged", iterations, rnorm)
 
 
 # --- initial guesses ----------------------------------------------------------
@@ -585,26 +597,20 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
     steps: list[ContinuationStep] = []
     total = 0
 
-    try:
-        rep = damped_newton(
-            u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
-        )
-        total += rep.iterations
-        if rep.converged:
-            steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
-            return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
-    except InadmissibleStartError:
-        pass
+    rep = damped_newton(
+        u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
+    )
+    total += rep.iterations
+    if rep.converged:
+        steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
+        return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
 
     # staged path from the Laplace end
-    u = u0
-    try:
-        rep = damped_newton(u, 0.0, spec, cfg)
-    except InadmissibleStartError:
-        try:
-            rep = damped_newton(constant_guess(spec), 0.0, spec, cfg)
-        except InadmissibleStartError as exc:
-            return SolveResult(u0, "inadmissible-start", steps, total, math.inf, str(exc))
+    rep = damped_newton(u0, 0.0, spec, cfg)
+    if rep.status == "inadmissible":
+        rep = damped_newton(constant_guess(spec), 0.0, spec, cfg)
+        if rep.status == "inadmissible":
+            return SolveResult(u0, "inadmissible-start", steps, total, math.inf, rep.detail)
     total += rep.iterations
     if not rep.converged:
         return SolveResult(
@@ -617,21 +623,17 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
     t, dt = 0.0, cfg.dt_init
     while t < 1.0 - 1e-12:
         t_try = min(1.0, t + dt)
-        try:
-            rep = damped_newton(u, t_try, spec, cfg)
-            total += rep.iterations
-        except InadmissibleStartError:  # a failed step like any other
-            rep = None
-        if rep is not None and rep.converged:
+        rep = damped_newton(u, t_try, spec, cfg)  # a refused start fails like any step
+        total += rep.iterations
+        if rep.converged:
             u, t = rep.u, t_try
             steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm, shape))
             dt = min(2.0 * dt, cfg.dt_init)
         else:
             dt *= 0.5
             if dt < cfg.dt_min:
-                last = steps[-1].residual_norm if steps else math.inf
                 return SolveResult(
-                    u, "step-floor", steps, total, last,
+                    u, "step-floor", steps, total, steps[-1].residual_norm,
                     f"continuation step floor reached at t={t:.6g}",
                 )
     return SolveResult(u, "converged", steps, total, steps[-1].residual_norm)
@@ -655,16 +657,12 @@ def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, ord
         phi=spec.phi,
     )
     bcfg = dataclasses.replace(cfg, newton_tol=None)
-    last = "no admissible start"
     for start in (state.u, constant_guess(bspec)):
-        try:
-            rep = damped_newton(start, 1.0, bspec, bcfg)
-        except InadmissibleStartError as exc:
-            last = str(exc)
-            continue
+        rep = damped_newton(start, 1.0, bspec, bcfg)
         if rep.converged:
             return rep.u
-        last = f"Newton {rep.status} at residual {rep.residual_norm:.3e}"
+        last = (rep.detail if rep.status == "inadmissible"
+                else f"Newton {rep.status} at residual {rep.residual_norm:.3e}")
     raise SolverError(f"barrier problem (order {order}) did not converge: {last}")
 
 

@@ -54,6 +54,10 @@ BAD_INPUTS = {
     "n_rho_200000": ([("n_rho = 8", "n_rho = " + "x" * 200000)], ""),
     "no_equals_200000": ([], "x" * 200000 + "\n"),
     "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
+    "seed_negative": ([("seed = 0", "seed = -1\nuniqueness_starts = 1")], ""),
+    # fails the phi_c check in main; the manifest's grid hash then meets rho_max's overflow
+    "rho_max_1e300_phi_c_nan": ([("rho_max = 0.8", "rho_max = 1e300"),
+                                 ("phi_c = 1.0", "phi_c = nan")], ""),
     "study_dt_init": (STUDY, "[continuation]\ndt_init = 5\n"),
     "study_newton_tol_text": (STUDY, "[continuation]\nnewton_tol = banana\n"),
     "study_grid": (STUDY, "[study]\ngrids = 2\n"),
@@ -67,6 +71,10 @@ BAD_INPUTS = {
 HYPERPLANE = ("phi_family = constant", "phi_family = hyperplane")
 for radius in ("1e-200", "1e-155", "250", "1e300"):
     BAD_INPUTS[f"rho_max_{radius}"] = ([("rho_max = 0.8", f"rho_max = {radius}"), HYPERPLANE], "")
+
+
+def print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -123,6 +131,17 @@ class TestParseConfig:
             warnings.simplefilter("always")
             parse_config(path)
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_readme_minimal_config(self, tmp_path):
+        # the first ini block of the README parses as it stands
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        rc = parse_config(write_config(tmp_path, block))
+        assert rc.get("problem", "k") == 1 and rc.get("problem", "psi_h") == "2"
+        assert rc.raw["continuation"]["newton_tol"] == "auto"
+        assert rc.get("run", "uniqueness_starts") == 0
 
     def test_verify_requires_fields(self, tmp_path):
         text = BASE_CONFIG.replace("mode = solve", "mode = verify")
@@ -336,6 +355,15 @@ class TestMain:
         assert cli.main(["--config", cfg, "--grid", "16by16", "--out", str(out)]) == 2
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
+    def test_negative_seed_flag_writes_manifest(self, tmp_path, capsys):
+        out = tmp_path / "cli_out"
+        text = BASE_CONFIG.replace("seed = 0", "seed = 0\nuniqueness_starts = 1")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["--config", cfg, "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "config error: seed = -5 must be >= 0\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2 and manifest["status"] == "failed"
+
     @pytest.mark.parametrize("old, new", [("phi_c = 1.0", "phi_c = nan"),
                                           ("n_theta = 16", "n_theta = 5"),
                                           ("k = 1", "k = 3")])
@@ -382,7 +410,11 @@ class TestMain:
         fields.write_text(cli._CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         cfg = write_config(tmp_path, text.replace("{fields}", str(fields)) + tail)
         t0 = time.perf_counter()
-        code = cli.main(["--config", cfg, "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            # print warnings to stderr as a fresh interpreter does, not to pytest's record
+            warnings.simplefilter("default")
+            warnings.showwarning = print_warning
+            code = cli.main(["--config", cfg, "--out", str(tmp_path / "out")])
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
         assert code == 2

@@ -12,7 +12,6 @@ from weingarten.geom import extrinsic_state
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import ContinuationConfig, PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
 from weingarten.solver import (
-    InadmissibleStartError,
     assemble_jacobian,
     assemble_residual,
     barrier_sandwich_check,
@@ -318,12 +317,19 @@ class TestDampedNewton:
         assert rep.residual_norm <= 1e-10
         assert np.max(np.abs(rep.u - 1.0)) < 1e-10
 
+    @staticmethod
+    def assert_refused(rep, u, detail):
+        assert rep.status == "inadmissible" and not rep.converged
+        assert rep.iterations == 0 and rep.residual_norm == np.inf
+        assert rep.detail.startswith(detail)
+        assert np.array_equal(rep.u, u)
+
     def test_non_spacelike_start_rejected(self):
         g = disk()
         u = np.ones(g.shape)
         u[5, :] = 1.5
-        with pytest.raises(InadmissibleStartError):
-            damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        rep = damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        self.assert_refused(rep, u, "start rejected: graph not spacelike at node (i=")
 
     def test_inadmissible_start_rejected_for_positive_t(self):
         # spacelike dimple whose shoulders have negative mean curvature
@@ -331,9 +337,20 @@ class TestDampedNewton:
         u = 1.0 - 0.05 * np.exp(-((g.rho_col - 0.4) / 0.3) ** 2) + np.zeros(g.shape)
         st = geom.extrinsic_state(u, g)
         assert st.spacelike_gap < 1.0
-        assert not np.all(st.admissible_mask(1)[g.interior_mask])
-        with pytest.raises(InadmissibleStartError):
-            damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        bad = ~st.admissible_mask(1) & g.interior_mask
+        assert np.any(bad)
+        rep = damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        node = g.node_label(int(np.argmax(bad)))
+        self.assert_refused(rep, u, f"start rejected: not 1-admissible at {node}")
+        # at t = 0 no cone test runs: the same start is accepted
+        assert damped_newton(u, 0.0, mean_curvature_problem(g), None).converged
+
+    def test_nonpositive_psi_start_rejected(self):
+        # psi = 2 - 4 rho turns negative past rho = 0.5 on the 0.8 disk
+        g = disk()
+        u = np.ones(g.shape)
+        rep = damped_newton(u, 0.0, mean_curvature_problem(g, psi="2 - 4*rho"), None)
+        self.assert_refused(rep, u, "start rejected: psi must stay finite and strictly positive")
 
     def test_t0_problem_is_linear_single_step(self):
         # at t = 0 with constant psi the residual is affine in u, so Newton
@@ -417,8 +434,7 @@ class TestContinuation:
         def no_direct_attempt(u0, t, level, cfg=None, max_iters=None):
             rep = real_newton(u0, t, level, cfg, max_iters)
             if max_iters is not None:  # only the direct attempt caps its iterations
-                rep = solver.NewtonReport(rep.u, False, "stalled", rep.iterations,
-                                          rep.residual_norm)
+                rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             return rep
 
         monkeypatch.setattr(solver, "damped_newton", no_direct_attempt)
@@ -447,9 +463,9 @@ class TestContinuation:
             if t == 0.0:
                 rep = real_newton(u0, t, level, cfg, max_iters)
             elif failure == "inadmissible" and t < 1.0:
-                raise InadmissibleStartError("start rejected")
+                rep = solver.NewtonReport(u0, "inadmissible", 0, np.inf, "start rejected")
             else:  # the stall also fails the direct attempt at t = 1
-                rep = solver.NewtonReport(u0, False, "stalled", 3, 1.0)
+                rep = solver.NewtonReport(u0, "stalled", 3, 1.0)
             iterations.append(rep.iterations)
             return rep
 
@@ -460,6 +476,18 @@ class TestContinuation:
         assert [(s.t, s.grid) for s in res.steps] == [(0.0, (12, 12))]
         assert tried == [0.25 / 2 ** i for i in range(8)]  # dt_init 0.25, dt_min 1e-3
         assert res.newton_total == sum(iterations)
+
+    def test_inadmissible_start(self):
+        # psi = 4 (1 - 0.4 rho) turns negative past rho = 2.5: the guard
+        # refuses the coarsest level's start and its constant fallback at t = 0
+        spec = ProblemSpec(grid=disk(24, 24, rho_max=3.0), k=2,
+                           psi=PsiSpec("power", p=2.0, h="4*(1-0.4*rho)"),
+                           phi=PhiSpec("constant", c=1.0))
+        res = continuation_solve(spec, None)
+        assert res.status == "inadmissible-start" and not res.converged
+        assert res.newton_total == 0 and res.steps == []
+        assert res.detail == ("grid 12x12: start rejected: "
+                              "psi must stay finite and strictly positive")
 
     def test_trace_records_stages(self):
         g = disk()
@@ -568,8 +596,7 @@ class TestCoarseToFine:
         def stall_on_the_target(u0, t, level, cfg=None, max_iters=None):
             rep = real_newton(u0, t, level, cfg, max_iters)
             if level.grid is spec.grid:
-                rep = solver.NewtonReport(rep.u, False, "stalled", rep.iterations,
-                                          rep.residual_norm)
+                rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             calls.append((level.grid.shape, rep.iterations))
             return rep
 
