@@ -314,14 +314,21 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec,
     admissible = bool(np.all(state.admissible_mask(spec.k)[grid.interior_mask]))
     nm_slack = solver.newton_inequality_min_slack(state, grid)
     mac1, mac2 = solver.maclaurin_ordering_margins(state, spec.k, grid)
-    s_plus = solver.solve_upper_barrier(spec, state, cfg)
-    s_minus = solver.solve_lower_barrier(spec, state, cfg)
-    sandwich = solver.barrier_sandwich_check(state.u, s_minus, s_plus, grid)
+    s_plus, upper_detail = solver.solve_upper_barrier(spec, state, cfg)
+    s_minus, lower_detail = solver.solve_lower_barrier(spec, state, cfg)
+    if s_plus is None or s_minus is None:
+        # a missing barrier fails its gate; the reason goes in the report
+        detail = "; ".join(d for d in (upper_detail, lower_detail) if d)
+        log(detail)
+        barriers = {"passed": False, "detail": detail}
+    else:
+        barriers = dataclasses.asdict(
+            solver.barrier_sandwich_check(state.u, s_minus, s_plus, grid))
     gates = {
         "admissible": admissible,
         "newton_inequality": bool(nm_slack >= -1e-10 * scale),
         "maclaurin_ordering": bool(min(mac1, mac2) >= -1e-10 * scale),
-        "barrier_sandwich": sandwich.passed,
+        "barrier_sandwich": barriers["passed"],
         "gradient_bound": report_est.gradient_bound_passed,
     }
     passed = all(gates.values())
@@ -330,7 +337,7 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec,
         "gates": gates,
         "newton_inequality_min_slack": nm_slack,
         "maclaurin_margins": [mac1, mac2],
-        "barriers": dataclasses.asdict(sandwich),
+        "barriers": barriers,
         "passed": passed,
         **measured,
     }
@@ -513,7 +520,7 @@ def run(rc: RunConfig) -> int:
     except FloatingPointError as exc:
         print(f"non-finite output: {exc}", file=sys.stderr)
         code, status = 2, "non-finite"
-    except (solver.SolverError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         code, status = 2, "failed"
     except OSError as exc:

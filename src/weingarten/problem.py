@@ -20,7 +20,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 
 from . import geom
 from .hchart import Grid
@@ -33,6 +33,7 @@ __all__ = [
     "ProblemSpec",
     "ContinuationConfig",
     "excerpt",
+    "spline_rows",
     "tabulate_sigma_k",
     "manufactured_problem",
 ]
@@ -281,21 +282,63 @@ class ContinuationConfig:
             raise ValueError("max_newton_iters must be at least 1")
 
 
+def spline_rows(y, x0: float, h: float, x) -> np.ndarray:
+    """The not-a-knot cubic spline through the rows y[i] of a 2-D array at
+    the equally spaced nodes x0 + i h (at least 4 of them), evaluated at the
+    points ``x`` for every column of y at once.  Past the end nodes the end
+    pieces' cubics extend, as scipy's CubicSpline extrapolates.
+
+    The second derivatives M_i satisfy M_{i-1} + 4 M_i + M_{i+1} = r_i with
+    r_i = 6 (y_{i-1} - 2 y_i + y_{i+1}) / h^2 at the inner nodes, and not-a-
+    knot ends M_0 = 2 M_1 - M_2, M_{N-1} = 2 M_{N-2} - M_{N-3}.  So M_1 =
+    r_1 / 6 and M_{N-2} = r_{N-2} / 6, and M_2..M_{N-3} solve one [1, 4, 1]
+    tridiagonal system with every column as a right-hand side, which LAPACK's
+    dgtsv solves (de Boor, A Practical Guide to Splines, ch. IV).  Constant
+    rows come back bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 nodes, got {n}")
+    r = 6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h ** 2
+    M = np.empty_like(y)
+    M[1], M[-2] = r[0] / 6.0, r[-1] / 6.0
+    b = r[1:-1]  # the system's right-hand sides, rows 2..N-3
+    if n == 5:  # dgtsv takes no 1 x 1 system
+        M[2] = (b[0] - M[1] - M[3]) / 4.0
+    elif n > 5:
+        b[0] -= M[1]
+        b[-1] -= M[-2]
+        m = n - 4
+        *_, M[2:-2], info = lapack.dgtsv(np.ones(m - 1), np.full(m, 4.0), np.ones(m - 1), b,
+                                         overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"spline system singular (dgtsv info {info})")
+    M[0] = 2.0 * M[1] - M[2]
+    M[-1] = 2.0 * M[-2] - M[-3]
+    # piece i on [x_i, x_i+1], local coordinate s = (x - x_i) / h; the end
+    # pieces take every point past their end
+    s = (np.asarray(x, dtype=float) - x0) / h
+    i = np.clip(np.floor(s).astype(int), 0, n - 2)
+    s = (s - i)[:, None]
+    return y[i] + s * (y[i + 1] - y[i]) - (h * h / 6.0) * s * (1.0 - s) * (
+        (2.0 - s) * M[i] + (1.0 + s) * M[i + 1])
+
+
 def tabulate_sigma_k(u_fn, grid: Grid, k: int, refine: int = 4) -> np.ndarray:
     """Sample sigma_k of the graph u_fn(rho, theta) on a ``refine`` times
     finer grid and restrict the values to ``grid``.
 
-    The fine theta lines contain the coarse ones; the radial restriction is a
-    cubic spline, whose error is far below the coarse truncation level.
+    The fine theta lines contain the coarse ones; the radial restriction is
+    the cubic spline :func:`spline_rows`, whose error is far below the coarse
+    truncation level.
     """
     fine = Grid(grid.chart, refine * grid.n_rho, refine * grid.n_theta)
     U = np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float)
     U = np.broadcast_to(U, fine.shape)
     state = geom.extrinsic_state(U, fine)
     vals = state.sigma_k(k)
-    cols = vals[:, :: refine]
-    spline = CubicSpline(fine.rho, cols, axis=0)
-    return np.asarray(spline(grid.rho))
+    return spline_rows(vals[:, :: refine], fine.rho[0], fine.d_rho, grid.rho)
 
 
 def manufactured_problem(u_expr, grid: Grid, k: int, refine: int = 4):

@@ -63,7 +63,6 @@ import math
 import weakref
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 # Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
 # looks the name up in this module, so it stays bound.
@@ -71,10 +70,9 @@ from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from . import geom, hchart
 from .hchart import Grid
-from .problem import ContinuationConfig, ProblemSpec, PsiSpec
+from .problem import ContinuationConfig, ProblemSpec, PsiSpec, spline_rows
 
 __all__ = [
-    "SolverError",
     "NewtonReport",
     "ContinuationStep",
     "SolveResult",
@@ -96,10 +94,6 @@ __all__ = [
     "maclaurin_ordering_margins",
     "newton_inequality_min_slack",
 ]
-
-
-class SolverError(RuntimeError):
-    """A required auxiliary solve (e.g. a barrier problem) failed."""
 
 
 # --- residual ----------------------------------------------------------------
@@ -532,17 +526,18 @@ def _grid_chain(spec: ProblemSpec) -> list:
 
 def _carry(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Carry a field from the grid with half the counts of ``spec``'s grid to
-    that grid: a cubic spline in rho through the pole (on the even extension
-    u(-rho, theta) = u(rho, theta + pi)), a zero-padded real FFT in theta,
-    then the harmonic extension of the boundary mismatch phi - u on the new
-    outer ring, which lies further out than the old one."""
+    that grid: the cubic spline :func:`problem.spline_rows` in rho through the
+    pole (on the even extension u(-rho, theta) = u(rho, theta + pi)), a
+    zero-padded real FFT in theta, then the harmonic extension of the
+    boundary mismatch phi - u on the new outer ring, which lies further out
+    than the old one."""
     grid = spec.grid
     n_rho, n_theta = u.shape
-    rho = (np.arange(n_rho) + 0.5) * (grid.chart.rho_max / n_rho)
+    h = grid.chart.rho_max / n_rho
     s = n_theta // 2
     across_pole = np.concatenate((u[::-1, s:], u[::-1, :s]), axis=1)
-    U = CubicSpline(np.concatenate((-rho[::-1], rho)), np.concatenate((across_pole, u)),
-                    axis=0)(grid.rho)
+    # nodes -(n_rho - 1/2) h .. (n_rho - 1/2) h, evenly spaced through the pole
+    U = spline_rows(np.concatenate((across_pole, u)), -(n_rho - 0.5) * h, h, grid.rho)
     coeffs = np.fft.rfft(U, axis=1)
     coeffs[:, -1] *= 0.5  # the coarse Nyquist mode splits between +-m on the finer grid
     U = 2.0 * np.fft.irfft(coeffs, n=grid.n_theta, axis=1)  # irfft divides by the finer count
@@ -643,6 +638,10 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
 
 
 def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, order: int):
+    """Damped Newton on the barrier problem of ``order``, from the solution
+    and then from the constant guess.  Returns (field, "") for the first
+    start that converges, or (None, reason) when neither does: the barrier
+    may not exist as a spacelike graph for the data."""
     cfg = cfg or ContinuationConfig()
     psi = spec.psi_field(state.u, state.theta_support)
     Cnk = math.comb(spec.n, spec.k)
@@ -660,23 +659,25 @@ def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, ord
     for start in (state.u, constant_guess(bspec)):
         rep = damped_newton(start, 1.0, bspec, bcfg)
         if rep.converged:
-            return rep.u
+            return rep.u, ""
         last = (rep.detail if rep.status == "inadmissible"
                 else f"Newton {rep.status} at residual {rep.residual_norm:.3e}")
-    raise SolverError(f"barrier problem (order {order}) did not converge: {last}")
+    return None, f"barrier problem (order {order}) did not converge: {last}"
 
 
 def solve_upper_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
                         cfg: ContinuationConfig | None = None):
     """Mean-curvature barrier: sigma_1[s] = n (psi / C(n,k))^{1/k} with psi
-    frozen on the computed solution ``state``, s = phi on the boundary."""
+    frozen on the computed solution ``state``, s = phi on the boundary.
+    Returns (s, "") or, when no solve converges, (None, reason)."""
     return _barrier_solve(spec, state, cfg, order=1)
 
 
 def solve_lower_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
                         cfg: ContinuationConfig | None = None):
     """Top-order barrier: sigma_n[s] = (psi / C(n,k))^{n/k}, s = phi on the
-    boundary, psi frozen on the computed solution ``state``."""
+    boundary, psi frozen on the computed solution ``state``.  Returns (s, "")
+    or, when no solve converges, (None, reason)."""
     return _barrier_solve(spec, state, cfg, order=spec.n)
 
 

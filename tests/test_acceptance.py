@@ -240,8 +240,8 @@ def test_criterion_6_barrier_sandwich(run_sigma1, run_sigma2, pinned_study, orde
     details = []
     for spec, result, _ in (run_sigma1, run_sigma2):
         state = geom.extrinsic_state(result.u, spec.grid)
-        s_plus = solve_upper_barrier(spec, state)
-        s_minus = solve_lower_barrier(spec, state)
+        s_plus, _ = solve_upper_barrier(spec, state)
+        s_minus, _ = solve_lower_barrier(spec, state)
         gap_up = float(np.max(np.abs(s_plus - result.u)))
         gap_lo = float(np.max(np.abs(s_minus - result.u)))
         tight_ok &= gap_up <= 1e-8 and gap_lo <= 1e-8
@@ -250,8 +250,8 @@ def test_criterion_6_barrier_sandwich(run_sigma1, run_sigma2, pinned_study, orde
     for row in (pinned_study[1], order_study[1]):  # the 64^2 runs
         spec, u, grid = row["spec"], row["u"], row["grid"]
         state = geom.extrinsic_state(u, grid)
-        s_plus = solve_upper_barrier(spec, state)
-        s_minus = solve_lower_barrier(spec, state)
+        s_plus, _ = solve_upper_barrier(spec, state)
+        s_minus, _ = solve_lower_barrier(spec, state)
         report = barrier_sandwich_check(u, s_minus, s_plus, grid)
         man_ok &= report.passed
         details.append(f"margins {report.min_upper_margin:.1e}/{report.min_lower_margin:.1e}")

@@ -233,6 +233,31 @@ class TestSolveMode:
         assert [tuple(s["grid"]) for s in run_steps][-2:] == [(24, 24), (48, 48)]
         assert "grid 48x48 t=1.0000" in (out / "log.txt").read_text()
 
+    def test_missing_barrier_fails_its_gate(self, tmp_path):
+        # k = 1 on a wide disk: the solve converges, but the order-2 barrier
+        # problem has no solution that Newton finds.  That fails the sandwich
+        # gate with its reason in the report: exit 3 with every artifact, in
+        # solve mode and in verify mode, which runs the same check
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 24")
+                .replace("n_theta = 16", "n_theta = 24").replace("rho_max = 0.8", "rho_max = 3.0")
+                .replace("psi_p = 0", "psi_p = 1")
+                .replace("psi_h = 2", "psi_h = 2*(1+0.3*rho*sin(theta))")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        fields = tmp_path / "solve" / "fields.csv"
+        verify = text.replace("mode = solve", f"mode = verify\nfields_in = {fields}")
+        reason = "barrier problem (order 2) did not converge"
+        for mode, cfg in (("solve", text), ("verify", verify)):
+            out = tmp_path / mode
+            assert cli.main(["--config", write_config(tmp_path, cfg, f"{mode}.cfg"),
+                             "--out", str(out)]) == 3
+            assert json.loads((out / "manifest.json").read_text())["exit_code"] == 3
+            report = json.loads((out / "report.json").read_text())
+            gates = report["verification"]["gates"]
+            assert [name for name, ok in gates.items() if not ok] == ["barrier_sandwich"]
+            assert report["verification"]["barriers"]["detail"].startswith(reason)
+            assert reason in (out / "log.txt").read_text()
+            assert (out / "fields.csv").exists() == (mode == "solve")
+
 
 def assert_verify_outputs(out, code):
     # verify mode writes its report, log and manifest; the field it checked

@@ -12,6 +12,7 @@ from weingarten.problem import (
     ProblemSpec,
     PsiSpec,
     manufactured_problem,
+    spline_rows,
     tabulate_sigma_k,
 )
 
@@ -199,3 +200,32 @@ class TestTabulation:
         g = disk(16, 16)
         with pytest.raises(ValueError, match="radial"):
             manufactured_problem("1 + 0.05*rho**2 + 0.01*cos(theta)", g, 2)
+
+
+class TestSplineRows:
+    # scipy's CubicSpline, not-a-knot by default, is the reference
+    @pytest.mark.parametrize("n", [4, 5, 6, 20, 1024])
+    def test_matches_cubic_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        x0, h = -0.7, 2.4 / n
+        nodes = x0 + h * np.arange(n)
+        y = rng.normal(size=(n, 3))
+        # inside, on the nodes, and up to one spacing past either end
+        x = np.concatenate((rng.uniform(x0 - h, nodes[-1] + h, 200), nodes,
+                            [x0 - h, nodes[-1] + h]))
+        ref = CubicSpline(nodes, y, axis=0)(x)
+        got = spline_rows(y, x0, h, x)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [4, 5, 20])
+    @pytest.mark.parametrize("c", [0.5, 4.0, 1.0 / 3.0, -2.7])
+    def test_constant_rows_are_exact(self, n, c):
+        x = np.linspace(-0.5, 0.1 * n + 0.5, 37)
+        assert np.array_equal(spline_rows(np.full((n, 5), c), 0.0, 0.1, x), np.full((37, 5), c))
+
+    def test_needs_four_nodes(self):
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            spline_rows(np.ones((3, 2)), 0.0, 1.0, np.array([0.5]))

@@ -620,6 +620,17 @@ class TestCoarseToFine:
         assert ts == sorted(ts)
         assert np.max(np.abs(chain.u - ref.u)) <= 1e-9 * np.max(np.abs(ref.u))
 
+    def test_carried_k2_start_is_admissible(self):
+        # the continuation-k2-80 problem: its 10^2 solution, carried to 20^2,
+        # passes the start guard at t = 1, so that level's direct attempt
+        # runs.  The margin is thin (min sigma_2 ~ 0.008 on ring 16); a local
+        # 4-point cubic in rho puts -0.22 there, and the level steps t again.
+        coarse, fine = (hyperplane_problem(n, 2, 2, "1", rho_max=2.4) for n in (10, 20))
+        res = single_level(coarse)
+        assert res.converged
+        state, _, reason = solver._start(solver._carry(res.u, fine), 1.0, fine)
+        assert reason == "" and state is not None
+
     def test_probe_starts_are_laid_on_each_level(self):
         # the same closed-form bump in (rho / rho_max, theta) on every grid
         start = solver._probe_start(np.array([0.5, -1.0, 2.0, 0.3]))
@@ -638,8 +649,8 @@ class TestBarriers:
         for spec, c in [(mean_curvature_problem(g), 1.0), (gauss_curvature_problem(g), 0.5)]:
             res = continuation_solve(spec, None)
             state = extrinsic_state(res.u, g)
-            s_plus = solve_upper_barrier(spec, state)
-            s_minus = solve_lower_barrier(spec, state)
+            s_plus, _ = solve_upper_barrier(spec, state)
+            s_minus, _ = solve_lower_barrier(spec, state)
             assert np.max(np.abs(s_plus - res.u)) <= 1e-8
             assert np.max(np.abs(s_minus - res.u)) <= 1e-8
             report = barrier_sandwich_check(res.u, s_minus, s_plus, g)
@@ -650,8 +661,8 @@ class TestBarriers:
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         res = continuation_solve(mspec, None)
         state = extrinsic_state(res.u, g)
-        s_plus = solve_upper_barrier(mspec, state)
-        s_minus = solve_lower_barrier(mspec, state)
+        s_plus, _ = solve_upper_barrier(mspec, state)
+        s_minus, _ = solve_lower_barrier(mspec, state)
         report = barrier_sandwich_check(res.u, s_minus, s_plus, g)
         assert report.passed
         assert report.min_upper_margin >= -report.eps_h
@@ -662,8 +673,8 @@ class TestBarriers:
         spec = gauss_curvature_problem(g)
         res = continuation_solve(spec, None)
         state = extrinsic_state(res.u, g)
-        s_plus = solve_upper_barrier(spec, state)
-        s_minus = solve_lower_barrier(spec, state)
+        s_plus, _ = solve_upper_barrier(spec, state)
+        s_minus, _ = solve_lower_barrier(spec, state)
         bump = 0.1 * np.exp(-((g.rho_col - 0.3) / 0.15) ** 2) + np.zeros(g.shape)
         report = barrier_sandwich_check(res.u + bump, s_minus, s_plus, g)
         assert not report.passed
