@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -476,6 +477,56 @@ class TestMain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_code"] == 2 and manifest["status"] == "non-finite"
         assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    def test_run_is_on_a_worker_thread_in_the_callers_context(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(rc):
+            seen["worker"] = threading.current_thread() is not threading.main_thread()
+            seen["errstate"] = np.geterr()
+            return 3
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert cli.main(["--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 3
+        assert seen["worker"]
+        assert set(seen["errstate"].values()) == {"ignore"}  # main's errstate reaches it
+
+    def test_run_exception_reaches_the_caller(self, tmp_path, monkeypatch):
+        def failing_run(rc):
+            raise KeyError("from the worker")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        with pytest.raises(KeyError, match="from the worker"):
+            cli.main(["--config", write_config(tmp_path), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_run_leaves_the_callers_heap(self, tmp_path):
+        # in a fresh interpreter, a 64^2 solve run on the calling thread grew
+        # the main heap by ~1.4 MB; on the worker thread it grows by nothing
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 64").replace("n_theta = 16", "n_theta = 64")
+                .replace("psi_p = 0", "psi_p = 1").replace("psi_h = 2", "psi_h = 2/u*(1+0.1*rho**2)")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        cfg = write_config(tmp_path, text)
+        script = (
+            "import sys\n"
+            "from weingarten import cli\n"
+            "def heap_kb():\n"
+            "    for line in open('/proc/self/maps'):\n"
+            "        if line.rstrip().endswith('[heap]'):\n"
+            "            lo, hi = (int(a, 16) for a in line.split()[0].split('-'))\n"
+            "            return (hi - lo) >> 10\n"
+            "before = heap_kb()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, before, heap_kb())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, "--config", cfg, "--out",
+                               str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        code, before, after = proc.stdout.split()
+        if before == "None":
+            pytest.skip("no [heap] mapping")
+        assert code == "0"
+        assert int(after) - int(before) < 512
 
     def test_nonfinite_guard(self):
         from weingarten.cli import _check_finite
