@@ -20,10 +20,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import geom
 from .hchart import Grid
+from .tridiag import CyclicReduction
 
 __all__ = [
     "ExpressionError",
@@ -292,9 +292,9 @@ def spline_rows(y, x0: float, h: float, x) -> np.ndarray:
     r_i = 6 (y_{i-1} - 2 y_i + y_{i+1}) / h^2 at the inner nodes, and not-a-
     knot ends M_0 = 2 M_1 - M_2, M_{N-1} = 2 M_{N-2} - M_{N-3}.  So M_1 =
     r_1 / 6 and M_{N-2} = r_{N-2} / 6, and M_2..M_{N-3} solve one [1, 4, 1]
-    tridiagonal system with every column as a right-hand side, which LAPACK's
-    dgtsv solves (de Boor, A Practical Guide to Splines, ch. IV).  Constant
-    rows come back bit for bit.
+    tridiagonal system with every column as a right-hand side (de Boor, A
+    Practical Guide to Splines, ch. IV), by the cyclic reduction of
+    :class:`tridiag.CyclicReduction`.  Constant rows come back bit for bit.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -303,17 +303,12 @@ def spline_rows(y, x0: float, h: float, x) -> np.ndarray:
     r = 6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h ** 2
     M = np.empty_like(y)
     M[1], M[-2] = r[0] / 6.0, r[-1] / 6.0
-    b = r[1:-1]  # the system's right-hand sides, rows 2..N-3
-    if n == 5:  # dgtsv takes no 1 x 1 system
-        M[2] = (b[0] - M[1] - M[3]) / 4.0
-    elif n > 5:
+    if n > 4:
+        b = r[1:-1]  # the system's right-hand sides, rows 2..N-3
         b[0] -= M[1]
         b[-1] -= M[-2]
-        m = n - 4
-        *_, M[2:-2], info = lapack.dgtsv(np.ones(m - 1), np.full(m, 4.0), np.ones(m - 1), b,
-                                         overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"spline system singular (dgtsv info {info})")
+        ones = np.ones((n - 4, 1))
+        CyclicReduction(ones, 4.0 * ones, ones, y.shape[1]).solve(b, out=M[2:-2])
     M[0] = 2.0 * M[1] - M[2]
     M[-1] = 2.0 * M[-2] - M[-3]
     # piece i on [x_i, x_i+1], local coordinate s = (x - x_i) / h; the end

@@ -44,16 +44,18 @@ No linear solve factors a sparse matrix.  The t = 0 operator L (Laplace-
 Beltrami rows inside, identity rows on the boundary ring) is invariant under
 rotation, so a real FFT in theta splits it into n_theta/2 + 1 tridiagonal
 radial systems, one per Fourier mode m; the across-pole ghost couples mode m
-of ring 0 to itself with the sign (-1)^m.  Laid out mode after mode they form
-one block-diagonal tridiagonal system, which LAPACK's ?gttrf factors once per
-grid and ?gttrs solves in one call per right-hand side: the exact
-harmonic extension.  A Newton correction J x = b (staged steps, the direct
-attempt and the barrier solves alike) is solved by GMRES on the rows divided
-by their diagonal, right-preconditioned by y -> L^{-1}(diag(L) y): both
-operators then have a unit diagonal, and their product is close to the
-identity wherever J is close to a row-scaled L.  GMRES is written here with
-numpy reductions for every inner product and norm, not BLAS calls, and
-?gttrs calls no BLAS routine, so results do not depend on BLAS thread counts.
+of ring 0 to itself with the sign (-1)^m.  The systems are real, so the real
+and imaginary parts of each mode's coefficients are two right-hand sides of
+one matrix, and :class:`tridiag.CyclicReduction` solves all of them at once
+by cyclic reduction over the rings, its per-level coefficients computed once
+per grid: the exact harmonic extension.  A Newton correction J x = b (staged
+steps, the direct attempt and the barrier solves alike) is solved by GMRES on
+the rows divided by their diagonal, right-preconditioned by
+y -> L^{-1}(diag(L) y): both operators then have a unit diagonal, and their
+product is close to the identity wherever J is close to a row-scaled L.
+GMRES is written here with numpy reductions for every inner product and norm,
+not BLAS calls, and the cyclic reduction is elementwise numpy arithmetic, so
+results do not depend on BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ import math
 import weakref
 
 import numpy as np
-from scipy.linalg import lapack
-# Nothing here calls spsolve: the benchmark's tracer (perfbench/tracer.py)
-# looks the name up in this module, so it stays bound.
-from scipy.sparse.linalg import spsolve  # noqa: F401
+# numpy loads these on first use; loading them with the package keeps that
+# cost in start-up, not in the first solve
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
-from . import geom, hchart
+from . import geom, hchart, tridiag
 from .hchart import Grid
 from .problem import ContinuationConfig, ProblemSpec, PsiSpec, spline_rows
 
@@ -94,6 +96,16 @@ __all__ = [
     "maclaurin_ordering_margins",
     "newton_inequality_min_slack",
 ]
+
+
+def __getattr__(name):
+    # Nothing here calls spsolve, but the benchmark's tracer (perfbench/
+    # tracer.py) looks the name up in this module; scipy is imported only then.
+    if name == "spsolve":
+        from scipy.sparse.linalg import spsolve
+        globals()["spsolve"] = spsolve
+        return spsolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- residual ----------------------------------------------------------------
@@ -196,8 +208,8 @@ _LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictiona
 
 
 def _laplace_factors(grid: Grid):
-    """LU factors of the t = 0 operator's per-mode radial systems, with the
-    physical stencil rows' diagonal; cached per grid.
+    """The cyclic-reduction plan of the t = 0 operator's per-mode radial
+    systems, with the physical stencil rows' diagonal; cached per grid.
 
     Interior ring i of mode m reads, from hchart's stencils,
 
@@ -205,17 +217,18 @@ def _laplace_factors(grid: Grid):
             + (1/h^2 + coth rho_i/(2h)) x_{i+1},   mu_m = -4 sin^2(m dtheta/2)/dtheta^2,
 
     ring 0's ghost x_{-1} = (-1)^m x_0 is folded into its diagonal, and the
-    boundary ring is an identity row.  The n_theta/2 + 1 systems, laid out
-    mode after mode, form one block-diagonal tridiagonal system, which LAPACK's
-    ?gttrf factors (in complex form, for the complex Fourier coefficients).
-    Returns (lu, diag): lu = (dl, d, du, du2, ipiv) as ?gttrs takes them, and
-    diag[i] the diagonal of the stencil rows of ring i, as a column.
+    boundary ring is an identity row.  The matrices are real, so the real and
+    imaginary parts of a complex Fourier coefficient are two columns with the
+    same system: mode m owns columns 2m and 2m + 1 of the float64 view of the
+    coefficients.  Returns (plan, diag): plan a :class:`tridiag.CyclicReduction`
+    over the rings for those n_theta + 2 columns, and diag[i] the diagonal of
+    the stencil rows of ring i, as a column.
     """
     factors = _LAPLACE_CACHE.get(grid)
     if factors is not None:
         return factors
     h, dth = grid.d_rho, grid.d_theta
-    coth = grid.coth_rho[:, 0]
+    coth = grid.coth_rho[:, :1]
     inv_s2 = 1.0 / grid.sinh_rho[:, 0] ** 2
     m = np.arange(grid.n_theta // 2 + 1)
     mu = -4.0 * np.sin(0.5 * m * dth) ** 2 / dth ** 2
@@ -223,32 +236,24 @@ def _laplace_factors(grid: Grid):
     upper = 1.0 / h ** 2 + coth / (2.0 * h)
     main = -2.0 / h ** 2 + inv_s2[:, None] * mu[None, :]
     main[0] += np.where(m % 2 == 0, 1.0, -1.0) * lower[0]
-    lower[0] = 0.0
     lower[-1], upper[-1] = 0.0, 0.0
     main[-1] = 1.0
-    *lu, info = lapack.zgttrf(np.tile(lower, m.size)[1:].astype(complex),
-                              main.T.ravel().astype(complex),
-                              np.tile(upper, m.size)[:-1].astype(complex))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Laplace system singular (zgttrf info {info})")
     diag = -2.0 / h ** 2 - 2.0 * inv_s2 / dth ** 2
     diag[-1] = 1.0
-    factors = (tuple(lu), diag[:, None])
+    plan = tridiag.CyclicReduction(lower, np.repeat(main, 2, axis=1), upper, 2 * m.size)
+    factors = (plan, diag[:, None])
     _LAPLACE_CACHE[grid] = factors
     return factors
 
 
 def _laplace_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for the t = 0 operator L on ``grid`` (b and x of the
-    grid's shape): real FFT in theta into mode-major order, one ?gttrs solve
-    for all modes, inverse FFT."""
-    lu, _ = _laplace_factors(grid)
-    x = np.empty((grid.n_theta // 2 + 1, grid.n_rho), dtype=complex)
-    np.fft.rfft(b.T, axis=0, out=x)
-    x = lapack.zgttrs(*lu, x.reshape(-1, 1), overwrite_b=1)[0].reshape(x.shape)
-    out = np.empty(grid.shape)
-    np.fft.irfft(x, n=grid.n_theta, axis=0, out=out.T)
-    return out
+    grid's shape): real FFT in theta, one cyclic-reduction solve over the
+    rings for all modes at once, inverse FFT."""
+    plan, _ = _laplace_factors(grid)
+    coeffs = np.fft.rfft(b, axis=1)
+    plan.solve(coeffs.view(np.float64), out=coeffs.view(np.float64))
+    return np.fft.irfft(coeffs, n=grid.n_theta, axis=1)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -259,7 +264,9 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     """Unrestarted GMRES from zero for apply(y) = b, with classical Gram-
     Schmidt run twice and Givens rotations.  Stops once the residual norm is
     at most _KRYLOV_RTOL |b|, or after _KRYLOV_MAX_ITERS iterations with the
-    last iterate.  The basis grows only as far as the iterations go."""
+    last iterate.  The basis vectors are the rows of one array, so each pass
+    takes its inner products in one reduction; the array grows by
+    _KRYLOV_BLOCK rows as the iterations need them."""
     beta = _norm(b)
     if beta == 0.0:
         return np.zeros_like(b)
@@ -268,11 +275,12 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     cs, sn = np.zeros(size), np.zeros(size)
     g = np.zeros(size + 1)
     g[0] = beta
-    V = [b / beta]
+    V = np.empty((_KRYLOV_BLOCK, b.size))
+    np.divide(b, beta, out=V[0])
     for j in range(size):
         w = apply(V[j])
         for _ in range(2):
-            h = np.array([np.sum(v * w) for v in V])
+            h = np.sum(V[: j + 1] * w, axis=1)
             for h_i, v in zip(h, V):
                 w -= h_i * v
             H[: j + 1, j] += h
@@ -287,7 +295,9 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         g[j] *= cs[j]
         if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or h_next == 0.0:
             break
-        V.append(w / h_next)
+        if j + 1 == V.shape[0]:
+            V = np.concatenate((V, np.empty((_KRYLOV_BLOCK, b.size))))
+        np.divide(w, h_next, out=V[j + 1])
     k = j + 1
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
@@ -328,6 +338,9 @@ _DIRECT_MAX_ITERS = 15
 # solve to ~1e-10 where 1e-10 would leave 1e-9 to 1e-8 (128^2, k = 2).
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_MAX_ITERS = 60
+# Rows by which GMRES's basis array grows: a few iterations are the rule, and
+# all 61 rows at once would be 32 MB at 256^2.
+_KRYLOV_BLOCK = 8
 
 
 @dataclasses.dataclass
