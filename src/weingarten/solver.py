@@ -203,7 +203,8 @@ def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -
 
 
 # Laplace factors per grid: an entry lives as long as its grid, so a finished
-# run keeps none.
+# run keeps none.  The plan reduces in its own buffer, so one grid serves one
+# Laplace solve at a time (a run owns its grids).
 _LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
 
 
