@@ -19,7 +19,6 @@ from .geom import (  # noqa: F401
     extrinsic_state,
 )
 from .problem import (  # noqa: F401
-    ContinuationConfig,
     Expr,
     PhiSpec,
     ProblemSpec,

@@ -39,8 +39,7 @@ import numpy as np
 from . import __version__, estimates, geom, solver
 from .hchart import Grid, PolarChart
 from .problem import (
-    ContinuationConfig, Expr, ExpressionError, PhiSpec, ProblemSpec, PsiSpec, excerpt,
-    manufactured_problem,
+    Expr, ExpressionError, PhiSpec, ProblemSpec, PsiSpec, excerpt, manufactured_problem,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -51,8 +50,7 @@ class ConfigError(ValueError):
 
 
 # A key's schema default is its value when the config omits it; every config
-# must give the _REQUIRED keys.  [continuation] keys default to
-# ContinuationConfig's fields.
+# must give the _REQUIRED keys.
 _REQUIRED = object()
 
 _SCHEMA = {
@@ -66,12 +64,6 @@ _SCHEMA = {
         "psi_h": ("str", "1"),
         "phi_family": ("str", None),
         "phi_c": ("float", None),
-    },
-    "continuation": {
-        "dt_init": ("float", None),
-        "dt_min": ("float", None),
-        "newton_tol": ("str", None),  # "auto" or a float
-        "max_newton_iters": ("int", None),
     },
     "run": {
         "mode": ("str", "solve"),
@@ -216,8 +208,8 @@ def _check_chart_factors(rho_max: float, n_rho: int):
         raise ConfigError(f"rho_max = {rho_max!r} on {n_rho} rings: chart factors not finite")
 
 
-def build_problem(rc: RunConfig):
-    """Materialise ProblemSpec and ContinuationConfig from a RunConfig."""
+def build_problem(rc: RunConfig) -> ProblemSpec:
+    """Materialise the ProblemSpec of a RunConfig."""
     _check_chart_factors(rc.get("problem", "rho_max"), rc.get("problem", "n_rho"))
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     grid = Grid(chart, rc.get("problem", "n_rho"), rc.get("problem", "n_theta"))
@@ -230,22 +222,7 @@ def build_problem(rc: RunConfig):
     except ExpressionError as exc:
         raise ConfigError(f"psi_h: {exc}") from None
     phi = PhiSpec(family=rc.get("problem", "phi_family"), c=rc.get("problem", "phi_c"))
-    spec = ProblemSpec(grid=grid, k=rc.get("problem", "k"), psi=psi, phi=phi)
-    return spec, _continuation_config(rc)
-
-
-def _continuation_config(rc: RunConfig) -> ContinuationConfig:
-    """The [continuation] section as a ContinuationConfig, in every mode: the
-    keys it gives override the dataclass defaults, ``newton_tol = auto`` reads
-    as None."""
-    keys = dict(rc.raw.get("continuation", {}))
-    tol_text = keys.get("newton_tol", "auto")
-    keys["newton_tol"] = (None if tol_text == "auto"
-                          else _parse_value("float", tol_text, "newton_tol"))
-    try:
-        return ContinuationConfig(**keys)
-    except ValueError as exc:
-        raise ConfigError(f"[continuation]: {exc}") from None
+    return ProblemSpec(grid=grid, k=rc.get("problem", "k"), psi=psi, phi=phi)
 
 
 # --- artifacts -----------------------------------------------------------------
@@ -287,9 +264,10 @@ def _write_manifest(out_dir, manifest):
 
 def _grid_hash(rc: RunConfig) -> str | None:
     """Hash of the configured grid's nodes, None when the grid keys do not
-    make a grid.  Built from the grid keys alone, so the manifest is written
-    whatever the rest of the config holds; a radius past the float range
-    makes non-finite nodes, hashed without numpy's warnings."""
+    make a grid or the grid does not fit in memory.  Built from the grid keys
+    alone, so the manifest is written whatever the rest of the config holds;
+    a radius past the float range makes non-finite nodes, hashed without
+    numpy's warnings."""
     try:
         with np.errstate(all="ignore"):
             grid = Grid(
@@ -297,7 +275,7 @@ def _grid_hash(rc: RunConfig) -> str | None:
                 rc.get("problem", "n_rho"),
                 rc.get("problem", "n_theta"),
             )
-    except ValueError:
+    except (ValueError, MemoryError):
         return None
     h = hashlib.sha256()
     h.update(grid.rho.tobytes())
@@ -305,8 +283,8 @@ def _grid_hash(rc: RunConfig) -> str | None:
     return h.hexdigest()
 
 
-def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec,
-           cfg: ContinuationConfig, log, **measured) -> dict:
+def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log,
+           **measured) -> dict:
     """The estimate battery and the five gates on a solution, the one check of
     solve and verify modes.  Returns the report's estimates, verification
     and warnings keys; ``measured`` joins the verification entry."""
@@ -317,8 +295,8 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec,
     admissible = bool(np.all(state.admissible_mask(spec.k)[grid.interior_mask]))
     nm_slack = solver.newton_inequality_min_slack(state, grid)
     mac1, mac2 = solver.maclaurin_ordering_margins(state, spec.k, grid)
-    s_plus, upper_detail = solver.solve_upper_barrier(spec, state, cfg)
-    s_minus, lower_detail = solver.solve_lower_barrier(spec, state, cfg)
+    s_plus, upper_detail = solver.solve_upper_barrier(spec, state)
+    s_minus, lower_detail = solver.solve_lower_barrier(spec, state)
     if s_plus is None or s_minus is None:
         # a missing barrier fails its gate; the reason goes in the report
         detail = "; ".join(d for d in (upper_detail, lower_detail) if d)
@@ -364,10 +342,10 @@ def _emit(out_dir, state, spec):
 
 
 def _run_solve(rc: RunConfig, log):
-    spec, cfg = build_problem(rc)
+    spec = build_problem(rc)
     log(f"solve: k={spec.k}, grid {spec.grid.n_rho}x{spec.grid.n_theta}, "
         f"rho_max={spec.grid.chart.rho_max}")
-    result = solver.continuation_solve(spec, cfg)
+    result = solver.continuation_solve(spec)
     log(f"continuation status: {result.status}, newton iterations: {result.newton_total}")
     for step in result.steps:
         log(f"  grid {step.grid[0]}x{step.grid[1]} t={step.t:.4f} iters={step.iterations} "
@@ -386,10 +364,10 @@ def _run_solve(rc: RunConfig, log):
     report_obj = {"solve": solve}
     starts = rc.get("run", "uniqueness_starts")
     if starts:
-        probe = solver.uniqueness_probe(spec, cfg, n_starts=starts, seed=rc.seed)
+        probe = solver.uniqueness_probe(spec, n_starts=starts, seed=rc.seed)
         report_obj["uniqueness"] = dataclasses.asdict(probe)
         log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
-    report_obj.update(_check(rc, state, spec, cfg, log))
+    report_obj.update(_check(rc, state, spec, log))
     code = 0 if report_obj["verification"]["passed"] else 3
     return code, result.status, state, spec, report_obj
 
@@ -411,7 +389,7 @@ def _read_u_column(path, grid: Grid) -> np.ndarray:
 def _run_verify(rc: RunConfig, log):
     """Check the field of ``fields_in``; it is the run's input, so the run
     writes no field of its own."""
-    spec, cfg = build_problem(rc)
+    spec = build_problem(rc)
     path = rc.get("run", "fields_in")
     u = _read_u_column(path, spec.grid)
     log(f"verify: {path} against k={spec.k} problem")
@@ -423,11 +401,11 @@ def _run_verify(rc: RunConfig, log):
         report_obj = {"verification": {"passed": False, "error": str(exc)},
                       "warnings": rc.warnings}
     else:
-        tol = solver.resolve_newton_tol(cfg, spec, state)
+        tol = solver.resolve_newton_tol(spec, state)
         rnorm = float(np.max(np.abs(residual)))
         log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
         if rnorm <= tol:
-            report_obj = _check(rc, state, spec, cfg, log, residual_norm=rnorm, tolerance=tol)
+            report_obj = _check(rc, state, spec, log, residual_norm=rnorm, tolerance=tol)
         else:  # also a NaN norm
             report_obj = {"verification": {"passed": False, "residual_norm": rnorm,
                                            "tolerance": tol}, "warnings": rc.warnings}
@@ -453,7 +431,6 @@ def _run_study(rc: RunConfig, log):
         u_expr = Expr(u_star_text, variables=("rho", "theta"))
     except ExpressionError as exc:
         raise ConfigError(f"u_star: {exc}") from None
-    cfg = _continuation_config(rc)
     k = rc.get("problem", "k")
     _check_chart_factors(rc.get("problem", "rho_max"), refine * max(sizes))  # finest grid
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
@@ -464,28 +441,26 @@ def _run_study(rc: RunConfig, log):
             spec, u_star = manufactured_problem(u_expr, grid, k, refine=refine)
         except ValueError as exc:  # u_star not radial, spacelike or admissible
             raise ConfigError(f"u_star: {exc}") from None
-        result = solver.continuation_solve(spec, cfg)
+        result = solver.continuation_solve(spec)
         if not result.converged:
             log(f"grid {size}: solver failed ({result.status})")
             return 2, "failed", None, spec, {"study": rows, "warnings": rc.warnings}
         err = float(np.max(np.abs(result.u - u_star)))
         state = geom.extrinsic_state(result.u, grid)
-        gap = state.spacelike_gap
-        ratio = estimates.curvature_ratio(state)["ratio"]
-        profile = estimates.interior_profile(state, spec.phi_field(), grid)
-        ident = estimates.support_laplace_identity_check(state, grid)
+        report = estimates.build_report(state, spec)
         rows.append(
             {
                 "grid": size,
                 "error_inf": err,
-                "spacelike_gap": gap,
+                "spacelike_gap": report.spacelike_gap,
                 "newton_total": result.newton_total,
-                "curvature_ratio": ratio,
-                "sup_eta_lam1": profile["sup_eta_lam1"],
-                "support_identity_residual": ident,
+                "curvature_ratio": report.curvature_ratio,
+                "sup_eta_lam1": report.interior_profile["sup_eta_lam1"],
+                "support_identity_residual": report.support_identity_residual,
             }
         )
-        log(f"grid {size:4d}: error {err:.4e}, gap {gap:.4f}, iters {result.newton_total}")
+        log(f"grid {size:4d}: error {err:.4e}, gap {report.spacelike_gap:.4f}, "
+            f"iters {result.newton_total}")
     # no order where an error is zero: the grid reproduced u_star exactly
     orders = [
         math.log2(a["error_inf"] / b["error_inf"]) / math.log2(b["grid"] / a["grid"])
@@ -525,6 +500,9 @@ def run(rc: RunConfig) -> int:
         code, status = 2, "non-finite"
     except ConfigError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        code, status = 2, "failed"
+    except MemoryError as exc:  # e.g. a grid past the address space
+        print(f"run failed: out of memory: {exc}", file=sys.stderr)
         code, status = 2, "failed"
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

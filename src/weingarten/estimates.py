@@ -146,8 +146,7 @@ def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid):
     }
 
 
-def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid,
-                                   detail: bool = False):
+def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid):
     """Discrete residual of the Laplace identity of the support quantity,
 
         Lap_g q = sigma_1 + grad^i sigma_1 <X, X_i> + |A|^2 q,
@@ -157,11 +156,11 @@ def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid,
     radial flux through the pole vanishes identically (the area element does),
     so the innermost ring needs no special casing.
 
-    Returns the sup-norm over the interior consistency region (all interior
-    rings except the one touching the Dirichlet ring, whose one-sided
-    boundary stencils leave a lower-order composite truncation there).  With
-    ``detail`` the near-boundary ring value and the residual field are
-    returned as well.
+    Returns a dict: ``core``, the sup-norm over the interior consistency
+    region (all interior rings except the one touching the Dirichlet ring,
+    whose one-sided boundary stencils leave a lower-order composite
+    truncation there), ``near_boundary``, the sup-norm on that ring, and
+    ``field``, the residual field.
     """
     q = -state.theta_support
     sqrt_g = state.u ** 2 * state.v * grid.sinh_rho + np.zeros(grid.shape)
@@ -194,11 +193,8 @@ def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid,
     rhs = s1 + grad_r * (-state.u * state.u_rho) + grad_t * (-state.u * state.u_theta)
     rhs += state.norm_a_sq * q
     resid = lap_q - rhs
-    core = float(np.max(np.abs(resid[: grid.n_rho - 2])))
-    if not detail:
-        return core
     return {
-        "core": core,
+        "core": float(np.max(np.abs(resid[: grid.n_rho - 2]))),
         "near_boundary": float(np.max(np.abs(resid[grid.n_rho - 2]))),
         "field": resid,
     }
@@ -242,7 +238,7 @@ def build_report(state: geom.ExtrinsicState, spec) -> EstimateReport:
     grad_check = gradient_estimate_check(state, phi_field, grid, s2)
     ratio = curvature_ratio(state)
     profile = interior_profile(state, phi_field, grid)
-    identity = support_laplace_identity_check(state, grid, detail=True)
+    identity = support_laplace_identity_check(state, grid)
     return EstimateReport(
         spacelike_gap=gap,
         sup_w=grad_check["sup_w"],

@@ -1,4 +1,4 @@
-"""Problem data: right-hand-side families, boundary data and solver knobs.
+"""Problem data: right-hand-side families, boundary data and the full spec.
 
 The prescribed curvature psi(x, u, support) comes in three families:
 
@@ -31,7 +31,6 @@ __all__ = [
     "PsiSpec",
     "PhiSpec",
     "ProblemSpec",
-    "ContinuationConfig",
     "excerpt",
     "spline_rows",
     "tabulate_sigma_k",
@@ -260,26 +259,6 @@ class ProblemSpec:
         return self.psi.evaluate(
             rho=self.grid.rho_col, theta=self.grid.theta_row, u=u, support=support
         )
-
-
-@dataclasses.dataclass
-class ContinuationConfig:
-    """Knobs of the damped-Newton/continuation driver."""
-
-    dt_init: float = 0.25
-    dt_min: float = 1e-3
-    newton_tol: float | None = None  # None: 1e-10 for constant data, else 1e-8 * sup psi
-    max_newton_iters: int = 30
-
-    def __post_init__(self):
-        if not 0.0 < self.dt_init <= 1.0:
-            raise ValueError("dt_init must lie in (0, 1]")
-        if not 0.0 < self.dt_min <= self.dt_init:
-            raise ValueError("dt_min must lie in (0, dt_init]")
-        if self.newton_tol is not None and not 0.0 < self.newton_tol < math.inf:
-            raise ValueError("newton_tol must be positive and finite")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
 
 
 def spline_rows(y, x0: float, h: float, x) -> np.ndarray:

@@ -72,7 +72,7 @@ import numpy.random  # noqa: F401
 
 from . import geom, hchart, tridiag
 from .hchart import Grid
-from .problem import ContinuationConfig, ProblemSpec, PsiSpec, spline_rows
+from .problem import ProblemSpec, PsiSpec, spline_rows
 
 __all__ = [
     "NewtonReport",
@@ -328,9 +328,10 @@ def linear_solve(J: JacobianOperator, rhs: np.ndarray, grid: Grid) -> np.ndarray
 
 # The line search gives up once the step length falls below this.
 _DAMPING_FLOOR = 2.0 ** -20
-# Newton iterations allowed to the direct attempt at the target problem
-# (capped by the configured max_newton_iters).
+# Newton iterations allowed to the direct attempt at the target problem, and
+# to every other Newton solve.
 _DIRECT_MAX_ITERS = 15
+_MAX_NEWTON_ITERS = 30
 # GMRES stops once its (Givens) residual estimate is this small relative to
 # the right-hand side, or after this many iterations with its last iterate,
 # which the line search then judges like any other step.  The true residual
@@ -359,11 +360,9 @@ class NewtonReport:
         return self.status == "converged"
 
 
-def resolve_newton_tol(cfg: ContinuationConfig, spec: ProblemSpec, state) -> float:
-    """Residual tolerance: the configured value if any, 1e-10 when both psi
-    and phi are constant (exactly solvable data), else 1e-8 * sup |psi|."""
-    if cfg.newton_tol is not None:
-        return cfg.newton_tol
+def resolve_newton_tol(spec: ProblemSpec, state) -> float:
+    """Residual tolerance: 1e-10 when both psi and phi are constant (exactly
+    solvable data), else 1e-8 * sup |psi|."""
     if spec.psi.is_constant and spec.phi.family == "constant":
         return 1e-10
     psi = spec.psi_field(state.u, state.theta_support)
@@ -398,10 +397,8 @@ def _start(u, t: float, spec: ProblemSpec):
     return state, R, reason and f"start rejected: {reason}"
 
 
-def damped_newton(
-    u0, t: float, spec: ProblemSpec, cfg: ContinuationConfig | None = None,
-    max_iters: int | None = None,
-) -> NewtonReport:
+def damped_newton(u0, t: float, spec: ProblemSpec,
+                  max_iters: int = _MAX_NEWTON_ITERS) -> NewtonReport:
     """Damped Newton iteration at fixed homotopy parameter t.
 
     The start and every trial pass one guard (:func:`_start`,
@@ -412,15 +409,12 @@ def damped_newton(
     or inadmissible (a refused start: zero iterations, residual inf, the
     guard's reason in ``detail``).
     """
-    cfg = cfg or ContinuationConfig()
     grid = spec.grid
     u = np.array(u0, dtype=float, copy=True)
-    if max_iters is None:
-        max_iters = cfg.max_newton_iters
     state, R, reason = _start(u, t, spec)
     if reason:
         return NewtonReport(u, "inadmissible", 0, math.inf, reason)
-    tol = resolve_newton_tol(cfg, spec, state)
+    tol = resolve_newton_tol(spec, state)
     rnorm = float(np.max(np.abs(R)))
     iterations = 0
     while rnorm > tol:
@@ -520,6 +514,9 @@ class SolveResult:
 
 # The coarsest level of the grid chain keeps at least this many rings.
 _COARSEST_RINGS = 10
+# The homotopy's first (and largest) step in t, and the step that ends it.
+_DT_INIT = 0.25
+_DT_MIN = 1e-3
 
 
 def _grid_chain(spec: ProblemSpec) -> list:
@@ -560,11 +557,7 @@ def _carry(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return U + _laplace_solve(grid, b)
 
 
-def continuation_solve(
-    spec: ProblemSpec,
-    cfg: ContinuationConfig | None = None,
-    initial_guess=None,
-) -> SolveResult:
+def continuation_solve(spec: ProblemSpec, initial_guess=None) -> SolveResult:
     """Solve the curvature problem coarse to fine.
 
     The homotopy driver (:func:`_homotopy_solve`) runs on every grid of
@@ -574,7 +567,6 @@ def continuation_solve(
     level that does not converge ends the solve with its own status, its
     detail prefixed with its grid.
     """
-    cfg = cfg or ContinuationConfig()
     start = initial_guess or build_initial_guess
     steps, total, result = [], 0, None
     for n_rho, n_theta in _grid_chain(spec):
@@ -583,7 +575,7 @@ def continuation_solve(
         level = spec if (n_rho, n_theta) == spec.grid.shape else dataclasses.replace(
             spec, grid=Grid(spec.grid.chart, n_rho, n_theta))
         u0 = start(level) if result is None else _carry(result.u, level)
-        result = _homotopy_solve(level, cfg, u0)
+        result = _homotopy_solve(level, u0)
         steps += result.steps
         total += result.newton_total
         if not result.converged:
@@ -592,32 +584,30 @@ def continuation_solve(
     return dataclasses.replace(result, steps=steps, newton_total=total)
 
 
-def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResult:
+def _homotopy_solve(spec: ProblemSpec, u0) -> SolveResult:
     """Drive the homotopy parameter from the Laplace problem to the curvature
     problem on ``spec``'s grid, from the start ``u0``.
 
     The target problem (t = 1) is attempted directly first; when that fails
     the driver solves t = 0, then advances t with adaptive halving on Newton
-    failure and doubling (capped at the initial step) on success.  ``u0`` is
-    not modified.
+    failure and doubling (capped at the initial step _DT_INIT) on success,
+    and fails once the step falls below _DT_MIN.  ``u0`` is not modified.
     """
     u0 = np.asarray(u0, dtype=float)
     shape = spec.grid.shape
     steps: list[ContinuationStep] = []
     total = 0
 
-    rep = damped_newton(
-        u0, 1.0, spec, cfg, max_iters=min(_DIRECT_MAX_ITERS, cfg.max_newton_iters)
-    )
+    rep = damped_newton(u0, 1.0, spec, max_iters=_DIRECT_MAX_ITERS)
     total += rep.iterations
     if rep.converged:
         steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
         return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
 
     # staged path from the Laplace end
-    rep = damped_newton(u0, 0.0, spec, cfg)
+    rep = damped_newton(u0, 0.0, spec)
     if rep.status == "inadmissible":
-        rep = damped_newton(constant_guess(spec), 0.0, spec, cfg)
+        rep = damped_newton(constant_guess(spec), 0.0, spec)
         if rep.status == "inadmissible":
             return SolveResult(u0, "inadmissible-start", steps, total, math.inf, rep.detail)
     total += rep.iterations
@@ -629,18 +619,18 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
     u = rep.u
     steps.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm, shape))
 
-    t, dt = 0.0, cfg.dt_init
+    t, dt = 0.0, _DT_INIT
     while t < 1.0 - 1e-12:
         t_try = min(1.0, t + dt)
-        rep = damped_newton(u, t_try, spec, cfg)  # a refused start fails like any step
+        rep = damped_newton(u, t_try, spec)  # a refused start fails like any step
         total += rep.iterations
         if rep.converged:
             u, t = rep.u, t_try
             steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm, shape))
-            dt = min(2.0 * dt, cfg.dt_init)
+            dt = min(2.0 * dt, _DT_INIT)
         else:
             dt *= 0.5
-            if dt < cfg.dt_min:
+            if dt < _DT_MIN:
                 return SolveResult(
                     u, "step-floor", steps, total, steps[-1].residual_norm,
                     f"continuation step floor reached at t={t:.6g}",
@@ -651,12 +641,11 @@ def _homotopy_solve(spec: ProblemSpec, cfg: ContinuationConfig, u0) -> SolveResu
 # --- barriers ------------------------------------------------------------------
 
 
-def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, order: int):
+def _barrier_solve(spec: ProblemSpec, state, order: int):
     """Damped Newton on the barrier problem of ``order``, from the solution
     and then from the constant guess.  Returns (field, "") for the first
     start that converges, or (None, reason) when neither does: the barrier
     may not exist as a spacelike graph for the data."""
-    cfg = cfg or ContinuationConfig()
     psi = spec.psi_field(state.u, state.theta_support)
     Cnk = math.comb(spec.n, spec.k)
     if order == 1:
@@ -669,9 +658,8 @@ def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, ord
         psi=PsiSpec(family="tabulated", table=rhs),
         phi=spec.phi,
     )
-    bcfg = dataclasses.replace(cfg, newton_tol=None)
     for start in (state.u, constant_guess(bspec)):
-        rep = damped_newton(start, 1.0, bspec, bcfg)
+        rep = damped_newton(start, 1.0, bspec)
         if rep.converged:
             return rep.u, ""
         last = (rep.detail if rep.status == "inadmissible"
@@ -679,20 +667,18 @@ def _barrier_solve(spec: ProblemSpec, state, cfg: ContinuationConfig | None, ord
     return None, f"barrier problem (order {order}) did not converge: {last}"
 
 
-def solve_upper_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
-                        cfg: ContinuationConfig | None = None):
+def solve_upper_barrier(spec: ProblemSpec, state: geom.ExtrinsicState):
     """Mean-curvature barrier: sigma_1[s] = n (psi / C(n,k))^{1/k} with psi
     frozen on the computed solution ``state``, s = phi on the boundary.
     Returns (s, "") or, when no solve converges, (None, reason)."""
-    return _barrier_solve(spec, state, cfg, order=1)
+    return _barrier_solve(spec, state, order=1)
 
 
-def solve_lower_barrier(spec: ProblemSpec, state: geom.ExtrinsicState,
-                        cfg: ContinuationConfig | None = None):
+def solve_lower_barrier(spec: ProblemSpec, state: geom.ExtrinsicState):
     """Top-order barrier: sigma_n[s] = (psi / C(n,k))^{n/k}, s = phi on the
     boundary, psi frozen on the computed solution ``state``.  Returns (s, "")
     or, when no solve converges, (None, reason)."""
-    return _barrier_solve(spec, state, cfg, order=spec.n)
+    return _barrier_solve(spec, state, order=spec.n)
 
 
 @dataclasses.dataclass
@@ -743,19 +729,14 @@ def _probe_start(c):
     return start
 
 
-def uniqueness_probe(
-    spec: ProblemSpec,
-    cfg: ContinuationConfig | None = None,
-    n_starts: int = 5,
-    seed: int = 0,
-) -> UniquenessReport:
+def uniqueness_probe(spec: ProblemSpec, n_starts: int = 5, seed: int = 0) -> UniquenessReport:
     """Re-run the continuation from seeded perturbed starts and report the
     largest pairwise sup-distance between the solutions found."""
     rng = np.random.default_rng(seed)
     sols, runs = [], []
     for _ in range(n_starts):
         start = _probe_start(rng.normal(0.0, 1.0, size=4))
-        result = continuation_solve(spec, cfg, initial_guess=start)
+        result = continuation_solve(spec, initial_guess=start)
         runs.append(
             {
                 "status": result.status,

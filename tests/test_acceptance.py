@@ -59,7 +59,7 @@ def run_sigma1():
     grid = Grid(PolarChart(rho_max=RHO_MAX), 64, 64)
     spec = constant_problem(grid, 1, 2.0, 1.0)
     t0 = time.perf_counter()
-    result = continuation_solve(spec, None)
+    result = continuation_solve(spec)
     wall = time.perf_counter() - t0
     return spec, result, wall
 
@@ -69,7 +69,7 @@ def run_sigma2():
     grid = Grid(PolarChart(rho_max=RHO_MAX), 64, 64)
     spec = constant_problem(grid, 2, 4.0, 0.5)
     t0 = time.perf_counter()
-    result = continuation_solve(spec, None)
+    result = continuation_solve(spec)
     wall = time.perf_counter() - t0
     return spec, result, wall
 
@@ -79,7 +79,7 @@ def _study(u_expr, sizes=(32, 64, 128)):
     for n in sizes:
         grid = Grid(PolarChart(rho_max=RHO_MAX), n, n)
         spec, u_star = manufactured_problem(u_expr, grid, 2)
-        result = continuation_solve(spec, None)
+        result = continuation_solve(spec)
         assert result.converged, f"manufactured solve failed at {n}"
         state = geom.extrinsic_state(result.u, grid)
         profile = interior_profile(state, spec.phi_field(), grid)
@@ -96,7 +96,7 @@ def _study(u_expr, sizes=(32, 64, 128)):
                 "gap": state.spacelike_gap,
                 "ratio": curvature_ratio(state)["ratio"],
                 "sup_eta_lam1": profile["sup_eta_lam1"],
-                "identity": support_laplace_identity_check(state, grid),
+                "identity": support_laplace_identity_check(state, grid)["core"],
             }
         )
     return rows
@@ -307,7 +307,7 @@ def test_criterion_10_support_identity(run_sigma1, run_sigma2, order_study, cli_
     exact_ok = True
     for spec, result, _ in (run_sigma1, run_sigma2):
         state = geom.extrinsic_state(result.u, spec.grid)
-        out = support_laplace_identity_check(state, spec.grid, detail=True)
+        out = support_laplace_identity_check(state, spec.grid)
         exact_ok &= out["core"] <= 1e-12 and out["near_boundary"] <= 1e-12
     vals = [row["identity"] for row in order_study]
     orders = [math.log2(vals[i] / vals[i + 1]) for i in range(len(vals) - 1)]
@@ -326,7 +326,7 @@ def test_criterion_11_determinism_and_uniqueness(cli_runs, run_sigma2):
         for name in ("fields.csv", "report.json")
     )
     spec, _, _ = run_sigma2
-    probe = uniqueness_probe(spec, None, n_starts=5, seed=0)
+    probe = uniqueness_probe(spec, n_starts=5, seed=0)
     probe_ok = probe.all_converged and probe.max_pairwise_distance <= 1e-8
     check(11, "byte-identical reruns and seeded uniqueness probe",
           same and probe_ok,

@@ -40,6 +40,7 @@ def small(text):
 # inputs that once exited 1, hung or quoted the whole input; each must exit 2, one short line
 STUDY = [("mode = solve", "mode = study")]
 BAD_INPUTS = {
+    # configs for the earlier [continuation] section, now an unknown section
     "dt_init": ([], "[continuation]\ndt_init = 0\n"),
     "max_newton_iters": ([], "[continuation]\nmax_newton_iters = 0\n"),
     "newton_tol_text": ([], "[continuation]\nnewton_tol = abc\n"),
@@ -53,6 +54,8 @@ BAD_INPUTS = {
     "psi_h_deep_200000": ([("psi_h = 2", "psi_h = " + "-" * 200000 + "2")], ""),
     "psi_h_syntax_1000": ([("psi_h = 2", "psi_h = " + "1+" * 500)], ""),
     "n_rho_200000": ([("n_rho = 8", "n_rho = " + "x" * 200000)], ""),
+    # a 711 PiB grid: past any address space, so no allocation is attempted
+    "n_rho_1e17": ([("n_rho = 8", "n_rho = " + str(10 ** 17))], ""),
     "no_equals_200000": ([], "x" * 200000 + "\n"),
     "uniqueness_starts_negative": ([("mode = solve", "mode = solve\nuniqueness_starts = -1")], ""),
     "seed_negative": ([("seed = 0", "seed = -1\nuniqueness_starts = 1")], ""),
@@ -68,6 +71,9 @@ BAD_INPUTS = {
     "u_star_power_tower": (STUDY, "[study]\ngrids = 8\nu_star = 9**9**9\n"),
     "fields_row": ([("mode = solve", "mode = verify\nfields_in = {fields}")], ""),
 }
+# the cases whose config does not read, so they leave no manifest
+UNREAD = {"dt_init", "max_newton_iters", "newton_tol_text", "newton_tol_negative",
+          "study_dt_init", "study_newton_tol_text", "n_rho_200000", "no_equals_200000"}
 # disk radii whose chart factors leave the float range, or whose metric does in Newton
 HYPERPLANE = ("phi_family = constant", "phi_family = hyperplane")
 for radius in ("1e-200", "1e-155", "250", "1e300"):
@@ -141,7 +147,6 @@ class TestParseConfig:
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         rc = parse_config(write_config(tmp_path, block))
         assert rc.get("problem", "k") == 1 and rc.get("problem", "psi_h") == "2"
-        assert rc.raw["continuation"]["newton_tol"] == "auto"
         assert rc.get("run", "uniqueness_starts") == 0
 
     def test_verify_requires_fields(self, tmp_path):
@@ -435,17 +440,22 @@ class TestMain:
         rows[5] = "0.1,0,1,1,1,1,2,1"
         fields.write_text(cli._CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         cfg = write_config(tmp_path, text.replace("{fields}", str(fields)) + tail)
+        manifest = tmp_path / "out" / "manifest.json"
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             # print warnings to stderr as a fresh interpreter does, not to pytest's record
             warnings.simplefilter("default")
             warnings.showwarning = print_warning
-            code = cli.main(["--config", cfg, "--out", str(tmp_path / "out")])
+            code = cli.main(["--config", cfg, "--out", str(manifest.parent)])
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert len(err) <= 300
+        if case in UNREAD:
+            assert not manifest.exists()
+        else:
+            assert json.loads(manifest.read_text())["exit_code"] == 2
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2

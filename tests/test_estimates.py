@@ -91,7 +91,7 @@ class TestInteriorProfile:
             psi=PsiSpec("power", p=2.0, h="1"),
             phi=PhiSpec("hyperplane", c=0.6),
         )
-        res = continuation_solve(spec, None)
+        res = continuation_solve(spec)
         assert res.converged
         st = geom.extrinsic_state(res.u, g)
         prof = interior_profile(st, spec.phi_field(), g)
@@ -116,7 +116,7 @@ class TestSupportIdentity:
         for R in (1.0, 0.5):
             g = disk()
             st = geom.extrinsic_state(np.full(g.shape, R), g)
-            out = support_laplace_identity_check(st, g, detail=True)
+            out = support_laplace_identity_check(st, g)
             assert out["core"] <= 1e-12
             assert out["near_boundary"] <= 1e-12
 
@@ -125,9 +125,9 @@ class TestSupportIdentity:
         for n in (16, 32):
             g = disk(n, n)
             mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
-            res = continuation_solve(mspec, None)
+            res = continuation_solve(mspec)
             st = geom.extrinsic_state(res.u, g)
-            vals.append(support_laplace_identity_check(st, g))
+            vals.append(support_laplace_identity_check(st, g)["core"])
         assert vals[0] / vals[1] > 3.0
 
 
@@ -139,7 +139,7 @@ class TestReport:
             psi=PsiSpec("power", p=0.0, h="2"),
             phi=PhiSpec("constant", c=1.0),
         )
-        res = continuation_solve(spec, None)
+        res = continuation_solve(spec)
         rep = build_report(geom.extrinsic_state(res.u, g), spec)
         assert rep.spacelike_gap == 0.0
         assert rep.gradient_bound_passed

@@ -5,7 +5,6 @@ import pytest
 
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import (
-    ContinuationConfig,
     ExpressionError,
     Expr,
     PhiSpec,
@@ -133,26 +132,6 @@ class TestProblemSpec:
         f = spec.phi_field()
         assert f.shape == g.shape
         assert np.allclose(f[:, 0], 0.6 / np.cosh(g.rho))
-
-
-class TestContinuationConfig:
-    def test_defaults_valid(self):
-        cfg = ContinuationConfig()
-        assert cfg.dt_init == 0.25 and cfg.dt_min == 1e-3
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(dt_init=0.0),
-            dict(dt_init=1.5),
-            dict(dt_min=0.5, dt_init=0.25),
-            dict(newton_tol=-1.0),
-            dict(max_newton_iters=0),
-        ],
-    )
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            ContinuationConfig(**kw)
 
 
 class TestTabulation:

@@ -10,7 +10,7 @@ from oracles import laplace_beltrami, laplace_system, matrix_from_columns
 from weingarten import geom, solver
 from weingarten.geom import extrinsic_state
 from weingarten.hchart import Grid, PolarChart
-from weingarten.problem import ContinuationConfig, PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
+from weingarten.problem import PhiSpec, ProblemSpec, PsiSpec, manufactured_problem
 from weingarten.solver import (
     assemble_jacobian,
     assemble_residual,
@@ -316,13 +316,13 @@ class TestSparseSolve:
 class TestDampedNewton:
     def test_exact_start_zero_iterations(self):
         g = disk()
-        rep = damped_newton(np.ones(g.shape), 1.0, mean_curvature_problem(g), None)
+        rep = damped_newton(np.ones(g.shape), 1.0, mean_curvature_problem(g))
         assert rep.converged and rep.iterations == 0
         assert rep.residual_norm == 0.0
 
     def test_perturbed_hyperboloid(self):
         g = disk(32, 32)
-        rep = damped_newton(np.full(g.shape, 1.02), 1.0, mean_curvature_problem(g), None)
+        rep = damped_newton(np.full(g.shape, 1.02), 1.0, mean_curvature_problem(g))
         assert rep.converged
         assert rep.iterations <= 5
         assert rep.residual_norm <= 1e-10
@@ -339,7 +339,7 @@ class TestDampedNewton:
         g = disk()
         u = np.ones(g.shape)
         u[5, :] = 1.5
-        rep = damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        rep = damped_newton(u, 1.0, mean_curvature_problem(g))
         self.assert_refused(rep, u, "start rejected: graph not spacelike at node (i=")
 
     def test_inadmissible_start_rejected_for_positive_t(self):
@@ -350,17 +350,17 @@ class TestDampedNewton:
         assert st.spacelike_gap < 1.0
         bad = ~st.admissible_mask(1) & g.interior_mask
         assert np.any(bad)
-        rep = damped_newton(u, 1.0, mean_curvature_problem(g), None)
+        rep = damped_newton(u, 1.0, mean_curvature_problem(g))
         node = g.node_label(int(np.argmax(bad)))
         self.assert_refused(rep, u, f"start rejected: not 1-admissible at {node}")
         # at t = 0 no cone test runs: the same start is accepted
-        assert damped_newton(u, 0.0, mean_curvature_problem(g), None).converged
+        assert damped_newton(u, 0.0, mean_curvature_problem(g)).converged
 
     def test_nonpositive_psi_start_rejected(self):
         # psi = 2 - 4 rho turns negative past rho = 0.5 on the 0.8 disk
         g = disk()
         u = np.ones(g.shape)
-        rep = damped_newton(u, 0.0, mean_curvature_problem(g, psi="2 - 4*rho"), None)
+        rep = damped_newton(u, 0.0, mean_curvature_problem(g, psi="2 - 4*rho"))
         self.assert_refused(rep, u, "start rejected: psi must stay finite and strictly positive")
 
     def test_t0_problem_is_linear_single_step(self):
@@ -369,7 +369,7 @@ class TestDampedNewton:
         g = disk()
         spec = ProblemSpec(grid=g, k=1, psi=PsiSpec("power", p=0.0, h="0.3"),
                            phi=PhiSpec("constant", c=1.0))
-        rep = damped_newton(np.ones(g.shape), 0.0, spec, None)
+        rep = damped_newton(np.ones(g.shape), 0.0, spec)
         assert rep.converged and rep.iterations == 1
         lap = laplace_beltrami(rep.u, g)
         assert np.max(np.abs(lap[g.interior_mask] - 0.3)) < 1e-10
@@ -378,7 +378,7 @@ class TestDampedNewton:
     def test_accepted_solutions_stay_admissible(self):
         g = disk()
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
-        rep = damped_newton(constant_guess(mspec), 1.0, mspec, None)
+        rep = damped_newton(constant_guess(mspec), 1.0, mspec)
         assert rep.converged
         st = geom.extrinsic_state(rep.u, g)
         assert np.all(st.admissible_mask(2)[g.interior_mask])
@@ -413,14 +413,14 @@ class TestInitialGuess:
 class TestContinuation:
     def test_mean_curvature_hyperboloid(self):
         g = disk(32, 32)
-        res = continuation_solve(mean_curvature_problem(g), None)
+        res = continuation_solve(mean_curvature_problem(g))
         assert res.converged
         assert np.max(np.abs(res.u - 1.0)) <= 1e-9
         assert res.newton_total <= 6
 
     def test_gauss_curvature_hyperboloid(self):
         g = disk(32, 32)
-        res = continuation_solve(gauss_curvature_problem(g), None)
+        res = continuation_solve(gauss_curvature_problem(g))
         assert res.converged
         assert np.max(np.abs(res.u - 0.5)) <= 1e-9
         assert res.newton_total <= 6
@@ -430,7 +430,7 @@ class TestContinuation:
         for n in (16, 32):
             g = disk(n, n)
             mspec, u_star = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
-            res = continuation_solve(mspec, None)
+            res = continuation_solve(mspec)
             assert res.converged
             errs.append(np.max(np.abs(res.u - u_star)))
         assert errs[0] / errs[1] > 3.4
@@ -442,15 +442,15 @@ class TestContinuation:
         # it pulls the graph nonpositive, hence the k=1 problem here.)
         real_newton = solver.damped_newton
 
-        def no_direct_attempt(u0, t, level, cfg=None, max_iters=None):
-            rep = real_newton(u0, t, level, cfg, max_iters)
-            if max_iters is not None:  # only the direct attempt caps its iterations
+        def no_direct_attempt(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
+            rep = real_newton(u0, t, level, max_iters)
+            if max_iters == solver._DIRECT_MAX_ITERS:
                 rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             return rep
 
         monkeypatch.setattr(solver, "damped_newton", no_direct_attempt)
         g = disk()
-        res = continuation_solve(mean_curvature_problem(g), None)
+        res = continuation_solve(mean_curvature_problem(g))
         assert res.converged
         grids = [s.grid for s in res.steps]
         assert grids == sorted(grids) and set(grids) == {(12, 12), (24, 24)}
@@ -463,16 +463,16 @@ class TestContinuation:
     @pytest.mark.parametrize("failure", ["stalled", "inadmissible"])
     def test_step_floor(self, monkeypatch, failure):
         # every step past t = 0 fails, as a stalled Newton or as a start the
-        # guard rejects: dt halves from dt_init below dt_min and the first
+        # guard rejects: dt halves from _DT_INIT below _DT_MIN and the first
         # level ends at the step floor with its t = 0 step alone
         real_newton = solver.damped_newton
         iterations, tried = [], []
 
-        def fail_past_t0(u0, t, level, cfg=None, max_iters=None):
+        def fail_past_t0(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
             if 0.0 < t < 1.0:
                 tried.append(t)
             if t == 0.0:
-                rep = real_newton(u0, t, level, cfg, max_iters)
+                rep = real_newton(u0, t, level, max_iters)
             elif failure == "inadmissible" and t < 1.0:
                 rep = solver.NewtonReport(u0, "inadmissible", 0, np.inf, "start rejected")
             else:  # the stall also fails the direct attempt at t = 1
@@ -481,11 +481,11 @@ class TestContinuation:
             return rep
 
         monkeypatch.setattr(solver, "damped_newton", fail_past_t0)
-        res = continuation_solve(mean_curvature_problem(disk()), None)
+        res = continuation_solve(mean_curvature_problem(disk()))
         assert res.status == "step-floor"
         assert res.detail.endswith("continuation step floor reached at t=0")
         assert [(s.t, s.grid) for s in res.steps] == [(0.0, (12, 12))]
-        assert tried == [0.25 / 2 ** i for i in range(8)]  # dt_init 0.25, dt_min 1e-3
+        assert tried == [0.25 / 2 ** i for i in range(8)]  # _DT_INIT 0.25, _DT_MIN 1e-3
         assert res.newton_total == sum(iterations)
 
     def test_inadmissible_start(self):
@@ -494,7 +494,7 @@ class TestContinuation:
         spec = ProblemSpec(grid=disk(24, 24, rho_max=3.0), k=2,
                            psi=PsiSpec("power", p=2.0, h="4*(1-0.4*rho)"),
                            phi=PhiSpec("constant", c=1.0))
-        res = continuation_solve(spec, None)
+        res = continuation_solve(spec)
         assert res.status == "inadmissible-start" and not res.converged
         assert res.newton_total == 0 and res.steps == []
         assert res.detail == ("grid 12x12: start rejected: "
@@ -502,7 +502,7 @@ class TestContinuation:
 
     def test_trace_records_stages(self):
         g = disk()
-        res = continuation_solve(mean_curvature_problem(g), None)
+        res = continuation_solve(mean_curvature_problem(g))
         assert res.steps[-1].t == 1.0
         assert res.residual_norm <= 1e-10
 
@@ -512,10 +512,10 @@ def hyperplane_problem(n, k, p, h, rho_max=0.8):
                        phi=PhiSpec("hyperplane", c=1.0))
 
 
-def single_level(spec, cfg=None):
+def single_level(spec):
     """The homotopy driver on the spec's own grid, as continuation_solve ran
     it before the coarse-to-fine chain."""
-    return solver._homotopy_solve(spec, cfg or ContinuationConfig(), build_initial_guess(spec))
+    return solver._homotopy_solve(spec, build_initial_guess(spec))
 
 
 class TestCoarseToFine:
@@ -536,7 +536,7 @@ class TestCoarseToFine:
         g = disk(32, 32)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         assert solver._grid_chain(mspec) == [(32, 32)]
-        res = continuation_solve(mspec, None)
+        res = continuation_solve(mspec)
         assert res.converged
         assert {s.grid for s in res.steps} == {(32, 32)}
 
@@ -574,7 +574,7 @@ class TestCoarseToFine:
         # level fails its direct attempt and steps t = 0..1; 24^2 and 48^2
         # converge in their direct attempts
         spec = hyperplane_problem(48, 2, 2, "1", rho_max=3.0)
-        chain, ref = continuation_solve(spec, None), single_level(spec)
+        chain, ref = continuation_solve(spec), single_level(spec)
         assert chain.converged and ref.converged
         assert [s.grid for s in chain.steps[-2:]] == [(24, 24), (48, 48)]
         assert all(s.grid == (12, 12) for s in chain.steps[:-2])
@@ -590,12 +590,11 @@ class TestCoarseToFine:
         # both converge directly, each only to the tolerance, so they agree to
         # about the tolerance and not to round-off
         spec = hyperplane_problem(96, k, p, h)
-        chain, ref = continuation_solve(spec, None), single_level(spec)
+        chain, ref = continuation_solve(spec), single_level(spec)
         assert [s.grid for s in chain.steps] == [(12, 12), (24, 24), (48, 48), (96, 96)]
         for res in (chain, ref):
             assert res.converged
-            tol = solver.resolve_newton_tol(ContinuationConfig(), spec,
-                                            extrinsic_state(res.u, spec.grid))
+            tol = solver.resolve_newton_tol(spec, extrinsic_state(res.u, spec.grid))
             assert res.residual_norm <= tol
         assert np.max(np.abs(chain.u - ref.u)) <= 1e-9 * np.max(np.abs(ref.u))
 
@@ -604,15 +603,15 @@ class TestCoarseToFine:
         real_newton = solver.damped_newton
         calls = []  # (grid shape, iterations) of every damped_newton report
 
-        def stall_on_the_target(u0, t, level, cfg=None, max_iters=None):
-            rep = real_newton(u0, t, level, cfg, max_iters)
+        def stall_on_the_target(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
+            rep = real_newton(u0, t, level, max_iters)
             if level.grid is spec.grid:
                 rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             calls.append((level.grid.shape, rep.iterations))
             return rep
 
         monkeypatch.setattr(solver, "damped_newton", stall_on_the_target)
-        res = continuation_solve(spec, None)
+        res = continuation_solve(spec)
         assert not res.converged
         assert res.detail.startswith("grid 24x24: ")
         assert res.u.shape == (24, 24)
@@ -624,7 +623,7 @@ class TestCoarseToFine:
         # the converged 12^2 field, carried up, is not 2-admissible on 24^2:
         # that level steps t = 0..1 from the carried start instead
         spec = hyperplane_problem(24, 2, 2, "4*(1+0.3*cos(3*theta)*rho)", rho_max=2.4)
-        chain, ref = continuation_solve(spec, None), single_level(spec)
+        chain, ref = continuation_solve(spec), single_level(spec)
         assert chain.converged and ref.converged
         ts = [s.t for s in chain.steps if s.grid == (24, 24)]
         assert ts[0] == 0.0 and ts[-1] == 1.0
@@ -658,7 +657,7 @@ class TestBarriers:
     def test_tight_on_exact_solutions(self):
         g = disk()
         for spec, c in [(mean_curvature_problem(g), 1.0), (gauss_curvature_problem(g), 0.5)]:
-            res = continuation_solve(spec, None)
+            res = continuation_solve(spec)
             state = extrinsic_state(res.u, g)
             s_plus, _ = solve_upper_barrier(spec, state)
             s_minus, _ = solve_lower_barrier(spec, state)
@@ -670,7 +669,7 @@ class TestBarriers:
     def test_manufactured_sandwich(self):
         g = disk(32, 32)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
-        res = continuation_solve(mspec, None)
+        res = continuation_solve(mspec)
         state = extrinsic_state(res.u, g)
         s_plus, _ = solve_upper_barrier(mspec, state)
         s_minus, _ = solve_lower_barrier(mspec, state)
@@ -682,7 +681,7 @@ class TestBarriers:
     def test_corrupted_solution_fails_sandwich(self):
         g = disk()
         spec = gauss_curvature_problem(g)
-        res = continuation_solve(spec, None)
+        res = continuation_solve(spec)
         state = extrinsic_state(res.u, g)
         s_plus, _ = solve_upper_barrier(spec, state)
         s_minus, _ = solve_lower_barrier(spec, state)
@@ -694,15 +693,15 @@ class TestBarriers:
 class TestUniqueness:
     def test_probe_returns_single_root(self):
         g = disk()
-        report = uniqueness_probe(gauss_curvature_problem(g), None, n_starts=3, seed=1)
+        report = uniqueness_probe(gauss_curvature_problem(g), n_starts=3, seed=1)
         assert report.all_converged
         assert report.max_pairwise_distance <= 1e-8
 
     def test_probe_is_seed_deterministic(self):
         g = disk(16, 16)
         spec = gauss_curvature_problem(g)
-        a = uniqueness_probe(spec, None, n_starts=2, seed=7)
-        b = uniqueness_probe(spec, None, n_starts=2, seed=7)
+        a = uniqueness_probe(spec, n_starts=2, seed=7)
+        b = uniqueness_probe(spec, n_starts=2, seed=7)
         assert a.max_pairwise_distance == b.max_pairwise_distance
 
 
@@ -710,7 +709,7 @@ class TestPointwiseInequalities:
     def test_maclaurin_ordering_on_solutions(self):
         g = disk()
         for spec in (mean_curvature_problem(g), gauss_curvature_problem(g)):
-            res = continuation_solve(spec, None)
+            res = continuation_solve(spec)
             st = geom.extrinsic_state(res.u, g)
             m1, m2 = maclaurin_ordering_margins(st, spec.k, g)
             assert m1 >= -1e-10
