@@ -40,29 +40,35 @@ array stencils of :mod:`hchart` (the same functions that build the state) to
 the direction field and weights the results node by node, and boundary rows
 are identity rows.
 
-No linear solve factors a sparse matrix.  The t = 0 operator L (Laplace-
-Beltrami rows inside, identity rows on the boundary ring) is invariant under
-rotation, so a real FFT in theta splits it into n_theta/2 + 1 tridiagonal
-radial systems, one per Fourier mode m; the across-pole ghost couples mode m
-of ring 0 to itself with the sign (-1)^m.  The systems are real, so the real
-and imaginary parts of each mode's coefficients are two right-hand sides of
-one matrix, and :class:`tridiag.CyclicReduction` solves all of them at once
-by cyclic reduction over the rings, its per-level coefficients computed once
-per grid: the exact harmonic extension.  A Newton correction J x = b (staged
-steps, the direct attempt and the barrier solves alike) is solved by GMRES on
-the rows divided by their diagonal, right-preconditioned by
-y -> L^{-1}(diag(L) y): both operators then have a unit diagonal, and their
-product is close to the identity wherever J is close to a row-scaled L.
-GMRES is written here with numpy reductions for every inner product and norm,
-not BLAS calls, and the cyclic reduction is elementwise numpy arithmetic, so
-results do not depend on BLAS thread counts.
+No linear solve factors a sparse matrix.  An operator w0 x + w1 x_rho +
+w3 H_rr + w5 H_tt whose coefficients are constant on each ring is invariant
+under rotation, so a real FFT in theta splits it into n_theta/2 + 1
+tridiagonal radial systems, one per Fourier mode m; the across-pole ghost
+couples mode m of ring 0 to itself with the sign (-1)^m.  The systems are
+real, so the real and imaginary parts of each mode's coefficients are two
+right-hand sides of one matrix, and :class:`tridiag.CyclicReduction` solves
+all of them at once by cyclic reduction over the rings.  The t = 0 operator
+L (Laplace-Beltrami rows inside, identity rows on the boundary ring) is such
+an operator, with w = (0, 0, 1, 1/sinh^2 rho): its solve is the exact
+harmonic extension.  A Newton correction J x = b (staged steps, the direct
+attempt and the barrier solves alike) is solved by GMRES on the rows divided
+by their diagonal, right-preconditioned by y -> P^{-1}(diag(P) y) with P the
+Jacobian's ring-mean operator: the theta-means of J's weights w0, w1, w3 and
+w5 on each ring, built afresh for every correction.  Both operators then
+have a unit diagonal, and their product is close to the identity wherever J
+varies little along the rings; on a theta-independent state P is J, and
+GMRES stops after one iteration.  J's u_theta and H_rt weights would couple
+the real and imaginary parts of the modes, so P leaves them out; they vanish
+on a theta-independent state.  GMRES is written here with numpy reductions
+for every inner product and norm, not BLAS calls, and the cyclic reduction
+is elementwise numpy arithmetic, so results do not depend on BLAS thread
+counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 
 import numpy as np
 # numpy loads these on first use; loading them with the package keeps that
@@ -202,20 +208,16 @@ def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -
 # --- linear solves --------------------------------------------------------------
 
 
-# Laplace factors per grid: an entry lives as long as its grid, so a finished
-# run keeps none.  The plan reduces in its own buffer, so one grid serves one
-# Laplace solve at a time (a run owns its grids).
-_LAPLACE_CACHE: weakref.WeakKeyDictionary[Grid, tuple] = weakref.WeakKeyDictionary()
+def _ring_factors(grid: Grid, w0, w1, w3, w5):
+    """The cyclic-reduction plan of the per-mode radial systems of the
+    operator w0 x + w1 x_rho + w3 H_rr + w5 H_tt (H the covariant Hessian of
+    x) with coefficients constant on each ring: w5 is a column of ring
+    values, and w0, w1 and w3 are columns or scalars.
 
+    Interior ring i of Fourier mode m reads, from hchart's stencils,
 
-def _laplace_factors(grid: Grid):
-    """The cyclic-reduction plan of the t = 0 operator's per-mode radial
-    systems, with the physical stencil rows' diagonal; cached per grid.
-
-    Interior ring i of mode m reads, from hchart's stencils,
-
-        (1/h^2 - coth rho_i/(2h)) x_{i-1} + (-2/h^2 + mu_m/sinh^2 rho_i) x_i
-            + (1/h^2 + coth rho_i/(2h)) x_{i+1},   mu_m = -4 sin^2(m dtheta/2)/dtheta^2,
+        (w3/h^2 - c_i) x_{i-1} + (w0 - 2 w3/h^2 + w5 mu_m) x_i + (w3/h^2 + c_i) x_{i+1},
+        c_i = (w1 + w5 sinh rho_i cosh rho_i)/(2h),  mu_m = -4 sin^2(m dtheta/2)/dtheta^2,
 
     ring 0's ghost x_{-1} = (-1)^m x_0 is folded into its diagonal, and the
     boundary ring is an identity row.  The matrices are real, so the real and
@@ -225,36 +227,37 @@ def _laplace_factors(grid: Grid):
     over the rings for those n_theta + 2 columns, and diag[i] the diagonal of
     the stencil rows of ring i, as a column.
     """
-    factors = _LAPLACE_CACHE.get(grid)
-    if factors is not None:
-        return factors
     h, dth = grid.d_rho, grid.d_theta
-    coth = grid.coth_rho[:, :1]
-    inv_s2 = 1.0 / grid.sinh_rho[:, 0] ** 2
     m = np.arange(grid.n_theta // 2 + 1)
     mu = -4.0 * np.sin(0.5 * m * dth) ** 2 / dth ** 2
-    lower = 1.0 / h ** 2 - coth / (2.0 * h)
-    upper = 1.0 / h ** 2 + coth / (2.0 * h)
-    main = -2.0 / h ** 2 + inv_s2[:, None] * mu[None, :]
+    drift = (w1 + w5 * grid.sinh_rho * grid.cosh_rho) / (2.0 * h)
+    lower = w3 / h ** 2 - drift
+    upper = w3 / h ** 2 + drift
+    main = (w0 - 2.0 * w3 / h ** 2) + w5 * mu
     main[0] += np.where(m % 2 == 0, 1.0, -1.0) * lower[0]
     lower[-1], upper[-1] = 0.0, 0.0
     main[-1] = 1.0
-    diag = -2.0 / h ** 2 - 2.0 * inv_s2 / dth ** 2
+    diag = w0 - 2.0 * w3 / h ** 2 - 2.0 * w5 / dth ** 2
     diag[-1] = 1.0
     plan = tridiag.CyclicReduction(lower, np.repeat(main, 2, axis=1), upper, 2 * m.size)
-    factors = (plan, diag[:, None])
-    _LAPLACE_CACHE[grid] = factors
-    return factors
+    return plan, diag
+
+
+def _ring_solve(plan: tridiag.CyclicReduction, b: np.ndarray) -> np.ndarray:
+    """Solve P x = b for the operator P of a :func:`_ring_factors` plan (b and
+    x of the grid's shape): real FFT in theta, one cyclic-reduction solve over
+    the rings for all modes at once, inverse FFT."""
+    coeffs = np.fft.rfft(b, axis=1)
+    plan.solve(coeffs.view(np.float64), out=coeffs.view(np.float64))
+    return np.fft.irfft(coeffs, n=b.shape[1], axis=1)
 
 
 def _laplace_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for the t = 0 operator L on ``grid`` (b and x of the
-    grid's shape): real FFT in theta, one cyclic-reduction solve over the
-    rings for all modes at once, inverse FFT."""
-    plan, _ = _laplace_factors(grid)
-    coeffs = np.fft.rfft(b, axis=1)
-    plan.solve(coeffs.view(np.float64), out=coeffs.view(np.float64))
-    return np.fft.irfft(coeffs, n=grid.n_theta, axis=1)
+    """Solve L x = b for the t = 0 operator L on ``grid``: the Laplace-
+    Beltrami rows H_rr + H_tt/sinh^2 rho inside, identity rows on the
+    boundary ring."""
+    plan, _ = _ring_factors(grid, 0.0, 0.0, 1.0, 1.0 / grid.sinh_rho ** 2)
+    return _ring_solve(plan, b)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -312,13 +315,16 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
 def linear_solve(J: JacobianOperator, rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve J x = rhs for a Newton Jacobian on ``grid``: GMRES on the rows of
     J divided by their diagonal (a zero diagonal counts as 1), right-
-    preconditioned by y -> L^{-1}(diag(L) y) with L the t = 0 operator."""
-    diag_l = _laplace_factors(grid)[1]
+    preconditioned by y -> P^{-1}(diag(P) y) with P J's ring-mean operator,
+    built from the theta-means of the weights w0, w1, w3 and w5 (w2 and w4
+    are left out; on a theta-independent state they vanish and P is J)."""
+    plan, diag_p = _ring_factors(
+        grid, *(np.mean(J.weights[m], axis=1, keepdims=True) for m in (0, 1, 3, 5)))
     d = J.diagonal()
     d[d == 0.0] = 1.0
 
     def precondition(y):
-        return _laplace_solve(grid, diag_l * y.reshape(grid.shape)).ravel()
+        return _ring_solve(plan, diag_p * y.reshape(grid.shape)).ravel()
 
     return precondition(_gmres(lambda y: (J @ precondition(y)) / d, rhs / d))
 
@@ -570,8 +576,7 @@ def continuation_solve(spec: ProblemSpec, initial_guess=None) -> SolveResult:
     start = initial_guess or build_initial_guess
     steps, total, result = [], 0, None
     for n_rho, n_theta in _grid_chain(spec):
-        # rebinding level drops the coarser grid and its cached Laplace
-        # factors before the finer solve
+        # rebinding level drops the coarser grid before the finer solve
         level = spec if (n_rho, n_theta) == spec.grid.shape else dataclasses.replace(
             spec, grid=Grid(spec.grid.chart, n_rho, n_theta))
         u0 = start(level) if result is None else _carry(result.u, level)

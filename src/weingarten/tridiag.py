@@ -21,8 +21,11 @@ called.
 
 The elimination pivots on the diagonal without row exchanges, as Gaussian
 elimination without pivoting on a reordered system does: it is stable for
-diagonally dominant systems, which both callers build (the radial Laplace
-systems of :mod:`solver` and the [1, 4, 1] spline system of :mod:`problem`).
+diagonally dominant systems, such as the [1, 4, 1] spline system of
+:mod:`problem` and the radial Laplace systems of :mod:`solver`.  The
+ring-mean systems that precondition :mod:`solver`'s Newton corrections lose
+dominance in their low modes where the Jacobian's u weight is positive; the
+tests pin their accuracy against a partial-pivoting solve.
 """
 
 from __future__ import annotations

@@ -130,7 +130,8 @@ def laplace_system(grid) -> sp.csc_matrix:
 def thomas_laplace_solve(grid, b):
     """Solve the t = 0 system L x = b: real FFT in theta, then one Thomas
     sweep over the rings for all n_theta/2 + 1 radial systems at once (the
-    rows of ``solver._laplace_factors``), inverse FFT."""
+    rows that ``solver._ring_factors`` builds for the Laplace-Beltrami
+    weights), inverse FFT."""
     h, dth = grid.d_rho, grid.d_theta
     coth = grid.coth_rho[:, 0]
     inv_s2 = 1.0 / grid.sinh_rho[:, 0] ** 2
@@ -171,8 +172,15 @@ def jacobian(state, t, spec) -> sp.csr_matrix:
         pert = list(slots)
         pert[m] = pert[m] + 1j * solver._CS_EPS
         val = solver._local_residual(t, spec, *pert)
-        w = np.imag(val) / solver._CS_EPS
-        weights.append(np.ravel(np.broadcast_to(w, grid.shape)))
+        weights.append(np.imag(val) / solver._CS_EPS)
+    return stencil_operator(grid, weights)
+
+
+def stencil_operator(grid, weights) -> sp.csr_matrix:
+    """sum_m w_m times the stencil matrix of chart slot m (u, u_rho, u_theta,
+    H_rr, H_rt, H_tt) on the interior rows, identity rows on the boundary;
+    each weight broadcasts to the grid's shape."""
+    weights = [np.ravel(np.broadcast_to(w, grid.shape)) for w in weights]
     mats = derivative_matrices(grid)
     ops = [
         sp.identity(grid.n_nodes, format="csr"),

@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -273,7 +270,7 @@ class TestSparseSolve:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_solves_return_fresh_arrays(self):
-        # the cached plan reduces in its own buffer; no result is a view of it
+        # the plan reduces in its own buffer; no result is a view of it
         g = disk(16, 16)
         rng = np.random.default_rng(4)
         b1, b2 = rng.normal(size=(2, *g.shape))
@@ -283,34 +280,68 @@ class TestSparseSolve:
         assert np.array_equal(x1, kept)
         assert not np.shares_memory(x1, x2)
 
-    def test_caches_live_as_long_as_their_grid(self):
-        # a finished run keeps no Laplace factors
-        g = disk(16, 16)
-        spec, u = tilted_gauss_state(g)
+    @staticmethod
+    def count_ring_solves(monkeypatch):
+        calls = []
+        ring_solve = solver._ring_solve
+        monkeypatch.setattr(solver, "_ring_solve",
+                            lambda plan, b: calls.append(1) or ring_solve(plan, b))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+    def test_exact_on_theta_independent_states(self, monkeypatch, k, t):
+        # on a radial state the Jacobian's u_theta and H_rt weights vanish and
+        # the rest are constant on rings, so the ring-mean preconditioner is J
+        # itself: one GMRES iteration (the Laplace preconditioner took 6-7)
+        g = disk(32, 32)
+        rn = g.rho_col / g.chart.rho_max
+        if k == 1:
+            spec, u = mean_curvature_problem(g), (1.0 + 0.05 * rn ** 2) * np.ones(g.shape)
+        else:
+            spec, u = gauss_curvature_problem(g), 0.5 * (1.0 + 0.02 * rn ** 2) * np.ones(g.shape)
         state = extrinsic_state(u, g)
-        solver.linear_solve(assemble_jacobian(state, 1.0, spec), np.ones(g.n_nodes), g)
-        assert g in solver._LAPLACE_CACHE
-        grid = weakref.ref(g)
-        del g, spec, state
-        gc.collect()
-        assert grid() is None
+        b = np.random.default_rng(5).normal(size=g.n_nodes)
+        calls = self.count_ring_solves(monkeypatch)
+        x = solver.linear_solve(assemble_jacobian(state, t, spec), b, g)
+        assert len(calls) <= 2
+        ref = spsolve(oracles.jacobian(state, t, spec).tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_ring_solve_without_diagonal_dominance(self):
+        # at the 40^2 level of the k = 2, rho_max 2.4 benchmark solve, w0 is
+        # positive (up to ~1.1e3) on most rings, so the low modes' rows are not
+        # diagonally dominant and cyclic reduction meets them without row
+        # exchanges; against a partial-pivoting dense solve of the same
+        # ring-mean operator it agrees to ~1e-14 relative
+        spec = hyperplane_problem(40, 2, 2, "1", rho_max=2.4)
+        g = spec.grid
+        result = continuation_solve(spec)
+        assert result.converged
+        J = assemble_jacobian(extrinsic_state(result.u, g), 1.0, spec)
+        w = [np.mean(J.weights[m], axis=1, keepdims=True) for m in range(6)]
+        assert np.count_nonzero(w[0][:-1] > 0.0) >= g.n_rho // 2
+        plan, _ = solver._ring_factors(g, w[0], w[1], w[3], w[5])
+        b = np.random.default_rng(6).normal(size=g.shape)
+        P = oracles.stencil_operator(g, [w[0], w[1], 0.0, w[3], 0.0, w[5]])
+        ref = np.linalg.solve(P.toarray(), b.ravel())
+        x = solver._ring_solve(plan, b).ravel()
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_krylov_iterations_stay_few(self, monkeypatch):
-        # GMRES applies the Laplace preconditioner once per iteration and once
-        # more for the result; on this non-radial 128^2 k = 2 Newton step it
-        # takes 7 iterations at t = 0.6 and at t = 1, bounded here at twice that
+        # GMRES applies the ring-mean preconditioner once per iteration and
+        # once more for the result; on this non-radial 128^2 k = 2 Newton step
+        # it takes 4 iterations at t = 0.6 and at t = 1, bounded here at twice
+        # that
         g = disk(128, 128)
         spec, u = tilted_gauss_state(g)
         state = extrinsic_state(u, g)
-        calls = []
-        laplace_solve = solver._laplace_solve
-        monkeypatch.setattr(solver, "_laplace_solve",
-                            lambda grid, b: calls.append(1) or laplace_solve(grid, b))
+        calls = self.count_ring_solves(monkeypatch)
         for t in (0.6, 1.0):
             calls.clear()
             J = assemble_jacobian(state, t, spec)
             solver.linear_solve(J, -assemble_residual(state, t, spec).ravel(), g)
-            assert len(calls) - 1 <= 14
+            assert len(calls) - 1 <= 8
 
 
 class TestDampedNewton:
