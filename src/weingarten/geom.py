@@ -4,8 +4,9 @@ A positive graph function u on the chart defines the hypersurface swept out
 by u(x) * x, with x on the unit hyperboloid in Minkowski space
 (metric dx_1^2 + ... + dx_n^2 - dx_{n+1}^2).  One node-local kernel,
 :func:`graph_geometry`, holds the formulas for the lapse, the induced metric,
-the second fundamental form and sigma_1, sigma_2; :func:`extrinsic_state`
-guards the field, calls it and packages u with its covariant gradient and
+the second fundamental form and sigma_1, sigma_2, and :func:`_linearisation`
+their partials, which the solver's Jacobian takes; :func:`extrinsic_state`
+guards the field, calls the kernel and packages u with its covariant gradient and
 Hessian, the inverse metric, the principal curvatures, the support function,
 the squared curvature norm and the spacelike gap.  Everything is vectorised over
 (n_rho, n_theta) arrays and works equally on scalars.
@@ -79,8 +80,9 @@ def graph_geometry(u, u_rho, u_theta, H_rr, H_rt, H_tt, sinh_rho):
 
     as (rr, rt, tt) triples, and sigma1, sigma2 the trace and determinant of
     the shape operator from the pencil det(h - lam g).  Plain arithmetic
-    only, so it also takes complex input (the solver differentiates it by
-    complex step); the caller guards u > 0 and |Du|/u < 1.
+    only, so it also takes complex input: the tests' reference Jacobian
+    differentiates it by complex step, the reference for the closed form of
+    :func:`_linearisation`.  The caller guards u > 0 and |Du|/u < 1.
     """
     s2 = sinh_rho ** 2
     v = np.sqrt(1.0 - (u_rho ** 2 + (u_theta / sinh_rho) ** 2) / u ** 2)
@@ -92,6 +94,79 @@ def graph_geometry(u, u_rho, u_theta, H_rr, H_rt, H_tt, sinh_rho):
     )
     a, b, c = _pencil_coefficients(*h, *g)
     return v, g, h, -b / a, c / a
+
+
+def _linearisation(state: ExtrinsicState, k: int, sinh_rho):
+    """Partials of sigma_k and of the support u / v with respect to the chart
+    slots (u, u_rho, u_theta, H_rr, H_rt, H_tt) at every node of ``state``:
+    :func:`graph_geometry`'s formulas differentiated in closed form.
+
+    With s2 = sinh^2 rho, |Du|^2 = u_rho^2 + u_theta^2 / s2 and w = u^2 v^2 =
+    u^2 - |Du|^2, the metric has det g = u^2 s2 w, and the bracket of h is
+    v h = (w sigma + D) / u, where sigma = (1, 0, s2) is the chart's metric
+    and D the bracket's deviation from a constant graph's:
+
+        D = (u H_rr - u_rho^2 + u_theta^2 / s2,  u H_rt - 2 u_rho u_theta,
+             u H_tt - u_theta^2 + s2 u_rho^2),
+
+    whose trace L = D_rr + D_tt / s2 = u (H_rr + H_tt / s2) is u times the
+    Laplacian.  With Q = u_rho^2 D_tt + u_theta^2 D_rr - 2 u_rho u_theta D_rt,
+
+        sigma1 = (u^2 + w) / (u^2 sqrt w) + (L - Q / (u^2 s2)) / w^(3/2)
+        sigma2 = (1 + L / w + det D / (s2 w^2)) / u^2,
+
+    which a constant graph u = c reduces to 2 / c and 1 / c^2.  The u, u_rho
+    and u_theta partials are taken in this form: it has no large terms that
+    cancel, as the chain rule through g, h and v has where the chart factor
+    1 / s2 is large (the pole ring) and the graph is near umbilic.  The
+    Hessian enters D alone, linearly, and its partials are the Newton tensor
+    T_{k-1} in cofactor form, (X_tt, -2 X_rt, X_rr) / (det g v^k) with X = g
+    for k = 1 and X = v h for k = 2.  The support u / v = u^2 / sqrt w has
+    partials (u (w - |Du|^2), u^2 u_rho, u^2 u_theta / s2) / w^(3/2).
+
+    Returns (the six sigma_k partials, the support's partials for u, u_rho
+    and u_theta), each of the state's shape.
+    """
+    u, p, q = state.u, state.u_rho, state.u_theta
+    H_rr, H_rt, H_tt = state.H_rr, state.H_rt, state.H_tt
+    s2 = sinh_rho ** 2
+    grad2 = p * p + q * q / s2
+    w = u * u - grad2
+    D_rr, D_rt, D_tt = u * H_rr - p * p + q * q / s2, u * H_rt - 2.0 * p * q, u * H_tt - q * q + s2 * p * p
+    L = u * (H_rr + H_tt / s2)
+    c = 1.0 / (w * np.sqrt(w))  # w^(-3/2)
+    # the partials of w
+    w_u, w_p, w_q = 2.0 * u, -2.0 * p, -2.0 * q / s2
+    if k == 1:
+        Q = p * p * D_tt + q * q * D_rr - 2.0 * p * q * D_rt
+        A = grad2 / (2.0 * u * u) + 1.5 * (L - Q / (u * u * s2)) / w
+        # the partials of Q / (u^2 s2) times u^2 s2
+        Q_u = p * p * H_tt + q * q * H_rr - 2.0 * p * q * H_rt - 2.0 * Q / u
+        Q_p = 2.0 * (p * (D_tt + s2 * grad2) - q * D_rt)
+        Q_q = 2.0 * (q * (D_rr + grad2) - p * D_rt)
+        del Q
+        u2s2 = u * u * s2
+        first = (c * (L / u - A * w_u - Q_u / u2s2) - 2.0 * np.sqrt(w) / u ** 3,
+                 c * (-A * w_p - Q_p / u2s2),
+                 c * (-A * w_q - Q_q / u2s2))
+        scale = c / (u * s2)
+        hess = ((u * u * s2 - q * q) * scale, 2.0 * p * q * scale, (u * u - p * p) * scale)
+    else:
+        A = (L + 2.0 * (D_rr * D_tt - D_rt ** 2) / (s2 * w)) / w
+        # <D, dD> for the slots u, u_rho and u_theta, where d det D = <D, dD>
+        Y_u = D_rr * H_tt + D_tt * H_rr - 2.0 * D_rt * H_rt
+        Y_p = 2.0 * p * (s2 * D_rr - D_tt) + 4.0 * q * D_rt
+        Y_q = 2.0 * q * (D_tt / s2 - D_rr) + 4.0 * p * D_rt
+        s2w = s2 * w
+        scale = 1.0 / (u * u * w)
+        first = ((L / u - A * w_u + Y_u / s2w) * scale - 2.0 * state.sigma2 / u,
+                 (-A * w_p + Y_p / s2w) * scale,
+                 (-A * w_q + Y_q / s2w) * scale)
+        scale = scale / s2w * u  # 1 / (u s2 w^2)
+        hess = ((w * s2 + D_tt) * scale, -2.0 * D_rt * scale, (w + D_rr) * scale)
+    uc = u * c
+    dsupport = (uc * (w - grad2), uc * u * p, uc * u * q / s2)
+    return first + hess, dsupport
 
 
 def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):

@@ -151,6 +151,11 @@ class Expr:
         return f"Expr({self.text!r})"
 
 
+# Imaginary step of PsiSpec.partials; no subtractive cancellation occurs, so
+# it only needs to avoid underflow in squares.
+_COMPLEX_STEP = 1e-30
+
+
 def _as_expr(h) -> Expr:
     if isinstance(h, Expr):
         return h
@@ -189,8 +194,8 @@ class PsiSpec:
         return self.p == 0.0 and self.h.is_constant
 
     def evaluate(self, rho, theta, u, support, check: bool = True) -> np.ndarray:
-        """Evaluate psi; accepts complex inputs when ``check`` is off (used by
-        the analytic linearisation)."""
+        """Evaluate psi; accepts complex inputs when ``check`` is off (the
+        tests' reference Jacobian differentiates it by complex step)."""
         if self.family == "tabulated":
             vals = self.table + 0.0 * np.asarray(u)
         else:
@@ -206,6 +211,24 @@ class PsiSpec:
             if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
                 raise ValueError("psi must stay finite and strictly positive")
         return vals
+
+    def partials(self, rho, theta, u, support):
+        """(d psi / du at fixed support, d psi / d support), the pair the
+        Jacobian needs.  The support partial is closed form: p psi / support
+        for the power family, p psi for the exponential one.  h's u-partial
+        is one complex-step evaluation of the expression, exact to round-off
+        since it involves no subtraction.  A tabulated psi depends on neither
+        and gives (0, 0)."""
+        if self.family == "tabulated":
+            return 0.0, 0.0
+        hc = self.h(rho=rho, theta=theta, u=u + 1j * _COMPLEX_STEP)
+        hv, h_u = np.real(hc), np.imag(hc) / _COMPLEX_STEP
+        with np.errstate(over="ignore"):  # as in evaluate
+            if self.family == "power":
+                f = support ** self.p
+                return f * h_u, self.p * (f * hv) / support
+            f = np.exp(self.p * support)
+            return f * h_u, self.p * (f * hv)
 
 
 @dataclasses.dataclass

@@ -30,8 +30,10 @@ components), namely geom's kernel :func:`geom.graph_geometry`, psi and the
 one homotopy formula the residual itself is built from.  Both take the
 :class:`geom.ExtrinsicState` of the field, which carries these chart
 quantities.  So dR/du factors into exact per-node partial derivatives
-(obtained by complex-step differentiation of the local map, which is
-machine-accurate) composed with the chart's stencils.  Finite differences of
+composed with the chart's stencils.  The partials are closed forms in the
+state's real arrays (:func:`geom._linearisation`, :meth:`PsiSpec.partials`):
+for the Hessian slots sigma_k's are the Newton tensor T_{k-1} in cofactor
+form, the linearisation the paper's estimates rest on.  Finite differences of
 the residual would not do: the pole ring's metric factor 1/sinh(rho)^2 ~ 1/h^2
 makes its huge entries cancel to O(1) physical couplings, which finite
 differences cannot resolve on fine grids.  GMRES asks the Jacobian only for
@@ -119,8 +121,9 @@ def __getattr__(name):
 
 def _homotopy(t, sig, psi, H_rr, H_tt, sinh_rho):
     """The homotopy family t sigma_k + (1 - t) Lap u - psi, with Lap u the
-    Hessian's trace H_rr + H_tt / sinh(rho)^2; sigma_k - psi at t = 1.  Called
-    on real data by the residual and on complex-step data by the Jacobian."""
+    Hessian's trace H_rr + H_tt / sinh(rho)^2; sigma_k - psi at t = 1.  The
+    residual calls it on the state's values, and the Jacobian, since it is
+    linear in sig, psi, H_rr and H_tt, on their partials for one chart slot."""
     if t == 1.0:
         return sig - psi
     return t * sig + (1.0 - t) * (H_rr + H_tt / sinh_rho ** 2) - psi
@@ -134,25 +137,6 @@ def assemble_residual(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -
     R = _homotopy(t, state.sigma_k(spec.k), psi, state.H_rr, state.H_tt, spec.grid.sinh_rho)
     R[-1, :] = state.u[-1, :] - spec.boundary_values()
     return R
-
-
-# Complex-step size for the node-local partial derivatives; no subtractive
-# cancellation occurs, so it only needs to avoid underflow in squares.
-_CS_EPS = 1e-30
-
-
-def _local_residual(t, spec: ProblemSpec, u, u_r, u_t, H_rr, H_rt, H_tt):
-    """The residual as a node-local (complex-analytic) function of the six
-    chart quantities: :func:`geom.graph_geometry`, psi and :func:`_homotopy`.
-    Used for exact per-node linearisation."""
-    grid = spec.grid
-    v, g, h, sigma1, sigma2 = geom.graph_geometry(
-        u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho
-    )
-    sig = sigma1 if spec.k == 1 else sigma2
-    del g, h, sigma1, sigma2  # free them before psi's temporaries: peak memory at 256^2
-    psi = spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
-    return _homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -191,18 +175,24 @@ class JacobianOperator:
 def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> JacobianOperator:
     """Analytic Jacobian dR/du at the graph of ``state``.
 
-    Per-node partials w_m of the local residual with respect to the state's
-    chart data (u, u_rho, u_theta, H_rr, H_rt, H_tt) are computed by
-    complex-step differentiation (exact to round-off); the returned operator
-    composes them with the chart's stencils."""
-    slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
+    The residual is a node-local function of the state's chart data (u,
+    u_rho, u_theta, H_rr, H_rt, H_tt): sigma_k, psi(rho, theta, u, u / v) and
+    the homotopy formula.  Its per-node partials w_m are written out in closed
+    form: sigma_k's and the support's from :func:`geom._linearisation`, psi's
+    from :meth:`PsiSpec.partials`, and :func:`_homotopy`, linear in sigma_k,
+    psi and the Hessian, applied to them.  The returned operator composes the
+    weights with the chart's stencils."""
+    grid = spec.grid
+    dsig, dsupport = geom._linearisation(state, spec.k, grid.sinh_rho)
+    psi_u, psi_s = spec.psi.partials(grid.rho_col, grid.theta_row, state.u, state.theta_support)
+    dpsi = (psi_u + psi_s * dsupport[0], psi_s * dsupport[1], psi_s * dsupport[2])
+    del dsupport, psi_u, psi_s
     weights = []
-    for m in range(len(slots)):
-        pert = list(slots)
-        pert[m] = pert[m] + 1j * _CS_EPS
-        val = _local_residual(t, spec, *pert)
-        weights.append(np.imag(val) / _CS_EPS)
-    return JacobianOperator(spec.grid, tuple(weights))
+    for m in range(6):
+        # the slot's partials of sigma_k, psi, H_rr and H_tt
+        weights.append(_homotopy(t, dsig[m], dpsi[m] if m < 3 else 0.0,
+                                 float(m == 3), float(m == 5), grid.sinh_rho))
+    return JacobianOperator(grid, tuple(weights))
 
 
 # --- linear solves --------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reference implementations for the tests: a sparse matrix built one unit
 vector at a time, the chart's stencils written out as sparse matrices, the
 Laplace-Beltrami operator from the array stencils, the t = 0 system from the
-stencil matrices and its solve by a Thomas sweep over the rings, the Jacobian
+stencil matrices and its solve by a Thomas sweep over the rings, the
+residual's node-local map with its partials by complex step, the Jacobian
 as a weighted sum of stencil matrices, and the graph's points, tangents and
 unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
 
@@ -10,7 +11,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from weingarten import solver
+from weingarten import geom, solver
 from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
 
 
@@ -161,19 +162,45 @@ def thomas_laplace_solve(grid, b):
     return np.fft.irfft(x, n=grid.n_theta, axis=1)
 
 
+# Complex-step size for the node-local partial derivatives; no subtractive
+# cancellation occurs, so it only needs to avoid underflow in squares.
+CS_EPS = 1e-30
+
+
+def local_residual(t, spec, u, u_r, u_t, H_rr, H_rt, H_tt):
+    """The residual as a node-local (complex-analytic) function of the six
+    chart quantities: ``geom.graph_geometry``, psi and ``solver._homotopy``."""
+    grid = spec.grid
+    v, _, _, sigma1, sigma2 = geom.graph_geometry(u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
+    sig = sigma1 if spec.k == 1 else sigma2
+    psi = spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
+    return solver._homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
+
+
+def jacobian_weights(state, t, spec):
+    """The partials w_0..w_5 of :func:`local_residual` with respect to the
+    chart slots (u, u_rho, u_theta, H_rr, H_rt, H_tt), one complex step per
+    slot, rounded to float64.  The steps run in extended precision
+    (np.clongdouble, a 64-bit significand on x86-64): in double precision the
+    local map's own cancellations leave errors up to 1.2e-13 of a slot's
+    largest weight (the u_theta slot on the pole ring, k = 2, rho_max 2.4),
+    more than the closed-form weights are tested to."""
+    slots = [np.asarray(a, dtype=np.longdouble)
+             for a in (state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt)]
+    step = np.longdouble(CS_EPS)
+    weights = []
+    for m in range(len(slots)):
+        pert = list(slots)
+        pert[m] = pert[m] + np.clongdouble(1j) * step
+        weights.append((np.imag(local_residual(t, spec, *pert)) / step).astype(float))
+    return tuple(weights)
+
+
 def jacobian(state, t, spec) -> sp.csr_matrix:
     """The Jacobian dR/du as the sum of the identity and the stencil matrices,
     each row scaled by the complex-step partial of the local residual with
     respect to its chart slot, with identity rows on the boundary."""
-    grid = spec.grid
-    slots = [state.u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt]
-    weights = []
-    for m in range(len(slots)):
-        pert = list(slots)
-        pert[m] = pert[m] + 1j * solver._CS_EPS
-        val = solver._local_residual(t, spec, *pert)
-        weights.append(np.imag(val) / solver._CS_EPS)
-    return stencil_operator(grid, weights)
+    return stencil_operator(spec.grid, jacobian_weights(state, t, spec))
 
 
 def stencil_operator(grid, weights) -> sp.csr_matrix:

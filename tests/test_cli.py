@@ -538,6 +538,54 @@ class TestMain:
         assert code == "0"
         assert int(after) - int(before) < 512
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_runs_hand_their_memory_back(self, tmp_path):
+        # in a fresh interpreter, a 256^2 verify after its solve left 45 MB
+        # resident when malloc_trim alone released the run's arena: the run's
+        # freed arrays had merged into the arena's top block
+        base = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 256").replace("n_theta = 16", "n_theta = 256")
+                .replace("psi_p = 0", "psi_p = 1").replace("psi_h = 2", "psi_h = 2/u*(1+0.1*rho**2)")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        solve = write_config(tmp_path, base.replace("mode = solve", f"mode = solve\nout_dir = {tmp_path / 's'}"),
+                             "solve.cfg")
+        verify = write_config(tmp_path, base.replace(
+            "mode = solve", f"mode = verify\nout_dir = {tmp_path / 'v'}\n"
+                            f"fields_in = {tmp_path / 's' / 'fields.csv'}"), "verify.cfg")
+        script = (
+            "import sys\n"
+            "from weingarten import cli\n"
+            "def rss_mb():\n"
+            "    with open('/proc/self/statm') as fh:\n"
+            "        return int(fh.read().split()[1]) * 4096 / 1e6\n"
+            "before = rss_mb()\n"
+            "codes = [cli.main(['--config', path]) for path in sys.argv[1:]]\n"
+            "print(*codes, rss_mb() - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, solve, verify], capture_output=True,
+                              text=True, env=env, timeout=120)
+        code_s, code_v, grown = proc.stdout.split()
+        assert (code_s, code_v) == ("0", "0"), proc.stderr
+        assert float(grown) < 10.0  # 2.2 MB with the arena's top trimmed
+
+    def test_fields_csv_has_the_bytes_of_savetxt(self, tmp_path):
+        # more rows than one formatting block, and a non-radial field
+        from weingarten.geom import extrinsic_state
+        from weingarten.hchart import Grid, PolarChart
+        from weingarten.problem import PhiSpec, ProblemSpec, PsiSpec
+
+        g = Grid(PolarChart(0.8), 72, 64)
+        spec = ProblemSpec(grid=g, k=2, psi=PsiSpec("power", p=2.0, h="4*(1+0.2*rho*sin(theta))"),
+                           phi=PhiSpec("hyperplane", c=1.0))
+        rn = g.rho_col / 0.8
+        state = extrinsic_state(0.5 * (1.0 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn), g)
+        table = cli._field_table(state, spec)
+        assert table.shape[0] > cli._CSV_BLOCK_ROWS
+        ref = tmp_path / "savetxt.csv"
+        np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=cli._CSV_HEADER, comments="")
+        cli._emit(str(tmp_path), state, spec)
+        assert (tmp_path / "fields.csv").read_bytes() == ref.read_bytes()
+
     def test_nonfinite_guard(self):
         from weingarten.cli import _check_finite
         from weingarten.hchart import Grid, PolarChart

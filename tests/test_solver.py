@@ -93,7 +93,7 @@ class TestResidual:
         inner = g.interior_mask
         for t in (1.0, 0.3):
             R = assemble_residual(state, t, spec)
-            assert np.all(R[inner] == solver._local_residual(t, spec, *chart_data)[inner])
+            assert np.all(R[inner] == oracles.local_residual(t, spec, *chart_data)[inner])
 
 
 SOLVE_SHAPES = [(4, 4), (5, 6), (4, 8), (48, 16), (16, 48), (33, 34), (128, 128)]
@@ -108,9 +108,9 @@ def tilted_gauss_state(g):
 
 
 def assert_matches_the_stencil_matrix_sum(g, ts):
-    # products agree with the weighted sum of the oracle's stencil matrices
-    # to round-off (the terms are added in another order), and the
-    # diagonal, whose terms are added in the same order, bit for bit
+    # products and the diagonal agree with the weighted sum of the oracle's
+    # stencil matrices to round-off: the terms are added in another order,
+    # and the weights are closed forms where the oracle's are complex steps
     spec, u = tilted_gauss_state(g)
     state = extrinsic_state(u, g)
     x = np.random.default_rng(2).normal(size=g.n_nodes)
@@ -118,10 +118,57 @@ def assert_matches_the_stencil_matrix_sum(g, ts):
         J, ref = assemble_jacobian(state, t, spec), oracles.jacobian(state, t, spec)
         Jx, ref_x = J @ x, ref @ x
         assert np.max(np.abs(Jx - ref_x)) <= 1e-13 * np.max(np.abs(ref_x))
-        assert np.array_equal(J.diagonal(), ref.diagonal())
+        d, ref_d = J.diagonal(), ref.diagonal()
+        assert np.max(np.abs(d - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+
+
+WEIGHT_PSIS = {
+    "power-0": PsiSpec("power", p=0.0, h="2/u*(1+0.1*rho*cos(theta))"),
+    "power-1": PsiSpec("power", p=1.0, h="2/u*(1+0.1*rho**2)"),
+    "power-2": PsiSpec("power", p=2.0, h="4*(1+0.2*rho*sin(theta))*u**2"),
+    "exponential": PsiSpec("exponential", p=0.5, h="u*(1+0.1*rho)"),
+    "tabulated": None,  # random node values, made per grid
+}
 
 
 class TestJacobian:
+    @pytest.mark.parametrize("shape, psi", [(s, p) for s in [(4, 4), (5, 6), (33, 34)]
+                                            for p in WEIGHT_PSIS] + [((128, 128), "exponential")])
+    def test_weights_match_the_complex_step_oracle(self, shape, psi):
+        # the closed-form weights against the oracle's extended-precision
+        # complex steps, per slot relative to the slot's largest interior
+        # weight (measured worst 1.1e-14: k = 2, rho_max 2.4, the u_theta slot
+        # at the pole); on radial states the u_theta and H_rt slots vanish.
+        # The u slot is measured against |psi| / u where that is larger: at
+        # t = 0 it is -dpsi/du alone, and for "power-1" (psi = 2 (1 + 0.1
+        # rho^2) / v) the two terms of psi's product rule, each ~psi / u,
+        # cancel to 1e-3..1e-4 of that; there the weights, like double-precision
+        # complex steps, keep up to 1.7e-12 of the slot (under 1e-15 of psi / u)
+        for rho_max in (0.8, 2.4):
+            g = disk(*shape, rho_max)
+            rn = g.rho_col / rho_max
+            inner = g.interior_mask
+            spec_psi = WEIGHT_PSIS[psi] or PsiSpec(
+                "tabulated", table=1.0 + 0.1 * np.random.default_rng(7).random(g.shape))
+            for k, c in ((1, 1.0), (2, 0.5)):
+                spec = ProblemSpec(grid=g, k=k, psi=spec_psi, phi=PhiSpec("constant", c=c))
+                for tilt in (0.0, 0.01):
+                    u = c * (1.0 + 0.02 * rn ** 2 + tilt * np.cos(g.theta_row) * rn) + np.zeros(g.shape)
+                    state = extrinsic_state(u, g)
+                    psi_u = np.max(np.abs(spec.psi_field(u, state.theta_support) / u)[inner])
+                    for t in (0.0, 0.6, 1.0):
+                        weights = assemble_jacobian(state, t, spec).weights
+                        ref = oracles.jacobian_weights(state, t, spec)
+                        for m, (w, r) in enumerate(zip(weights, ref)):
+                            if tilt == 0.0 and m in (2, 4):
+                                assert np.all(w[inner] == 0.0)
+                                continue
+                            scale = np.max(np.abs(r[inner]))
+                            if m == 0 and spec_psi.family != "tabulated":
+                                scale = max(scale, psi_u)
+                            err = np.max(np.abs(w[inner] - r[inner]))
+                            assert err <= 1e-13 * scale, (k, tilt, t, m, err / scale)
+
     def test_directional_consistency(self):
         # dR in random directions matches J @ w at random admissible states
         g = disk()
