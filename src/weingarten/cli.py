@@ -232,7 +232,7 @@ _CSV_HEADER = "rho,theta,u,v,lambda1,lambda2,sigma_k,theta_support,residual"
 
 def _field_table(state: geom.ExtrinsicState, spec: ProblemSpec):
     grid = spec.grid
-    residual = solver.assemble_residual(state, 1.0, spec)
+    residual = solver.assemble_residual(state, spec)
     rho = grid.rho_col + np.zeros(grid.shape)
     theta = grid.theta_row + np.zeros(grid.shape)
     cols = [rho, theta, state.u, state.v, state.lam1, state.lam2,
@@ -379,6 +379,8 @@ def _run_solve(rc: RunConfig, log):
 
 
 def _read_u_column(path, grid: Grid) -> np.ndarray:
+    """The u column of a fields file as a C-contiguous field of its own, so
+    the nine-column table it was read with is freed on return."""
     n_cols = len(_CSV_HEADER.split(","))
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -389,7 +391,7 @@ def _read_u_column(path, grid: Grid) -> np.ndarray:
             f"fields file {path!r} has {data.shape[0]} rows of {data.shape[1]} columns, "
             f"expected {grid.n_nodes} of {n_cols}"
         )
-    return data[:, 2].reshape(grid.shape)
+    return data[:, 2].copy().reshape(grid.shape)
 
 
 def _run_verify(rc: RunConfig, log):
@@ -401,7 +403,7 @@ def _run_verify(rc: RunConfig, log):
     log(f"verify: {path} against k={spec.k} problem")
     try:
         state = geom.extrinsic_state(u, spec.grid)
-        residual = solver.assemble_residual(state, 1.0, spec)
+        residual = solver.assemble_residual(state, spec)
     except (geom.NotSpacelikeError, geom.InvalidGraphError, ValueError) as exc:
         log(f"geometry rejected the field: {exc}")
         report_obj = {"verification": {"passed": False, "error": str(exc)},

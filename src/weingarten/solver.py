@@ -1,17 +1,23 @@
 """Discrete solver for the prescribed-curvature Dirichlet problem.
 
-The residual of the homotopy family at parameter t in [0, 1] is
+The residual is
 
-    R_i = t * sigma_k[u](x_i) + (1 - t) * Lap u(x_i) - psi(x_i, u_i, support_i)
+    R_i = sigma_k[u](x_i) - psi(x_i, u_i, support_i)
 
-at interior nodes, with boundary rows enforcing u = phi.  t = 0 is the
-Laplace problem, t = 1 the curvature problem.  Newton's method runs with a
-backtracking line search, and one guard judges its start and every trial: a
-spacelike graph, psi finite and positive, and for t > 0 k-admissible interior
-nodes.  Newton returns every outcome, with status converged, max-iterations,
-stalled or inadmissible (a refused start, the reason in ``detail``).  The
-homotopy driver first tries the target problem directly and falls back to
-adaptive stepping in t.
+at interior nodes, with boundary rows enforcing u = phi.  Newton's method
+runs with a backtracking line search, and one guard judges its start and
+every trial: a spacelike graph, k-admissible interior nodes, and psi finite
+and positive.  Newton returns every outcome, with status converged,
+max-iterations, stalled or inadmissible (a refused start, the reason in
+``detail``).  Each level of the solve first tries the problem directly and
+falls back to continuation in the data, the continuity method of the
+existence proof: from an anchor u_a, the root at t = 0, it solves
+R(u) - (1 - t) R(u_a) = 0 for t stepping adaptively up to 1.  Inside that
+reads sigma_k[u] = t psi + (1 - t) sigma_k[u_a], and on the boundary
+u = t phi + (1 - t) u_a, so every step keeps the equation, its Jacobian and
+its guard.  The anchor is the level's start when the guard accepts it, else
+the constant graph :func:`constant_guess`: u = c is umbilic with curvature
+1/c, so it lies in every cone and only psi can refuse it.
 
 The continuation runs coarse to fine: the homotopy driver runs on each grid
 of a halving chain (both counts halve while n_rho is even, n_theta is
@@ -19,18 +25,18 @@ divisible by 4 and at least 8, and at least 10 rings remain), and each
 level's solution is carried to the next grid as its start.  Discrete
 solutions on successive grids differ by O(h^2), so a carried solution starts
 inside Newton's quadratic basin, and the direct attempt on a finer grid
-needs two or three iterations; a carried start that is not admissible steps
-t on its own level.  A tabulated psi exists on one grid only, so its chain
-has one level.  The first level that fails ends the solve.  Each step of the
-solve records its grid, and the iteration total sums all levels.
+needs two or three iterations; a carried start that fails it steps t on its
+own level.  A tabulated psi exists on one grid only, so its chain has one
+level.  The first level that fails ends the solve.  Each step of the solve
+records its grid, and the iteration total sums all levels.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
-components), namely geom's kernel :func:`geom.graph_geometry`, psi and the
-one homotopy formula the residual itself is built from.  Both take the
-:class:`geom.ExtrinsicState` of the field, which carries these chart
-quantities.  So dR/du factors into exact per-node partial derivatives
-composed with the chart's stencils.  The partials are closed forms in the
+components), namely geom's kernel :func:`geom.graph_geometry` and psi.  Both
+the residual and the Jacobian take the :class:`geom.ExtrinsicState` of the
+field, which carries these chart quantities.  So dR/du factors into exact
+per-node partial derivatives composed with the chart's stencils.  The
+partials are closed forms in the
 state's real arrays (:func:`geom._linearisation`, :meth:`PsiSpec.partials`):
 for the Hessian slots sigma_k's are the Newton tensor T_{k-1} in cofactor
 form, the linearisation the paper's estimates rest on.  Finite differences of
@@ -49,14 +55,15 @@ tridiagonal radial systems, one per Fourier mode m; the across-pole ghost
 couples mode m of ring 0 to itself with the sign (-1)^m.  The systems are
 real, so the real and imaginary parts of each mode's coefficients are two
 right-hand sides of one matrix, and :class:`tridiag.CyclicReduction` solves
-all of them at once by cyclic reduction over the rings.  The t = 0 operator
-L (Laplace-Beltrami rows inside, identity rows on the boundary ring) is such
-an operator, with w = (0, 0, 1, 1/sinh^2 rho): its solve is the exact
-harmonic extension.  A Newton correction J x = b (staged steps, the direct
-attempt and the barrier solves alike) is solved by GMRES on the rows divided
-by their diagonal, right-preconditioned by y -> P^{-1}(diag(P) y) with P the
-Jacobian's ring-mean operator: the theta-means of J's weights w0, w1, w3 and
-w5 on each ring, built afresh for every correction.  Both operators then
+all of them at once by cyclic reduction over the rings.  The Laplace
+operator L (Laplace-Beltrami rows inside, identity rows on the boundary
+ring) is such an operator, with w = (0, 0, 1, 1/sinh^2 rho): its solve is
+the exact harmonic extension.  A Newton correction J x = b (staged steps,
+the direct attempt and the barrier solves alike) is solved by GMRES on the
+rows divided by their diagonal, right-preconditioned by
+y -> P^{-1}(diag(P) y) with P the Jacobian's ring-mean operator: the
+theta-means of J's weights w0, w1, w3 and w5 on each ring, built afresh for
+every correction.  Both operators then
 have a unit diagonal, and their product is close to the identity wherever J
 varies little along the rings; on a theta-independent state P is J, and
 GMRES stops after one iteration.  J's u_theta and H_rt weights would couple
@@ -119,22 +126,11 @@ def __getattr__(name):
 # --- residual ----------------------------------------------------------------
 
 
-def _homotopy(t, sig, psi, H_rr, H_tt, sinh_rho):
-    """The homotopy family t sigma_k + (1 - t) Lap u - psi, with Lap u the
-    Hessian's trace H_rr + H_tt / sinh(rho)^2; sigma_k - psi at t = 1.  The
-    residual calls it on the state's values, and the Jacobian, since it is
-    linear in sig, psi, H_rr and H_tt, on their partials for one chart slot."""
-    if t == 1.0:
-        return sig - psi
-    return t * sig + (1.0 - t) * (H_rr + H_tt / sinh_rho ** 2) - psi
-
-
-def assemble_residual(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> np.ndarray:
-    """Residual field of the homotopy problem at the graph of ``state``;
-    boundary rows hold u - phi.  Raises ValueError when psi is not finite
-    and positive there."""
-    psi = spec.psi_field(state.u, state.theta_support)
-    R = _homotopy(t, state.sigma_k(spec.k), psi, state.H_rr, state.H_tt, spec.grid.sinh_rho)
+def assemble_residual(state: geom.ExtrinsicState, spec: ProblemSpec) -> np.ndarray:
+    """Residual field sigma_k - psi at the graph of ``state``; boundary rows
+    hold u - phi.  Raises ValueError when psi is not finite and positive
+    there."""
+    R = state.sigma_k(spec.k) - spec.psi_field(state.u, state.theta_support)
     R[-1, :] = state.u[-1, :] - spec.boundary_values()
     return R
 
@@ -172,27 +168,22 @@ class JacobianOperator:
         return d.ravel()
 
 
-def assemble_jacobian(state: geom.ExtrinsicState, t: float, spec: ProblemSpec) -> JacobianOperator:
+def assemble_jacobian(state: geom.ExtrinsicState, spec: ProblemSpec) -> JacobianOperator:
     """Analytic Jacobian dR/du at the graph of ``state``.
 
     The residual is a node-local function of the state's chart data (u,
-    u_rho, u_theta, H_rr, H_rt, H_tt): sigma_k, psi(rho, theta, u, u / v) and
-    the homotopy formula.  Its per-node partials w_m are written out in closed
-    form: sigma_k's and the support's from :func:`geom._linearisation`, psi's
-    from :meth:`PsiSpec.partials`, and :func:`_homotopy`, linear in sigma_k,
-    psi and the Hessian, applied to them.  The returned operator composes the
-    weights with the chart's stencils."""
+    u_rho, u_theta, H_rr, H_rt, H_tt): sigma_k minus psi(rho, theta, u,
+    u / v).  Its per-node partials w_m are written out in closed form:
+    sigma_k's and the support's from :func:`geom._linearisation`, psi's from
+    :meth:`PsiSpec.partials`; psi takes no Hessian slot.  The returned
+    operator composes the weights with the chart's stencils."""
     grid = spec.grid
     dsig, dsupport = geom._linearisation(state, spec.k, grid.sinh_rho)
     psi_u, psi_s = spec.psi.partials(grid.rho_col, grid.theta_row, state.u, state.theta_support)
     dpsi = (psi_u + psi_s * dsupport[0], psi_s * dsupport[1], psi_s * dsupport[2])
     del dsupport, psi_u, psi_s
-    weights = []
-    for m in range(6):
-        # the slot's partials of sigma_k, psi, H_rr and H_tt
-        weights.append(_homotopy(t, dsig[m], dpsi[m] if m < 3 else 0.0,
-                                 float(m == 3), float(m == 5), grid.sinh_rho))
-    return JacobianOperator(grid, tuple(weights))
+    return JacobianOperator(grid, (dsig[0] - dpsi[0], dsig[1] - dpsi[1], dsig[2] - dpsi[2],
+                                   *dsig[3:]))
 
 
 # --- linear solves --------------------------------------------------------------
@@ -243,7 +234,7 @@ def _ring_solve(plan: tridiag.CyclicReduction, b: np.ndarray) -> np.ndarray:
 
 
 def _laplace_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for the t = 0 operator L on ``grid``: the Laplace-
+    """Solve L x = b for the Laplace operator L on ``grid``: the Laplace-
     Beltrami rows H_rr + H_tt/sinh^2 rho inside, identity rows on the
     boundary ring."""
     plan, _ = _ring_factors(grid, 0.0, 0.0, 1.0, 1.0 / grid.sinh_rho ** 2)
@@ -365,58 +356,62 @@ def resolve_newton_tol(spec: ProblemSpec, state) -> float:
     return 1e-8 * max(float(np.max(np.abs(psi))), 1e-8)
 
 
-def _cone_residual(state: geom.ExtrinsicState, t: float, spec: ProblemSpec):
+def _cone_residual(state: geom.ExtrinsicState, spec: ProblemSpec):
     """The guard past the spacelike test: (R, "") with R the residual at
-    ``state``, or (None, reason) when t > 0 and an interior node lies outside
-    the k-admissible cone (the first one is named), or when psi is not finite
+    ``state``, or (None, reason) when an interior node lies outside the
+    k-admissible cone (the first one is named), or when psi is not finite
     and positive."""
-    if t > 0.0:
-        bad = ~state.admissible_mask(spec.k) & spec.grid.interior_mask
-        if np.any(bad):
-            node = spec.grid.node_label(int(np.argmax(bad)))
-            return None, f"not {spec.k}-admissible at {node}"
+    bad = ~state.admissible_mask(spec.k) & spec.grid.interior_mask
+    if np.any(bad):
+        node = spec.grid.node_label(int(np.argmax(bad)))
+        return None, f"not {spec.k}-admissible at {node}"
     try:
-        return assemble_residual(state, t, spec), ""
+        return assemble_residual(state, spec), ""
     except ValueError as exc:
         return None, str(exc)
 
 
-def _start(u, t: float, spec: ProblemSpec):
-    """The guard on a Newton start: (state, R, "") or (None, None, reason).
-    Its state is built here: perfbench/tracer.py counts the extrinsic_state
-    calls made in :func:`damped_newton` itself as line-search trials."""
+def _start(u, spec: ProblemSpec):
+    """The guard on a Newton start: (state, R, "") or (None, None, reason),
+    with R the residual at u.  Its state is built here: perfbench/tracer.py
+    counts the extrinsic_state calls made in :func:`damped_newton` itself as
+    line-search trials."""
     try:
         state = geom.extrinsic_state(u, spec.grid)
     except (geom.NotSpacelikeError, geom.InvalidGraphError) as exc:
         return None, None, f"start rejected: {exc}"
-    R, reason = _cone_residual(state, t, spec)
+    R, reason = _cone_residual(state, spec)
     return state, R, reason and f"start rejected: {reason}"
 
 
-def damped_newton(u0, t: float, spec: ProblemSpec,
-                  max_iters: int = _MAX_NEWTON_ITERS) -> NewtonReport:
-    """Damped Newton iteration at fixed homotopy parameter t.
+def damped_newton(u0, spec: ProblemSpec, max_iters: int = _MAX_NEWTON_ITERS,
+                  offset=None) -> NewtonReport:
+    """Damped Newton iteration on R(u) = ``offset`` (a field of the grid's
+    shape; None solves R(u) = 0 with no extra array work).
 
-    The start and every trial pass one guard (:func:`_start`,
-    :func:`_cone_residual`); a trial step is halved until the guard holds and
-    the residual sup-norm strictly decreases.  Returns every outcome: status
-    converged (an exact start with zero iterations), max-iterations, stalled
-    (no acceptable step above the damping floor, or a non-finite correction)
-    or inadmissible (a refused start: zero iterations, residual inf, the
-    guard's reason in ``detail``).
+    The offset is constant in u, so the Jacobian is R's.  The start and every
+    trial pass one guard (:func:`_start`, :func:`_cone_residual`); a trial
+    step is halved until the guard holds and the sup-norm of R - offset
+    strictly decreases.  Returns every outcome: status converged (an exact
+    start with zero iterations), max-iterations, stalled (no acceptable step
+    above the damping floor, or a non-finite correction) or inadmissible (a
+    refused start: zero iterations, residual inf, the guard's reason in
+    ``detail``).
     """
     grid = spec.grid
     u = np.array(u0, dtype=float, copy=True)
-    state, R, reason = _start(u, t, spec)
+    state, R, reason = _start(u, spec)
     if reason:
         return NewtonReport(u, "inadmissible", 0, math.inf, reason)
+    if offset is not None:
+        R -= offset
     tol = resolve_newton_tol(spec, state)
     rnorm = float(np.max(np.abs(R)))
     iterations = 0
     while rnorm > tol:
         if iterations >= max_iters:
             return NewtonReport(u, "max-iterations", iterations, rnorm)
-        J = assemble_jacobian(state, t, spec)
+        J = assemble_jacobian(state, spec)
         delta = linear_solve(J, -R.ravel(), grid).reshape(grid.shape)
         if not np.all(np.isfinite(delta)):
             return NewtonReport(u, "stalled", iterations, rnorm)
@@ -425,10 +420,12 @@ def damped_newton(u0, t: float, spec: ProblemSpec,
             u_try = u + alpha * delta
             try:
                 st_try = geom.extrinsic_state(u_try, grid)
-                R_try, _ = _cone_residual(st_try, t, spec)
+                R_try, _ = _cone_residual(st_try, spec)
             except (geom.NotSpacelikeError, geom.InvalidGraphError):
                 R_try = None
             if R_try is not None:
+                if offset is not None:
+                    R_try -= offset
                 rn_try = float(np.max(np.abs(R_try)))
                 if np.isfinite(rn_try) and rn_try < rnorm:
                     break
@@ -510,7 +507,8 @@ class SolveResult:
 
 # The coarsest level of the grid chain keeps at least this many rings.
 _COARSEST_RINGS = 10
-# The homotopy's first (and largest) step in t, and the step that ends it.
+# The first (and largest) step in t of the continuation in the data, and the
+# step below which it gives up.
 _DT_INIT = 0.25
 _DT_MIN = 1e-3
 
@@ -580,57 +578,47 @@ def continuation_solve(spec: ProblemSpec, initial_guess=None) -> SolveResult:
 
 
 def _homotopy_solve(spec: ProblemSpec, u0) -> SolveResult:
-    """Drive the homotopy parameter from the Laplace problem to the curvature
-    problem on ``spec``'s grid, from the start ``u0``.
+    """Solve on ``spec``'s grid from the start ``u0``: the problem itself
+    first, and when that fails, continuation in the data.
 
-    The target problem (t = 1) is attempted directly first; when that fails
-    the driver solves t = 0, then advances t with adaptive halving on Newton
-    failure and doubling (capped at the initial step _DT_INIT) on success,
-    and fails once the step falls below _DT_MIN.  ``u0`` is not modified.
+    The staged path solves R(u) - (1 - t) R(u_a) = 0 for t rising from 0,
+    where the anchor u_a is the root: ``u0`` when the guard accepts it, else
+    :func:`constant_guess`.  t advances with adaptive halving on Newton
+    failure and doubling (capped at the first step _DT_INIT) on success, and
+    the level fails once the step falls below _DT_MIN.  ``u0`` is not
+    modified.
     """
     u0 = np.asarray(u0, dtype=float)
     shape = spec.grid.shape
     steps: list[ContinuationStep] = []
-    total = 0
 
-    rep = damped_newton(u0, 1.0, spec, max_iters=_DIRECT_MAX_ITERS)
-    total += rep.iterations
+    rep = damped_newton(u0, spec, max_iters=_DIRECT_MAX_ITERS)
+    total = rep.iterations
     if rep.converged:
         steps.append(ContinuationStep(1.0, rep.iterations, rep.residual_norm, shape))
         return SolveResult(rep.u, "converged", steps, total, rep.residual_norm)
 
-    # staged path from the Laplace end
-    rep = damped_newton(u0, 0.0, spec)
-    if rep.status == "inadmissible":
-        rep = damped_newton(constant_guess(spec), 0.0, spec)
-        if rep.status == "inadmissible":
-            return SolveResult(u0, "inadmissible-start", steps, total, math.inf, rep.detail)
-    total += rep.iterations
-    if not rep.converged:
-        return SolveResult(
-            rep.u, "step-floor", steps, total, rep.residual_norm,
-            f"Newton {rep.status} at t=0",
-        )
-    u = rep.u
-    steps.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm, shape))
-
+    anchor = constant_guess(spec) if rep.status == "inadmissible" else u0
+    _, R_a, reason = _start(anchor, spec)
+    if reason:
+        return SolveResult(u0, "inadmissible-start", steps, total, math.inf, reason)
+    u, rnorm = anchor, float(np.max(np.abs(R_a)))
     t, dt = 0.0, _DT_INIT
     while t < 1.0 - 1e-12:
         t_try = min(1.0, t + dt)
-        rep = damped_newton(u, t_try, spec)  # a refused start fails like any step
+        # a refused start fails like any step
+        rep = damped_newton(u, spec, offset=(1.0 - t_try) * R_a)
         total += rep.iterations
         if rep.converged:
-            u, t = rep.u, t_try
-            steps.append(ContinuationStep(t, rep.iterations, rep.residual_norm, shape))
+            u, t, rnorm = rep.u, t_try, rep.residual_norm
+            steps.append(ContinuationStep(t, rep.iterations, rnorm, shape))
             dt = min(2.0 * dt, _DT_INIT)
         else:
             dt *= 0.5
             if dt < _DT_MIN:
-                return SolveResult(
-                    u, "step-floor", steps, total, steps[-1].residual_norm,
-                    f"continuation step floor reached at t={t:.6g}",
-                )
-    return SolveResult(u, "converged", steps, total, steps[-1].residual_norm)
+                return SolveResult(u, "step-floor", steps, total, rnorm,
+                                   f"continuation step floor reached at t={t:.6g}")
+    return SolveResult(u, "converged", steps, total, rnorm)
 
 
 # --- barriers ------------------------------------------------------------------
@@ -654,7 +642,7 @@ def _barrier_solve(spec: ProblemSpec, state, order: int):
         phi=spec.phi,
     )
     for start in (state.u, constant_guess(bspec)):
-        rep = damped_newton(start, 1.0, bspec)
+        rep = damped_newton(start, bspec)
         if rep.converged:
             return rep.u, ""
         last = (rep.detail if rep.status == "inadmissible"

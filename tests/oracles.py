@@ -1,9 +1,9 @@
 """Reference implementations for the tests: a sparse matrix built one unit
 vector at a time, the chart's stencils written out as sparse matrices, the
-Laplace-Beltrami operator from the array stencils, the t = 0 system from the
-stencil matrices and its solve by a Thomas sweep over the rings, the
-residual's node-local map with its partials by complex step, the Jacobian
-as a weighted sum of stencil matrices, and the graph's points, tangents and
+Laplace-Beltrami operator from the array stencils, the Laplace system from
+the stencil matrices and its solve by a Thomas sweep over the rings, the
+residual's node-local map sigma_k - psi with its partials by complex step,
+the Jacobian as a weighted sum of stencil matrices, and the graph's points, tangents and
 unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
 
 import dataclasses
@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from weingarten import geom, solver
+from weingarten import geom
 from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
 
 
@@ -117,7 +117,7 @@ def laplace_beltrami(u, grid):
 
 
 def laplace_system(grid) -> sp.csc_matrix:
-    """The solver's t = 0 operator as a sparse matrix: Laplace-Beltrami rows
+    """The solver's Laplace operator as a sparse matrix: Laplace-Beltrami rows
     d_rho2 + coth(rho) d_rho + d_theta2 / sinh(rho)^2 from the stencil
     matrices on the interior, identity rows on the boundary ring."""
     mats = derivative_matrices(grid)
@@ -129,7 +129,7 @@ def laplace_system(grid) -> sp.csc_matrix:
 
 
 def thomas_laplace_solve(grid, b):
-    """Solve the t = 0 system L x = b: real FFT in theta, then one Thomas
+    """Solve the Laplace system L x = b: real FFT in theta, then one Thomas
     sweep over the rings for all n_theta/2 + 1 radial systems at once (the
     rows that ``solver._ring_factors`` builds for the Laplace-Beltrami
     weights), inverse FFT."""
@@ -167,17 +167,16 @@ def thomas_laplace_solve(grid, b):
 CS_EPS = 1e-30
 
 
-def local_residual(t, spec, u, u_r, u_t, H_rr, H_rt, H_tt):
-    """The residual as a node-local (complex-analytic) function of the six
-    chart quantities: ``geom.graph_geometry``, psi and ``solver._homotopy``."""
+def local_residual(spec, u, u_r, u_t, H_rr, H_rt, H_tt):
+    """The residual sigma_k - psi as a node-local (complex-analytic) function
+    of the six chart quantities, from ``geom.graph_geometry`` and psi."""
     grid = spec.grid
     v, _, _, sigma1, sigma2 = geom.graph_geometry(u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
     sig = sigma1 if spec.k == 1 else sigma2
-    psi = spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
-    return solver._homotopy(t, sig, psi, H_rr, H_tt, grid.sinh_rho)
+    return sig - spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
 
 
-def jacobian_weights(state, t, spec):
+def jacobian_weights(state, spec):
     """The partials w_0..w_5 of :func:`local_residual` with respect to the
     chart slots (u, u_rho, u_theta, H_rr, H_rt, H_tt), one complex step per
     slot, rounded to float64.  The steps run in extended precision
@@ -192,15 +191,15 @@ def jacobian_weights(state, t, spec):
     for m in range(len(slots)):
         pert = list(slots)
         pert[m] = pert[m] + np.clongdouble(1j) * step
-        weights.append((np.imag(local_residual(t, spec, *pert)) / step).astype(float))
+        weights.append((np.imag(local_residual(spec, *pert)) / step).astype(float))
     return tuple(weights)
 
 
-def jacobian(state, t, spec) -> sp.csr_matrix:
+def jacobian(state, spec) -> sp.csr_matrix:
     """The Jacobian dR/du as the sum of the identity and the stencil matrices,
     each row scaled by the complex-step partial of the local residual with
     respect to its chart slot, with identity rows on the boundary."""
-    return stencil_operator(spec.grid, jacobian_weights(state, t, spec))
+    return stencil_operator(spec.grid, jacobian_weights(state, spec))
 
 
 def stencil_operator(grid, weights) -> sp.csr_matrix:

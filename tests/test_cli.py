@@ -220,9 +220,10 @@ class TestSolveMode:
 
 
     def test_coarse_to_fine_at_rho_max_3(self, tmp_path):
-        # k = 2, psi = support^2 on a wide disk: the 12^2 level steps t = 0..1,
-        # then 24^2 and 48^2 converge in their direct attempts; steps and probe
-        # runs record their level's grid, and the log names it
+        # k = 2, psi = support^2 on a wide disk: the 12^2 level fails its
+        # direct attempt and steps t from 0.25 up to 1, then 24^2 and 48^2
+        # converge in their direct attempts; steps and probe runs record their
+        # level's grid, and the log names it
         text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 48")
                 .replace("n_theta = 16", "n_theta = 48").replace("k = 1", "k = 2")
                 .replace("rho_max = 0.8", "rho_max = 3.0").replace("psi_p = 0", "psi_p = 2")
@@ -234,10 +235,27 @@ class TestSolveMode:
         report = json.loads((out / "report.json").read_text())
         grids = [tuple(s["grid"]) for s in report["solve"]["steps"]]
         assert grids[-2:] == [(24, 24), (48, 48)] and set(grids[:-2]) == {(12, 12)}
-        assert report["solve"]["steps"][0]["t"] == 0.0
+        assert report["solve"]["steps"][0]["t"] == 0.25
         run_steps = report["uniqueness"]["runs"][0]["steps"]
         assert [tuple(s["grid"]) for s in run_steps][-2:] == [(24, 24), (48, 48)]
         assert "grid 48x48 t=1.0000" in (out / "log.txt").read_text()
+
+    def test_staged_solve_where_the_laplace_problem_has_no_graph(self, tmp_path):
+        # k = 1, psi = 0.3, hyperplane phi on the 3.2 disk.  The 12^2 level
+        # converges directly; its field, carried up, is refused on 24^2, so
+        # that level continues in the data from the constant graph.  A
+        # continuation from the Laplace problem Lap u = 0.3 could not start
+        # here: its solution is negative at the pole
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 24")
+                .replace("n_theta = 16", "n_theta = 24").replace("rho_max = 0.8", "rho_max = 3.2")
+                .replace("psi_h = 2", "psi_h = 0.3")
+                .replace("phi_family = constant", "phi_family = hyperplane"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verification"]["passed"]
+        steps = [(tuple(s["grid"]), s["t"]) for s in report["solve"]["steps"]]
+        assert steps == [((12, 12), 1.0)] + [((24, 24), t) for t in (0.25, 0.5, 0.75, 1.0)]
 
     def test_missing_barrier_fails_its_gate(self, tmp_path):
         # k = 1 on a wide disk: the solve converges, but the order-2 barrier
@@ -292,6 +310,19 @@ class TestVerifyMode:
         rc.out_dir = str(tmp_path / "verify_out")
         assert run(rc) == 0
         assert_verify_outputs(tmp_path / "verify_out", 0)
+
+    def test_u_column_is_a_field_of_its_own(self, tmp_path, monkeypatch):
+        # u is read out as a C-contiguous copy, not a strided view that would
+        # keep the whole nine-column table alive through the verify run
+        self._solved(tmp_path)
+        tables, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: tables.append(loadtxt(*a, **kw))
+                            or tables[-1])
+        grid = cli.build_problem(parse_config(write_config(tmp_path))).grid
+        u = cli._read_u_column(tmp_path / "out" / "fields.csv", grid)
+        assert u.shape == grid.shape and u.flags.c_contiguous
+        assert not np.shares_memory(u, tables[0])
+        assert np.array_equal(u.ravel(), tables[0][:, 2])
 
     def test_corrupted_field_fails(self, tmp_path):
         self._solved(tmp_path)

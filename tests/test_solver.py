@@ -43,20 +43,20 @@ class TestResidual:
     def test_exact_mean_curvature_solution(self):
         g = disk()
         u = np.ones(g.shape)
-        R = assemble_residual(extrinsic_state(u, g), 1.0, mean_curvature_problem(g))
+        R = assemble_residual(extrinsic_state(u, g), mean_curvature_problem(g))
         assert np.max(np.abs(R)) == 0.0
 
     def test_exact_gauss_curvature_solution(self):
         g = disk()
         u = np.full(g.shape, 0.5)
-        R = assemble_residual(extrinsic_state(u, g), 1.0, gauss_curvature_problem(g))
+        R = assemble_residual(extrinsic_state(u, g), gauss_curvature_problem(g))
         assert np.max(np.abs(R)) == 0.0
 
     def test_boundary_rows_hold_dirichlet_gap(self):
         g = disk()
         spec = mean_curvature_problem(g)
         u = np.full(g.shape, 1.1)
-        R = assemble_residual(extrinsic_state(u, g), 1.0, spec)
+        R = assemble_residual(extrinsic_state(u, g), spec)
         assert np.allclose(R[-1, :], 0.1)
 
     def test_not_spacelike_raises(self):
@@ -64,25 +64,31 @@ class TestResidual:
         u = np.ones(g.shape)
         u[5, :] = 1.5
         with pytest.raises(geom.NotSpacelikeError):
-            assemble_residual(extrinsic_state(u, g), 1.0, mean_curvature_problem(g))
+            assemble_residual(extrinsic_state(u, g), mean_curvature_problem(g))
 
     def test_homotopy_blend(self):
+        # the staged equation R(u) = (1 - t) R(u_a) blends the data, not the
+        # operator: with psi constant its interior rows read sigma_1[u] =
+        # t psi + (1 - t) sigma_1[u_a], and its boundary rows u = t phi +
+        # (1 - t) u_a.  Newton solves it from the anchor
         g = disk()
         spec = mean_curvature_problem(g)
-        u = 1.0 + 0.02 * (g.rho_col / 0.8) ** 2 + np.zeros(g.shape)
-        state = extrinsic_state(u, g)
-        r0 = assemble_residual(state, 0.0, spec)
-        r1 = assemble_residual(state, 1.0, spec)
-        rt = assemble_residual(state, 0.3, spec)
-        inner = g.interior_mask
-        blend = 0.3 * (r1 + 2.0) + 0.7 * (r0 + 2.0) - 2.0  # psi = 2 subtracted once
-        assert np.max(np.abs(rt[inner] - blend[inner])) < 1e-12
+        rn = g.rho_col / g.chart.rho_max
+        u_a = 1.05 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn
+        anchor = extrinsic_state(u_a, g)
+        t = 0.3
+        rep = damped_newton(u_a, spec, offset=(1.0 - t) * assemble_residual(anchor, spec))
+        assert rep.converged and rep.iterations > 0
+        state, inner = extrinsic_state(rep.u, g), g.interior_mask
+        data = t * 2.0 + (1.0 - t) * anchor.sigma1
+        assert np.max(np.abs(state.sigma1 - data)[inner]) <= 1e-10
+        assert np.max(np.abs(rep.u[-1] - (t * 1.0 + (1.0 - t) * u_a[-1]))) <= 1e-12
 
     @pytest.mark.parametrize("k, p, h", [(1, 1, "2/u*(1+0.1*rho*cos(theta))"),
                                          (2, 2, "4*(1+0.2*rho*sin(theta))")])
     def test_residual_is_the_jacobian_local_map(self, k, p, h):
-        # the residual and the function the Jacobian differentiates share one
-        # kernel and one homotopy formula, so they agree to the last bit
+        # the residual and the function the Jacobian's oracle differentiates
+        # share one kernel and one psi, so they agree to the last bit
         g = disk()
         spec = ProblemSpec(grid=g, k=k, psi=PsiSpec("power", p=p, h=h),
                            phi=PhiSpec("hyperplane", c=1.0))
@@ -91,9 +97,8 @@ class TestResidual:
         state = extrinsic_state(u, g)
         chart_data = (u, state.u_rho, state.u_theta, state.H_rr, state.H_rt, state.H_tt)
         inner = g.interior_mask
-        for t in (1.0, 0.3):
-            R = assemble_residual(state, t, spec)
-            assert np.all(R[inner] == oracles.local_residual(t, spec, *chart_data)[inner])
+        R = assemble_residual(state, spec)
+        assert np.all(R[inner] == oracles.local_residual(spec, *chart_data)[inner])
 
 
 SOLVE_SHAPES = [(4, 4), (5, 6), (4, 8), (48, 16), (16, 48), (33, 34), (128, 128)]
@@ -107,19 +112,18 @@ def tilted_gauss_state(g):
     return gauss_curvature_problem(g), u
 
 
-def assert_matches_the_stencil_matrix_sum(g, ts):
+def assert_matches_the_stencil_matrix_sum(g):
     # products and the diagonal agree with the weighted sum of the oracle's
     # stencil matrices to round-off: the terms are added in another order,
     # and the weights are closed forms where the oracle's are complex steps
     spec, u = tilted_gauss_state(g)
     state = extrinsic_state(u, g)
     x = np.random.default_rng(2).normal(size=g.n_nodes)
-    for t in ts:
-        J, ref = assemble_jacobian(state, t, spec), oracles.jacobian(state, t, spec)
-        Jx, ref_x = J @ x, ref @ x
-        assert np.max(np.abs(Jx - ref_x)) <= 1e-13 * np.max(np.abs(ref_x))
-        d, ref_d = J.diagonal(), ref.diagonal()
-        assert np.max(np.abs(d - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+    J, ref = assemble_jacobian(state, spec), oracles.jacobian(state, spec)
+    Jx, ref_x = J @ x, ref @ x
+    assert np.max(np.abs(Jx - ref_x)) <= 1e-13 * np.max(np.abs(ref_x))
+    d, ref_d = J.diagonal(), ref.diagonal()
+    assert np.max(np.abs(d - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
 WEIGHT_PSIS = {
@@ -139,11 +143,11 @@ class TestJacobian:
         # complex steps, per slot relative to the slot's largest interior
         # weight (measured worst 1.1e-14: k = 2, rho_max 2.4, the u_theta slot
         # at the pole); on radial states the u_theta and H_rt slots vanish.
-        # The u slot is measured against |psi| / u where that is larger: at
-        # t = 0 it is -dpsi/du alone, and for "power-1" (psi = 2 (1 + 0.1
-        # rho^2) / v) the two terms of psi's product rule, each ~psi / u,
-        # cancel to 1e-3..1e-4 of that; there the weights, like double-precision
-        # complex steps, keep up to 1.7e-12 of the slot (under 1e-15 of psi / u)
+        # The u slot is measured against |psi| / u where that is larger: for
+        # "power-1" (psi = 2 (1 + 0.1 rho^2) / v) the two terms of psi's
+        # product rule, each ~psi / u, cancel to 1e-3..1e-4 of that; there the
+        # weights, like double-precision complex steps, keep up to 1.7e-12 of
+        # the slot (under 1e-15 of psi / u)
         for rho_max in (0.8, 2.4):
             g = disk(*shape, rho_max)
             rn = g.rho_col / rho_max
@@ -156,18 +160,17 @@ class TestJacobian:
                     u = c * (1.0 + 0.02 * rn ** 2 + tilt * np.cos(g.theta_row) * rn) + np.zeros(g.shape)
                     state = extrinsic_state(u, g)
                     psi_u = np.max(np.abs(spec.psi_field(u, state.theta_support) / u)[inner])
-                    for t in (0.0, 0.6, 1.0):
-                        weights = assemble_jacobian(state, t, spec).weights
-                        ref = oracles.jacobian_weights(state, t, spec)
-                        for m, (w, r) in enumerate(zip(weights, ref)):
-                            if tilt == 0.0 and m in (2, 4):
-                                assert np.all(w[inner] == 0.0)
-                                continue
-                            scale = np.max(np.abs(r[inner]))
-                            if m == 0 and spec_psi.family != "tabulated":
-                                scale = max(scale, psi_u)
-                            err = np.max(np.abs(w[inner] - r[inner]))
-                            assert err <= 1e-13 * scale, (k, tilt, t, m, err / scale)
+                    weights = assemble_jacobian(state, spec).weights
+                    ref = oracles.jacobian_weights(state, spec)
+                    for m, (w, r) in enumerate(zip(weights, ref)):
+                        if tilt == 0.0 and m in (2, 4):
+                            assert np.all(w[inner] == 0.0)
+                            continue
+                        scale = np.max(np.abs(r[inner]))
+                        if m == 0 and spec_psi.family != "tabulated":
+                            scale = max(scale, psi_u)
+                        err = np.max(np.abs(w[inner] - r[inner]))
+                        assert err <= 1e-13 * scale, (k, tilt, m, err / scale)
 
     def test_directional_consistency(self):
         # dR in random directions matches J @ w at random admissible states
@@ -182,10 +185,10 @@ class TestJacobian:
                                                 + c[2] * np.sin(g.theta_row)) * rn ** 2)
             assert np.all(geom.extrinsic_state(u, g).admissible_mask(2)[g.interior_mask])
             w = rng.normal(size=g.shape) * 0.01
-            J = assemble_jacobian(extrinsic_state(u, g), 1.0, mspec)
+            J = assemble_jacobian(extrinsic_state(u, g), mspec)
             eps = 1e-6
-            dd = (assemble_residual(extrinsic_state(u + eps * w, g), 1.0, mspec)
-                  - assemble_residual(extrinsic_state(u - eps * w, g), 1.0, mspec)
+            dd = (assemble_residual(extrinsic_state(u + eps * w, g), mspec)
+                  - assemble_residual(extrinsic_state(u - eps * w, g), mspec)
                   ).ravel() / (2 * eps)
             err = np.max(np.abs(J @ w.ravel() - dd)) / max(1.0, np.max(np.abs(dd)))
             assert err < 1e-5
@@ -198,12 +201,12 @@ class TestJacobian:
         u = constant_guess(mspec)
         rng = np.random.default_rng(1)
         w = rng.normal(size=g.shape) * 0.01
-        J = assemble_jacobian(extrinsic_state(u, g), 1.0, mspec)
+        J = assemble_jacobian(extrinsic_state(u, g), mspec)
         ref = J @ w.ravel()
 
         def probe(eps):
-            dd = (assemble_residual(extrinsic_state(u + eps * w, g), 1.0, mspec)
-                  - assemble_residual(extrinsic_state(u - eps * w, g), 1.0, mspec)
+            dd = (assemble_residual(extrinsic_state(u + eps * w, g), mspec)
+                  - assemble_residual(extrinsic_state(u - eps * w, g), mspec)
                   ).ravel() / (2 * eps)
             return np.max(np.abs(dd - ref))
 
@@ -215,13 +218,13 @@ class TestJacobian:
         g = disk(20, 20)
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
         u = constant_guess(mspec)
-        J = assemble_jacobian(extrinsic_state(u, g), 0.6, mspec)
+        J = assemble_jacobian(extrinsic_state(u, g), mspec)
         eps = 1e-6 * max(1.0, float(np.max(np.abs(u))))
 
         def column(e):
             e = eps * e.reshape(g.shape)
-            return (assemble_residual(extrinsic_state(u + e, g), 0.6, mspec)
-                    - assemble_residual(extrinsic_state(u - e, g), 0.6, mspec)) / (2.0 * eps)
+            return (assemble_residual(extrinsic_state(u + e, g), mspec)
+                    - assemble_residual(extrinsic_state(u - e, g), mspec)) / (2.0 * eps)
 
         Ja = matrix_from_columns(lambda e: J @ e, g.n_nodes)
         Jf = matrix_from_columns(column, g.n_nodes)
@@ -231,7 +234,7 @@ class TestJacobian:
     def test_boundary_rows_are_identity(self):
         g = disk(12, 12)
         spec = mean_curvature_problem(g)
-        J = assemble_jacobian(extrinsic_state(np.ones(g.shape), g), 1.0, spec)
+        J = assemble_jacobian(extrinsic_state(np.ones(g.shape), g), spec)
         nb = g.n_theta
         bnd = slice(g.n_nodes - nb, g.n_nodes)
         block = matrix_from_columns(lambda e: J @ e, g.n_nodes).toarray()[bnd, :]
@@ -239,32 +242,18 @@ class TestJacobian:
         expected[np.arange(nb), np.arange(g.n_nodes - nb, g.n_nodes)] = 1.0
         assert np.array_equal(block, expected)
 
-    def test_laplace_structure_at_t0(self):
-        # at t = 0 the interior rows are the Laplace-Beltrami stencil
-        # (psi constant, so no state coupling); checked against independent
-        # basis-vector applications of the operator
-        g = disk(8, 8)
-        spec = mean_curvature_problem(g)
-        u = np.full(g.shape, 1.0)
-        J = assemble_jacobian(extrinsic_state(u, g), 0.0, spec)
-        Ja = matrix_from_columns(lambda e: J @ e, g.n_nodes).toarray()
-        L = matrix_from_columns(lambda e: laplace_beltrami(e.reshape(g.shape), g),
-                                g.n_nodes).toarray()
-        inner = g.interior_mask.ravel()
-        assert np.max(np.abs(Ja[inner] - L[inner])) < 1e-9
-
     @pytest.mark.parametrize("shape", SOLVE_SHAPES[:-1])
     def test_matches_the_stencil_matrix_sum(self, shape):
         # in the smallest grids the pole ghosts coincide with theta-neighbours
-        assert_matches_the_stencil_matrix_sum(disk(*shape), (0.0, 0.6, 1.0))
+        assert_matches_the_stencil_matrix_sum(disk(*shape))
 
     def test_products_match_the_stencil_matrix_sum_at_128(self):
-        assert_matches_the_stencil_matrix_sum(disk(128, 128), (0.0, 0.6, 1.0))
+        assert_matches_the_stencil_matrix_sum(disk(128, 128))
 
     def test_operator_uses_the_grid_radius(self):
         # grids of one shape but different radii do not share stencil values
         for rho_max in (0.8, 2.0):
-            assert_matches_the_stencil_matrix_sum(disk(12, 12, rho_max), (1.0,))
+            assert_matches_the_stencil_matrix_sum(disk(12, 12, rho_max))
 
 
 class TestSparseSolve:
@@ -281,11 +270,9 @@ class TestSparseSolve:
         g = disk(*shape)
         spec, u = tilted_gauss_state(g)
         state = extrinsic_state(u, g)
-        for t in (0.6, 1.0):
-            J = assemble_jacobian(state, t, spec)
-            ref = spsolve(oracles.jacobian(state, t, spec).tocsc(), b)
-            x = solver.linear_solve(J, b, g)
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref = spsolve(oracles.jacobian(state, spec).tocsc(), b)
+        x = solver.linear_solve(assemble_jacobian(state, spec), b, g)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_laplace_system_matches_fd_build(self):
         # the FFT solution, put through the array-stencil Laplacian with
@@ -336,23 +323,25 @@ class TestSparseSolve:
         return calls
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
-    def test_exact_on_theta_independent_states(self, monkeypatch, k, t):
+    @pytest.mark.parametrize("bump", [0.0, 0.6, 1.0])
+    def test_exact_on_theta_independent_states(self, monkeypatch, k, bump):
         # on a radial state the Jacobian's u_theta and H_rt weights vanish and
         # the rest are constant on rings, so the ring-mean preconditioner is J
-        # itself: one GMRES iteration (the Laplace preconditioner took 6-7)
+        # itself: one GMRES iteration (the Laplace preconditioner took 6-7).
+        # bump scales a radial bump on the constant solution (0: the solution)
         g = disk(32, 32)
         rn = g.rho_col / g.chart.rho_max
         if k == 1:
-            spec, u = mean_curvature_problem(g), (1.0 + 0.05 * rn ** 2) * np.ones(g.shape)
+            spec, c, a = mean_curvature_problem(g), 1.0, 0.05
         else:
-            spec, u = gauss_curvature_problem(g), 0.5 * (1.0 + 0.02 * rn ** 2) * np.ones(g.shape)
+            spec, c, a = gauss_curvature_problem(g), 0.5, 0.02
+        u = c * (1.0 + bump * a * rn ** 2) * np.ones(g.shape)
         state = extrinsic_state(u, g)
         b = np.random.default_rng(5).normal(size=g.n_nodes)
         calls = self.count_ring_solves(monkeypatch)
-        x = solver.linear_solve(assemble_jacobian(state, t, spec), b, g)
+        x = solver.linear_solve(assemble_jacobian(state, spec), b, g)
         assert len(calls) <= 2
-        ref = spsolve(oracles.jacobian(state, t, spec).tocsc(), b)
+        ref = spsolve(oracles.jacobian(state, spec).tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_ring_solve_without_diagonal_dominance(self):
@@ -365,7 +354,7 @@ class TestSparseSolve:
         g = spec.grid
         result = continuation_solve(spec)
         assert result.converged
-        J = assemble_jacobian(extrinsic_state(result.u, g), 1.0, spec)
+        J = assemble_jacobian(extrinsic_state(result.u, g), spec)
         w = [np.mean(J.weights[m], axis=1, keepdims=True) for m in range(6)]
         assert np.count_nonzero(w[0][:-1] > 0.0) >= g.n_rho // 2
         plan, _ = solver._ring_factors(g, w[0], w[1], w[3], w[5])
@@ -378,29 +367,26 @@ class TestSparseSolve:
     def test_krylov_iterations_stay_few(self, monkeypatch):
         # GMRES applies the ring-mean preconditioner once per iteration and
         # once more for the result; on this non-radial 128^2 k = 2 Newton step
-        # it takes 4 iterations at t = 0.6 and at t = 1, bounded here at twice
-        # that
+        # it takes 4 iterations, bounded here at twice that
         g = disk(128, 128)
         spec, u = tilted_gauss_state(g)
         state = extrinsic_state(u, g)
         calls = self.count_ring_solves(monkeypatch)
-        for t in (0.6, 1.0):
-            calls.clear()
-            J = assemble_jacobian(state, t, spec)
-            solver.linear_solve(J, -assemble_residual(state, t, spec).ravel(), g)
-            assert len(calls) - 1 <= 8
+        J = assemble_jacobian(state, spec)
+        solver.linear_solve(J, -assemble_residual(state, spec).ravel(), g)
+        assert len(calls) - 1 <= 8
 
 
 class TestDampedNewton:
     def test_exact_start_zero_iterations(self):
         g = disk()
-        rep = damped_newton(np.ones(g.shape), 1.0, mean_curvature_problem(g))
+        rep = damped_newton(np.ones(g.shape), mean_curvature_problem(g))
         assert rep.converged and rep.iterations == 0
         assert rep.residual_norm == 0.0
 
     def test_perturbed_hyperboloid(self):
         g = disk(32, 32)
-        rep = damped_newton(np.full(g.shape, 1.02), 1.0, mean_curvature_problem(g))
+        rep = damped_newton(np.full(g.shape, 1.02), mean_curvature_problem(g))
         assert rep.converged
         assert rep.iterations <= 5
         assert rep.residual_norm <= 1e-10
@@ -417,7 +403,7 @@ class TestDampedNewton:
         g = disk()
         u = np.ones(g.shape)
         u[5, :] = 1.5
-        rep = damped_newton(u, 1.0, mean_curvature_problem(g))
+        rep = damped_newton(u, mean_curvature_problem(g))
         self.assert_refused(rep, u, "start rejected: graph not spacelike at node (i=")
 
     def test_inadmissible_start_rejected_for_positive_t(self):
@@ -428,35 +414,36 @@ class TestDampedNewton:
         assert st.spacelike_gap < 1.0
         bad = ~st.admissible_mask(1) & g.interior_mask
         assert np.any(bad)
-        rep = damped_newton(u, 1.0, mean_curvature_problem(g))
+        rep = damped_newton(u, mean_curvature_problem(g))
         node = g.node_label(int(np.argmax(bad)))
         self.assert_refused(rep, u, f"start rejected: not 1-admissible at {node}")
-        # at t = 0 no cone test runs: the same start is accepted
-        assert damped_newton(u, 0.0, mean_curvature_problem(g)).converged
+        # an offset moves the data, not the guard: the start is refused alike
+        offset = np.full(g.shape, 0.1)
+        self.assert_refused(damped_newton(u, mean_curvature_problem(g), offset=offset),
+                            u, f"start rejected: not 1-admissible at {node}")
 
     def test_nonpositive_psi_start_rejected(self):
         # psi = 2 - 4 rho turns negative past rho = 0.5 on the 0.8 disk
         g = disk()
         u = np.ones(g.shape)
-        rep = damped_newton(u, 0.0, mean_curvature_problem(g, psi="2 - 4*rho"))
+        rep = damped_newton(u, mean_curvature_problem(g, psi="2 - 4*rho"))
         self.assert_refused(rep, u, "start rejected: psi must stay finite and strictly positive")
 
-    def test_t0_problem_is_linear_single_step(self):
-        # at t = 0 with constant psi the residual is affine in u, so Newton
-        # lands on the Poisson solution in one step
-        g = disk()
-        spec = ProblemSpec(grid=g, k=1, psi=PsiSpec("power", p=0.0, h="0.3"),
-                           phi=PhiSpec("constant", c=1.0))
-        rep = damped_newton(np.ones(g.shape), 0.0, spec)
-        assert rep.converged and rep.iterations == 1
-        lap = laplace_beltrami(rep.u, g)
-        assert np.max(np.abs(lap[g.interior_mask] - 0.3)) < 1e-10
-        assert np.allclose(rep.u[-1, :], 1.0)
+    def test_anchor_is_the_root_at_t0(self):
+        # the staged problem R(u) = (1 - t) R(u_a) at t = 0 is solved by its
+        # anchor: Newton accepts it with no iteration and residual exactly 0
+        spec = hyperplane_problem(24, 2, 2, "4*(1+0.2*rho*sin(theta))")
+        u_a = constant_guess(spec)
+        R_a = assemble_residual(extrinsic_state(u_a, spec.grid), spec)
+        assert np.max(np.abs(R_a)) > 0.1
+        rep = damped_newton(u_a, spec, offset=R_a)
+        assert rep.converged and rep.iterations == 0 and rep.residual_norm == 0.0
+        assert np.array_equal(rep.u, u_a)
 
     def test_accepted_solutions_stay_admissible(self):
         g = disk()
         mspec, _ = manufactured_problem("1 + 0.05*rho**2 + 0.02*rho**4", g, 2)
-        rep = damped_newton(constant_guess(mspec), 1.0, mspec)
+        rep = damped_newton(constant_guess(mspec), mspec)
         assert rep.converged
         st = geom.extrinsic_state(rep.u, g)
         assert np.all(st.admissible_mask(2)[g.interior_mask])
@@ -514,61 +501,61 @@ class TestContinuation:
         assert errs[0] / errs[1] > 3.4
 
     def test_staged_fallback_reaches_target(self, monkeypatch):
-        # forcing the driver down the staged homotopy path on every level (no
-        # direct attempt converges) must still land on the same solution.
-        # (The Laplace anchor is only feasible when psi is not so strong that
-        # it pulls the graph nonpositive, hence the k=1 problem here.)
+        # forcing the solve down the staged path on every level (no direct
+        # attempt converges) must still land on the solution the direct path
+        # finds: each level steps t from its anchor up to 1
+        spec = hyperplane_problem(24, 2, 2, "4*(1+0.2*rho*sin(theta))")
+        direct = continuation_solve(spec)
+        assert direct.converged and all(s.t == 1.0 for s in direct.steps)
         real_newton = solver.damped_newton
 
-        def no_direct_attempt(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
-            rep = real_newton(u0, t, level, max_iters)
-            if max_iters == solver._DIRECT_MAX_ITERS:
+        def no_direct_attempt(u0, level, max_iters=solver._MAX_NEWTON_ITERS, offset=None):
+            rep = real_newton(u0, level, max_iters, offset)
+            if offset is None:
                 rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             return rep
 
         monkeypatch.setattr(solver, "damped_newton", no_direct_attempt)
-        g = disk()
-        res = continuation_solve(mean_curvature_problem(g))
+        res = continuation_solve(spec)
         assert res.converged
         grids = [s.grid for s in res.steps]
         assert grids == sorted(grids) and set(grids) == {(12, 12), (24, 24)}
         for grid in set(grids):
-            ts = [s.t for s in res.steps if s.grid == grid]
-            assert ts[0] == 0.0 and ts[-1] == 1.0
-            assert ts == sorted(ts)
-        assert np.max(np.abs(res.u - 1.0)) < 1e-8
+            assert [s.t for s in res.steps if s.grid == grid] == [0.25, 0.5, 0.75, 1.0]
+        assert np.max(np.abs(res.u - direct.u)) <= 1e-9 * np.max(np.abs(direct.u))
 
     @pytest.mark.parametrize("failure", ["stalled", "inadmissible"])
     def test_step_floor(self, monkeypatch, failure):
-        # every step past t = 0 fails, as a stalled Newton or as a start the
-        # guard rejects: dt halves from _DT_INIT below _DT_MIN and the first
-        # level ends at the step floor with its t = 0 step alone
-        real_newton = solver.damped_newton
+        # the direct attempt stalls, then every staged step fails, as a
+        # stalled Newton or as a start the guard rejects: dt halves from
+        # _DT_INIT below _DT_MIN, and the first level ends at the step floor
+        # with no accepted step and the anchor's residual.  psi = 2.5 against
+        # the anchor u = 1 (sigma_1 = 2) makes R(u_a) = -0.5 inside, so each
+        # step's t reads exactly off its offset (1 - t) R(u_a)
         iterations, tried = [], []
 
-        def fail_past_t0(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
-            if 0.0 < t < 1.0:
-                tried.append(t)
-            if t == 0.0:
-                rep = real_newton(u0, t, level, max_iters)
-            elif failure == "inadmissible" and t < 1.0:
-                rep = solver.NewtonReport(u0, "inadmissible", 0, np.inf, "start rejected")
-            else:  # the stall also fails the direct attempt at t = 1
+        def fail_every_step(u0, level, max_iters=solver._MAX_NEWTON_ITERS, offset=None):
+            if offset is None or failure == "stalled":
                 rep = solver.NewtonReport(u0, "stalled", 3, 1.0)
+            else:
+                rep = solver.NewtonReport(u0, "inadmissible", 0, np.inf, "start rejected")
+            if offset is not None:
+                tried.append(1.0 - offset[0, 0] / -0.5)
             iterations.append(rep.iterations)
             return rep
 
-        monkeypatch.setattr(solver, "damped_newton", fail_past_t0)
-        res = continuation_solve(mean_curvature_problem(disk()))
+        monkeypatch.setattr(solver, "damped_newton", fail_every_step)
+        res = continuation_solve(mean_curvature_problem(disk(), psi="2.5"))
         assert res.status == "step-floor"
-        assert res.detail.endswith("continuation step floor reached at t=0")
-        assert [(s.t, s.grid) for s in res.steps] == [(0.0, (12, 12))]
+        assert res.detail == "grid 12x12: continuation step floor reached at t=0"
+        assert res.steps == [] and res.residual_norm == 0.5
         assert tried == [0.25 / 2 ** i for i in range(8)]  # _DT_INIT 0.25, _DT_MIN 1e-3
         assert res.newton_total == sum(iterations)
+        assert res.newton_total == (3 + 8 * 3 if failure == "stalled" else 3)
 
     def test_inadmissible_start(self):
         # psi = 4 (1 - 0.4 rho) turns negative past rho = 2.5: the guard
-        # refuses the coarsest level's start and its constant fallback at t = 0
+        # refuses the coarsest level's start and then its constant anchor
         spec = ProblemSpec(grid=disk(24, 24, rho_max=3.0), k=2,
                            psi=PsiSpec("power", p=2.0, h="4*(1-0.4*rho)"),
                            phi=PhiSpec("constant", c=1.0))
@@ -591,8 +578,8 @@ def hyperplane_problem(n, k, p, h, rho_max=0.8):
 
 
 def single_level(spec):
-    """The homotopy driver on the spec's own grid, as continuation_solve ran
-    it before the coarse-to-fine chain."""
+    """:func:`solver._homotopy_solve` on the spec's own grid alone, from
+    the initial guess."""
     return solver._homotopy_solve(spec, build_initial_guess(spec))
 
 
@@ -647,19 +634,30 @@ class TestCoarseToFine:
         assert np.max(np.abs(carried[-1] - spec.boundary_values())) <= 1e-15
         assert np.max(np.abs(carried - harmonic_extension(spec))) <= 1e-14
 
-    def test_radial_staged_matches_single_level(self):
+    def test_radial_staged_matches_single_level(self, monkeypatch):
         # the continuation-k2-80 problem at 48^2 on a wider disk: the 12^2
-        # level fails its direct attempt and steps t = 0..1; 24^2 and 48^2
-        # converge in their direct attempts
+        # level fails its direct attempt and steps t up to 1; 24^2 and 48^2
+        # converge in their direct attempts.  The chain takes about as many
+        # Newton iterations as the 48^2 grid alone (52 and 51), but nearly all
+        # on 12^2, so its work, iterations times nodes, is a fraction
         spec = hyperplane_problem(48, 2, 2, "1", rho_max=3.0)
-        chain, ref = continuation_solve(spec), single_level(spec)
+        real_newton = solver.damped_newton
+        work = []  # nodes times iterations of every Newton run
+
+        def count_work(u0, level, max_iters=solver._MAX_NEWTON_ITERS, offset=None):
+            rep = real_newton(u0, level, max_iters, offset)
+            work.append(level.grid.n_nodes * rep.iterations)
+            return rep
+
+        monkeypatch.setattr(solver, "damped_newton", count_work)
+        chain = continuation_solve(spec)
+        chain_work, work[:] = sum(work), []
+        ref = single_level(spec)
         assert chain.converged and ref.converged
         assert [s.grid for s in chain.steps[-2:]] == [(24, 24), (48, 48)]
         assert all(s.grid == (12, 12) for s in chain.steps[:-2])
-        ts = [s.t for s in chain.steps[:-2]]
-        assert ts[0] == 0.0 and ts[-1] == 1.0
-        assert ts == sorted(ts)
-        assert chain.newton_total < ref.newton_total
+        assert [s.t for s in chain.steps[:-2]] == [0.25, 0.5, 0.75, 1.0]
+        assert chain_work < 0.25 * sum(work)
         assert np.max(np.abs(chain.u - ref.u)) <= 1e-12
 
     @pytest.mark.parametrize("k, p, h", [(1, 1, "2/u*(1+0.1*rho*cos(theta))"),
@@ -681,8 +679,8 @@ class TestCoarseToFine:
         real_newton = solver.damped_newton
         calls = []  # (grid shape, iterations) of every damped_newton report
 
-        def stall_on_the_target(u0, t, level, max_iters=solver._MAX_NEWTON_ITERS):
-            rep = real_newton(u0, t, level, max_iters)
+        def stall_on_the_target(u0, level, max_iters=solver._MAX_NEWTON_ITERS, offset=None):
+            rep = real_newton(u0, level, max_iters, offset)
             if level.grid is spec.grid:
                 rep = solver.NewtonReport(rep.u, "stalled", rep.iterations, rep.residual_norm)
             calls.append((level.grid.shape, rep.iterations))
@@ -697,15 +695,33 @@ class TestCoarseToFine:
         assert shapes == sorted(shapes) and shapes[-1] == (24, 24)
         assert res.newton_total == sum(n for _, n in calls)
 
-    def test_inadmissible_carry_steps_on_its_level(self):
-        # the converged 12^2 field, carried up, is not 2-admissible on 24^2:
-        # that level steps t = 0..1 from the carried start instead
-        spec = hyperplane_problem(24, 2, 2, "4*(1+0.3*cos(3*theta)*rho)", rho_max=2.4)
-        chain, ref = continuation_solve(spec), single_level(spec)
-        assert chain.converged and ref.converged
-        ts = [s.t for s in chain.steps if s.grid == (24, 24)]
-        assert ts[0] == 0.0 and ts[-1] == 1.0
-        assert ts == sorted(ts)
+    def test_inadmissible_carry_steps_on_its_level(self, monkeypatch):
+        # k = 2, psi = 4 (1 - 0.4 rho) on the 2.4 disk: the converged 10^2
+        # field, carried up, is not 2-admissible on 20^2.  The guard refuses it
+        # as the direct attempt's start, so that level anchors its staged path
+        # at the constant guess and steps t up to 1 from there
+        spec = hyperplane_problem(20, 2, 2, "4*(1-0.4*rho)", rho_max=2.4)
+        real_newton = solver.damped_newton
+        fine = []  # (start, offset given, report) of each 20^2 Newton run
+
+        def record(u0, level, max_iters=solver._MAX_NEWTON_ITERS, offset=None):
+            rep = real_newton(u0, level, max_iters, offset)
+            if level.grid is spec.grid:
+                fine.append((np.array(u0), offset is not None, rep))
+            return rep
+
+        monkeypatch.setattr(solver, "damped_newton", record)
+        chain = continuation_solve(spec)
+        monkeypatch.undo()
+        assert chain.converged
+        (_, staged, direct), (anchor, _, _) = fine[:2]
+        assert not staged and direct.status == "inadmissible"
+        assert direct.detail.startswith("start rejected: not 2-admissible at node")
+        assert np.array_equal(anchor, constant_guess(spec))
+        assert all(staged for _, staged, _ in fine[1:])
+        assert [s.t for s in chain.steps if s.grid == (20, 20)] == [0.25, 0.5, 0.75, 1.0]
+        ref = single_level(spec)
+        assert ref.converged
         assert np.max(np.abs(chain.u - ref.u)) <= 1e-9 * np.max(np.abs(ref.u))
 
     def test_carried_k2_start_is_admissible(self):
@@ -716,7 +732,7 @@ class TestCoarseToFine:
         coarse, fine = (hyperplane_problem(n, 2, 2, "1", rho_max=2.4) for n in (10, 20))
         res = single_level(coarse)
         assert res.converged
-        state, _, reason = solver._start(solver._carry(res.u, fine), 1.0, fine)
+        state, _, reason = solver._start(solver._carry(res.u, fine), fine)
         assert reason == "" and state is not None
 
     def test_probe_starts_are_laid_on_each_level(self):

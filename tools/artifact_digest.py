@@ -2,12 +2,15 @@
 compare two kept sets of them.
 
 Runs the three CLI workloads of ``perfbench/workloads.py`` (configs from
-``write_configs(name, 3, dir)``) and two non-radial 96^2 hyperplane solves
-with ``OMP_NUM_THREADS=1``, then digests the fields.csv, report.json and
-study.json each run writes: 12 files (verify mode writes no fields.csv).  Two
-checkouts agree byte for byte when their outputs compare equal with
-``diff``.  ``--keep DIR`` also copies the 12 files into
-DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
+``write_configs(name, 3, dir)``), two non-radial 96^2 hyperplane solves and
+one staged 24^2 solve with ``OMP_NUM_THREADS=1``, then digests the
+fields.csv, report.json and study.json each run writes: 14 files (verify
+mode writes no fields.csv).  Every other run converges in its direct
+attempts; the staged solve (k = 1, psi = 0.3, hyperplane phi, rho_max 3.2)
+refuses its carried start on 24^2 and steps t there, so the continuation in
+the data is digested too.  Two checkouts agree byte for byte when their
+outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
+into DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
 two kept sets and prints, per artifact, its ``newton_total`` leaves and the
 largest |A - B| of each fields.csv column and of each numeric leaf of
 report.json and study.json that differs.
@@ -30,8 +33,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 ARTIFACTS = ("fields.csv", "report.json", "study.json")
-NON_RADIAL = {"k1-96": (1, 1, "2/u*(1+0.1*rho*cos(theta))"),
-              "k2-96": (2, 2, "4*(1+0.2*rho*sin(theta))")}
+# name -> (k, rho_max, n, psi_p, psi_h), each with hyperplane phi
+HYPERPLANE = {"k1-96": (1, 0.8, 96, 1, "2/u*(1+0.1*rho*cos(theta))"),
+              "k2-96": (2, 0.8, 96, 2, "4*(1+0.2*rho*sin(theta))"),
+              "staged-k1-24": (1, 3.2, 24, 0, "0.3")}
 
 
 def main(out_path, keep=None):
@@ -48,10 +53,10 @@ def main(out_path, keep=None):
             cfg = workloads.write_configs(name, 3, work)
             for role in roles:
                 runs.append((f"{name}/{role}", cfg[role], os.path.join(work, role)))
-        for name, (k, p, h) in NON_RADIAL.items():
+        for name, (k, rho_max, n, p, h) in HYPERPLANE.items():
             out = os.path.join(tmp, name)
             with open(out + ".cfg", "w", encoding="utf-8") as fh:
-                fh.write(workloads._problem(k, 0.8, 96, p, h, "hyperplane")
+                fh.write(workloads._problem(k, rho_max, n, p, h, "hyperplane")
                          + f"[run]\nout_dir = {out}\n")
             runs.append((name, out + ".cfg", out))
         for name, config, out in runs:
