@@ -108,8 +108,6 @@ __all__ = [
     "solve_lower_barrier",
     "barrier_sandwich_check",
     "uniqueness_probe",
-    "maclaurin_ordering_margins",
-    "newton_inequality_min_slack",
 ]
 
 
@@ -628,7 +626,14 @@ def _barrier_solve(spec: ProblemSpec, state, order: int):
     """Damped Newton on the barrier problem of ``order``, from the solution
     and then from the constant guess.  Returns (field, "") for the first
     start that converges, or (None, reason) when neither does: the barrier
-    may not exist as a spacelike graph for the data."""
+    may not exist as a spacelike graph for the data.
+
+    The barrier of order k is the problem itself with psi frozen on the
+    solution: C(n,1) = n makes the order-1 data n (psi / n) = psi, and
+    C(n,n) = 1 makes the order-n data psi^(n/n) = psi.  The solution is its
+    root, so it is returned with no solve."""
+    if order == spec.k:
+        return state.u, ""
     psi = spec.psi_field(state.u, state.theta_support)
     Cnk = math.comb(spec.n, spec.k)
     if order == 1:
@@ -653,14 +658,16 @@ def _barrier_solve(spec: ProblemSpec, state, order: int):
 def solve_upper_barrier(spec: ProblemSpec, state: geom.ExtrinsicState):
     """Mean-curvature barrier: sigma_1[s] = n (psi / C(n,k))^{1/k} with psi
     frozen on the computed solution ``state``, s = phi on the boundary.
-    Returns (s, "") or, when no solve converges, (None, reason)."""
+    Returns (s, "") or, when no solve converges, (None, reason); for k = 1
+    s is the solution itself."""
     return _barrier_solve(spec, state, order=1)
 
 
 def solve_lower_barrier(spec: ProblemSpec, state: geom.ExtrinsicState):
     """Top-order barrier: sigma_n[s] = (psi / C(n,k))^{n/k}, s = phi on the
     boundary, psi frozen on the computed solution ``state``.  Returns (s, "")
-    or, when no solve converges, (None, reason)."""
+    or, when no solve converges, (None, reason); for k = n s is the solution
+    itself."""
     return _barrier_solve(spec, state, order=spec.n)
 
 
@@ -739,28 +746,3 @@ def uniqueness_probe(spec: ProblemSpec, n_starts: int = 5, seed: int = 0) -> Uni
         all_converged=len(sols) == n_starts,
         runs=runs,
     )
-
-
-# --- pointwise inequality checks -------------------------------------------------
-
-
-def maclaurin_ordering_margins(state: geom.ExtrinsicState, k: int, grid: Grid):
-    """Pointwise margins of the normalised-mean ordering used by the barriers:
-
-        n (sigma_k / C(n,k))^{1/k} <= sigma_1   and
-        sigma_n <= (sigma_k / C(n,k))^{n/k}
-
-    over interior nodes (n = 2).  Returns the two minima."""
-    interior = grid.interior_mask
-    C = math.comb(2, k)
-    mean_k = (state.sigma_k(k) / C) ** (1.0 / k)
-    m1 = state.sigma1 - 2.0 * mean_k
-    m2 = mean_k ** 2 - state.sigma2
-    return float(np.min(m1[interior])), float(np.min(m2[interior]))
-
-
-def newton_inequality_min_slack(state: geom.ExtrinsicState, grid: Grid) -> float:
-    """Minimum pointwise slack of the order-1 Newton inequality
-    (sigma_1 / 2)^2 - sigma_2 >= 0 over interior nodes (n = 2)."""
-    slack = (state.sigma1 / 2.0) ** 2 - state.sigma2
-    return float(np.min(slack[grid.interior_mask]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -17,8 +19,6 @@ from weingarten.solver import (
     continuation_solve,
     damped_newton,
     harmonic_extension,
-    maclaurin_ordering_margins,
-    newton_inequality_min_slack,
     solve_lower_barrier,
     solve_upper_barrier,
     uniqueness_probe,
@@ -784,6 +784,54 @@ class TestBarriers:
         assert not report.passed
 
 
+def converged_state(spec):
+    res = continuation_solve(spec)
+    assert res.converged
+    return extrinsic_state(res.u, spec.grid)
+
+
+# a radial k = 1 solve and a non-radial k = 2 one, with the barrier that is
+# the problem itself (order k) and the one that is not
+SHORTCUT_CASES = [
+    (lambda: mean_curvature_problem(disk()), solve_upper_barrier, solve_lower_barrier),
+    (lambda: hyperplane_problem(24, 2, 2, "4*(1+0.2*rho*sin(theta))"),
+     solve_lower_barrier, solve_upper_barrier),
+]
+SHORTCUT_IDS = ["k1-radial", "k2-non-radial"]
+
+
+class TestBarrierOfOrderK:
+    @pytest.mark.parametrize("make_spec", [case[0] for case in SHORTCUT_CASES],
+                             ids=SHORTCUT_IDS)
+    def test_newton_on_it_returns_the_solution_unchanged(self, make_spec):
+        # the solve that the order-k barrier skips: the frozen-psi data as
+        # _barrier_solve builds them for the other order, here of order k
+        spec = make_spec()
+        state = converged_state(spec)
+        psi = spec.psi_field(state.u, state.theta_support)
+        Cnk = math.comb(spec.n, spec.k)
+        rhs = (spec.n * (psi / Cnk) ** (1.0 / spec.k) if spec.k == 1
+               else (psi / Cnk) ** (spec.n / spec.k))
+        bspec = ProblemSpec(grid=spec.grid, k=spec.k,
+                            psi=PsiSpec(family="tabulated", table=rhs), phi=spec.phi)
+        rep = damped_newton(state.u, bspec)
+        assert rep.status == "converged" and rep.iterations == 0
+        assert np.array_equal(rep.u, state.u)
+
+    @pytest.mark.parametrize("make_spec, same, other", SHORTCUT_CASES, ids=SHORTCUT_IDS)
+    def test_returned_without_a_solve(self, monkeypatch, make_spec, same, other):
+        spec = make_spec()
+        state = converged_state(spec)
+        calls = []
+        newton = solver.damped_newton
+        monkeypatch.setattr(solver, "damped_newton",
+                            lambda *a, **kw: calls.append(1) or newton(*a, **kw))
+        s, detail = same(spec, state)
+        assert np.array_equal(s, state.u) and detail == "" and not calls
+        s, detail = other(spec, state)
+        assert s is not None and detail == "" and calls
+
+
 class TestUniqueness:
     def test_probe_returns_single_root(self):
         g = disk()
@@ -799,13 +847,41 @@ class TestUniqueness:
         assert a.max_pairwise_distance == b.max_pairwise_distance
 
 
-class TestPointwiseInequalities:
-    def test_maclaurin_ordering_on_solutions(self):
+def maclaurin_margins(sigma1, sigma2, k):
+    """The two normalised-mean orderings behind the barriers at n = 2,
+    2 (sigma_k / C(2,k))^(1/k) <= sigma_1 and sigma_2 <= (sigma_k /
+    C(2,k))^(2/k), as margins."""
+    mean_k = ((sigma1, sigma2)[k - 1] / math.comb(2, k)) ** (1.0 / k)
+    return sigma1 - 2.0 * mean_k, mean_k ** 2 - sigma2
+
+
+class TestTwoCurvatureIdentities:
+    # At n = 2 the Newton inequality and the MacLaurin orderings are
+    # identities in the principal curvatures, so they cannot fail on any
+    # state and the solver reports no gate for them.
+
+    @staticmethod
+    def assert_identities(lam1, lam2, sigma1, sigma2):
+        scale = np.maximum(1.0, (np.abs(lam1) + np.abs(lam2)) ** 2)
+        slack = (sigma1 / 2.0) ** 2 - sigma2
+        assert np.all(np.abs(slack - (lam1 - lam2) ** 2 / 4.0) <= 1e-14 * scale)
+        m1, m2 = maclaurin_margins(sigma1, sigma2, 1)
+        assert np.all(m1 == 0.0)
+        assert np.array_equal(m2, slack)
+        pos = (lam1 > 0.0) & (lam2 > 0.0)
+        assert np.count_nonzero(pos) > 0
+        m1, m2 = maclaurin_margins(sigma1[pos], sigma2[pos], 2)
+        root_gap = (np.sqrt(lam1[pos]) - np.sqrt(lam2[pos])) ** 2
+        assert np.all(np.abs(m1 - root_gap) <= 1e-14 * scale[pos])
+        assert np.all(np.abs(m2) <= 1e-15 * scale[pos])
+
+    def test_on_random_curvature_pairs(self):
+        lam1, lam2 = np.random.default_rng(20).uniform(-3.0, 3.0, size=(2, 4000))
+        self.assert_identities(lam1, lam2, lam1 + lam2, lam1 * lam2)
+
+    def test_on_a_non_radial_state(self):
         g = disk()
-        for spec in (mean_curvature_problem(g), gauss_curvature_problem(g)):
-            res = continuation_solve(spec)
-            st = geom.extrinsic_state(res.u, g)
-            m1, m2 = maclaurin_ordering_margins(st, spec.k, g)
-            assert m1 >= -1e-10
-            assert m2 >= -1e-10
-            assert newton_inequality_min_slack(st, g) >= -1e-10
+        _, u = tilted_gauss_state(g)
+        st = geom.extrinsic_state(u, g)
+        assert np.ptp(st.lam1 - st.lam2, axis=1).max() > 0.0
+        self.assert_identities(st.lam1, st.lam2, st.sigma1, st.sigma2)

@@ -2,13 +2,16 @@
 compare two kept sets of them.
 
 Runs the three CLI workloads of ``perfbench/workloads.py`` (configs from
-``write_configs(name, 3, dir)``), two non-radial 96^2 hyperplane solves and
-one staged 24^2 solve with ``OMP_NUM_THREADS=1``, then digests the
-fields.csv, report.json and study.json each run writes: 14 files (verify
-mode writes no fields.csv).  Every other run converges in its direct
-attempts; the staged solve (k = 1, psi = 0.3, hyperplane phi, rho_max 3.2)
-refuses its carried start on 24^2 and steps t there, so the continuation in
-the data is digested too.  Two checkouts agree byte for byte when their
+``write_configs(name, 3, dir)``), two non-radial 96^2 hyperplane solves, one
+staged 24^2 solve and one 24^2 solve that fails a gate, with
+``OMP_NUM_THREADS=1``, then digests the fields.csv, report.json and
+study.json each run writes: 16 files (verify mode writes no fields.csv).
+The staged solve (k = 1, psi = 0.3, hyperplane phi, rho_max 3.2) refuses
+its carried start on 24^2 and steps t there, so the continuation in the data
+is digested too; every other solve converges in its direct attempts.  The
+failing one (k = 1, psi_p = 1, psi_h = 2*(1+0.3*rho*sin(theta)), hyperplane
+phi, rho_max 3.0) finds no order-2 barrier, so it exits 3 and the failed-gate
+report is digested too.  Two checkouts agree byte for byte when their
 outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
 into DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
 two kept sets and prints, per artifact, its ``newton_total`` leaves and the
@@ -36,7 +39,8 @@ ARTIFACTS = ("fields.csv", "report.json", "study.json")
 # name -> (k, rho_max, n, psi_p, psi_h), each with hyperplane phi
 HYPERPLANE = {"k1-96": (1, 0.8, 96, 1, "2/u*(1+0.1*rho*cos(theta))"),
               "k2-96": (2, 0.8, 96, 2, "4*(1+0.2*rho*sin(theta))"),
-              "staged-k1-24": (1, 3.2, 24, 0, "0.3")}
+              "staged-k1-24": (1, 3.2, 24, 0, "0.3"),
+              "no-barrier-k1-24": (1, 3.0, 24, 1, "2*(1+0.3*rho*sin(theta))")}
 
 
 def main(out_path, keep=None):
