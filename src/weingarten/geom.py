@@ -8,8 +8,10 @@ the second fundamental form and sigma_1, sigma_2, and :func:`_linearisation`
 their partials, which the solver's Jacobian takes; :func:`extrinsic_state`
 guards the field, calls the kernel and packages u with its covariant gradient and
 Hessian, the inverse metric, the principal curvatures, the support function,
-the squared curvature norm and the spacelike gap.  Everything is vectorised over
-(n_rho, n_theta) arrays and works equally on scalars.
+the squared curvature norm and the spacelike gap.  :func:`sigma_k_lines`
+applies the same guards to every node and evaluates the kernel on some theta
+lines only.  Everything is vectorised over (n_rho, n_theta) arrays and works
+equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
 and the constant graph u = R has principal curvatures +1/R.
@@ -31,6 +33,7 @@ __all__ = [
     "graph_geometry",
     "principal_curvatures",
     "extrinsic_state",
+    "sigma_k_lines",
 ]
 
 
@@ -60,9 +63,26 @@ def _check_graph(U: np.ndarray, grid: Grid):
         )
 
 
+def _induced_metric(u, u_rho, u_theta, s2):
+    """g_ij = u^2 sigma_ij - u_i u_j as an (rr, rt, tt) triple, with s2 =
+    sinh(rho)^2 the chart metric's theta-theta entry."""
+    return u ** 2 - u_rho ** 2, -u_rho * u_theta, u ** 2 * s2 - u_theta ** 2
+
+
+def _metric_det(g_rr, g_rt, g_tt):
+    return g_rr * g_tt - g_rt ** 2
+
+
+def _check_metric(a, g_rr):
+    """Raise :class:`InvalidGraphError` unless the metric with determinant a
+    and rho-rho entry g_rr is positive definite at every node."""
+    if np.any(np.asarray(a) <= 0.0) or np.any(np.asarray(g_rr) <= 0.0):
+        raise InvalidGraphError("metric is not positive definite")
+
+
 def _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
     # det(h - lam g) = a lam^2 + b lam + c
-    a = g_rr * g_tt - g_rt ** 2
+    a = _metric_det(g_rr, g_rt, g_tt)
     b = -(h_rr * g_tt + h_tt * g_rr - 2.0 * h_rt * g_rt)
     c = h_rr * h_tt - h_rt ** 2
     return a, b, c
@@ -86,7 +106,7 @@ def graph_geometry(u, u_rho, u_theta, H_rr, H_rt, H_tt, sinh_rho):
     """
     s2 = sinh_rho ** 2
     v = np.sqrt(1.0 - (u_rho ** 2 + (u_theta / sinh_rho) ** 2) / u ** 2)
-    g = (u ** 2 - u_rho ** 2, -u_rho * u_theta, u ** 2 * s2 - u_theta ** 2)
+    g = _induced_metric(u, u_rho, u_theta, s2)
     h = (
         (H_rr + u - 2.0 * u_rho ** 2 / u) / v,
         (H_rt - 2.0 * u_rho * u_theta / u) / v,
@@ -176,8 +196,7 @@ def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
     quadratic formula; no iterative eigensolver is involved.
     """
     a, b, c = _pencil_coefficients(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt)
-    if np.any(np.asarray(a) <= 0.0) or np.any(np.asarray(g_rr) <= 0.0):
-        raise InvalidGraphError("metric is not positive definite")
+    _check_metric(a, g_rr)
     disc = np.maximum(b * b - 4.0 * a * c, 0.0)
     sq = np.sqrt(disc)
     q = -0.5 * (b + np.copysign(sq, b))
@@ -217,11 +236,7 @@ class ExtrinsicState:
     spacelike_gap: float
 
     def sigma_k(self, k: int) -> np.ndarray:
-        if k == 1:
-            return self.sigma1
-        if k == 2:
-            return self.sigma2
-        raise ValueError(f"sigma_{k} is not available on a 2-d grid state")
+        return _pick_sigma(k, self.sigma1, self.sigma2)
 
     def admissible_mask(self, k: int) -> np.ndarray:
         """Nodes where the curvature vector lies in the order-k positivity cone."""
@@ -231,13 +246,21 @@ class ExtrinsicState:
         return ok
 
 
-def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
-    """Build the full per-node geometric state of the graph u.
+def _pick_sigma(k: int, sigma1, sigma2):
+    if k == 1:
+        return sigma1
+    if k == 2:
+        return sigma2
+    raise ValueError(f"sigma_{k} is not available on a 2-d grid state")
 
-    Raises :class:`InvalidGraphError` / :class:`NotSpacelikeError` when the
-    field is not a finite, positive, spacelike graph; otherwise keeps the
-    chart data and adds the inverse metric, the principal curvatures, the
-    support function u / v and |A|^2 to what :func:`graph_geometry` gives.
+
+def _chart_data(u, grid: Grid):
+    """The guarded chart stage: ((u, u_rho, u_theta, H_rr, H_rt, H_tt), gap)
+    with the covariant gradient and Hessian of u and gap = max |Du|/u.
+
+    Raises :class:`InvalidGraphError` at the first node where u is not a
+    finite positive number, then :class:`NotSpacelikeError` at the node of
+    the largest |Du|/u when that reaches 1.
     """
     U = np.asarray(u, dtype=float)
     _check_graph(U, grid)
@@ -254,8 +277,20 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
     gap = float(np.sqrt(np.max(ratio)))
     # temporaries are freed as soon as they are spent: peak memory at 1024^2
     del grad_sq, ratio
-    H_rr, H_rt, H_tt = hchart.covariant_hessian(U, u_r, u_t, grid)
-    v, g, h, sigma1, sigma2 = graph_geometry(U, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
+    return (U, u_r, u_t, *hchart.covariant_hessian(U, u_r, u_t, grid)), gap
+
+
+def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
+    """Build the full per-node geometric state of the graph u.
+
+    Raises :class:`InvalidGraphError` / :class:`NotSpacelikeError` when the
+    field is not a finite, positive, spacelike graph; otherwise keeps the
+    chart data and adds the inverse metric, the principal curvatures, the
+    support function u / v and |A|^2 to what :func:`graph_geometry` gives.
+    """
+    chart, gap = _chart_data(u, grid)
+    U, u_r, u_t, H_rr, H_rt, H_tt = chart
+    v, g, h, sigma1, sigma2 = graph_geometry(*chart, grid.sinh_rho)
     lam1, lam2 = principal_curvatures(*h, *g)
     del g, h
     # g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)), indices raised by sigma
@@ -281,3 +316,27 @@ def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
         norm_a_sq=sigma1 ** 2 - 2.0 * sigma2,
         spacelike_gap=gap,
     )
+
+
+def sigma_k_lines(u, grid: Grid, k: int, step: int) -> np.ndarray:
+    """sigma_k of the graph u on the theta lines j = 0, step, 2 step, ... of
+    ``grid``, an (n_rho, n_theta / step) array.
+
+    The chart data come from the whole grid, since the theta stencils reach
+    the neighbouring lines, and every guard of :func:`extrinsic_state` runs
+    on every node in the same order: finite and positive u, spacelike, then
+    :func:`principal_curvatures`' positive-definite metric test.  Only the
+    node-local kernel is restricted to the kept lines, so the values are
+    those of ``extrinsic_state(u, grid).sigma_k(k)[:, ::step]`` bit for bit.
+    """
+    (U, u_r, u_t, *hessian), _ = _chart_data(u, grid)
+    lines = (slice(None), slice(None, None, step))
+    # the Hessian's kept lines are copied out, so that its full arrays are
+    # freed before the metric test: peak memory at 1024^2
+    hessian = [H[lines].copy() for H in hessian]
+    g = _induced_metric(U, u_r, u_t, grid.sinh_rho ** 2)
+    _check_metric(_metric_det(*g), g[0])
+    del g
+    _, _, _, sigma1, sigma2 = graph_geometry(
+        U[lines], u_r[lines], u_t[lines], *hessian, grid.sinh_rho)
+    return _pick_sigma(k, sigma1, sigma2)

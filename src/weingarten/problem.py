@@ -326,16 +326,17 @@ def tabulate_sigma_k(u_fn, grid: Grid, k: int, refine: int = 4) -> np.ndarray:
     """Sample sigma_k of the graph u_fn(rho, theta) on a ``refine`` times
     finer grid and restrict the values to ``grid``.
 
-    The fine theta lines contain the coarse ones; the radial restriction is
-    the cubic spline :func:`spline_rows`, whose error is far below the coarse
+    The fine theta lines contain the coarse ones, and sigma_k is evaluated
+    on those kept lines only (:func:`geom.sigma_k_lines`), with every guard
+    of the state still on every fine node; the radial restriction is the
+    cubic spline :func:`spline_rows`, whose error is far below the coarse
     truncation level.
     """
     fine = Grid(grid.chart, refine * grid.n_rho, refine * grid.n_theta)
     U = np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float)
     U = np.broadcast_to(U, fine.shape)
-    state = geom.extrinsic_state(U, fine)
-    vals = state.sigma_k(k)
-    return spline_rows(vals[:, :: refine], fine.rho[0], fine.d_rho, grid.rho)
+    vals = geom.sigma_k_lines(U, fine, k, refine)
+    return spline_rows(vals, fine.rho[0], fine.d_rho, grid.rho)
 
 
 def manufactured_problem(u_expr, grid: Grid, k: int, refine: int = 4):

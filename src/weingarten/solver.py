@@ -390,11 +390,13 @@ def damped_newton(u0, spec: ProblemSpec, max_iters: int = _MAX_NEWTON_ITERS,
     The offset is constant in u, so the Jacobian is R's.  The start and every
     trial pass one guard (:func:`_start`, :func:`_cone_residual`); a trial
     step is halved until the guard holds and the sup-norm of R - offset
-    strictly decreases.  Returns every outcome: status converged (an exact
-    start with zero iterations), max-iterations, stalled (no acceptable step
-    above the damping floor, or a non-finite correction) or inadmissible (a
-    refused start: zero iterations, residual inf, the guard's reason in
-    ``detail``).
+    strictly decreases.  The tolerance is :func:`resolve_newton_tol` at the
+    start, taken again at an iterate that meets it; the iteration stops when
+    the iterate also meets its own, as verify mode judges a field.  Returns
+    every outcome: status converged (an exact start with zero iterations),
+    max-iterations, stalled (no acceptable step above the damping floor, or a
+    non-finite correction) or inadmissible (a refused start: zero
+    iterations, residual inf, the guard's reason in ``detail``).
     """
     grid = spec.grid
     u = np.array(u0, dtype=float, copy=True)
@@ -406,7 +408,9 @@ def damped_newton(u0, spec: ProblemSpec, max_iters: int = _MAX_NEWTON_ITERS,
     tol = resolve_newton_tol(spec, state)
     rnorm = float(np.max(np.abs(R)))
     iterations = 0
-    while rnorm > tol:
+    # an iterate that meets the tolerance is judged again at its own psi, so a
+    # solve accepts only a field that verify mode accepts
+    while rnorm > tol or rnorm > (tol := resolve_newton_tol(spec, state)):
         if iterations >= max_iters:
             return NewtonReport(u, "max-iterations", iterations, rnorm)
         J = assemble_jacobian(state, spec)

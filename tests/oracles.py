@@ -3,8 +3,9 @@ vector at a time, the chart's stencils written out as sparse matrices, the
 Laplace-Beltrami operator from the array stencils, the Laplace system from
 the stencil matrices and its solve by a Thomas sweep over the rings, the
 residual's node-local map sigma_k - psi with its partials by complex step,
-the Jacobian as a weighted sum of stencil matrices, and the graph's points, tangents and
-unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
+the Jacobian as a weighted sum of stencil matrices, the manufactured sigma_k
+table from the full state of the fine grid, and the graph's points, tangents
+and unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
 
 import dataclasses
 
@@ -12,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from weingarten import geom
-from weingarten.hchart import partial_rho, partial_rho2, partial_theta2
+from weingarten.hchart import Grid, partial_rho, partial_rho2, partial_theta2
+from weingarten.problem import spline_rows
 
 
 def matrix_from_columns(column, n: int) -> sp.csc_matrix:
@@ -220,6 +222,17 @@ def stencil_operator(grid, weights) -> sp.csr_matrix:
     interior = grid.interior_mask.ravel().astype(float)
     J = sp.diags(interior) @ M + sp.diags(1.0 - interior)
     return J.tocsr()
+
+
+def full_state_sigma_k_table(u_fn, grid, k, refine=4):
+    """The reference for ``problem.tabulate_sigma_k``: the full
+    ``geom.ExtrinsicState`` of the graph u_fn(rho, theta) on a ``refine``
+    times finer grid, its sigma_k on every ``refine``-th theta line, and the
+    rings splined down to ``grid``."""
+    fine = Grid(grid.chart, refine * grid.n_rho, refine * grid.n_theta)
+    U = np.broadcast_to(np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float), fine.shape)
+    vals = geom.extrinsic_state(U, fine).sigma_k(k)
+    return spline_rows(vals[:, ::refine], fine.rho[0], fine.d_rho, grid.rho)
 
 
 def lorentz_inner(p, q):

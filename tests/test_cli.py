@@ -311,6 +311,20 @@ class TestVerifyMode:
         assert run(rc) == 0
         assert_verify_outputs(tmp_path / "verify_out", 0)
 
+    def test_a_solve_passes_verify_of_its_own_field(self, tmp_path):
+        # k = 1 on the 3.6 disk: sup psi falls over the solve, so a tolerance
+        # taken from psi at the start accepted a residual of 2.830e-08 that
+        # verify, taking it from psi at the field, refused (2.826e-08)
+        text = (BASE_CONFIG.replace("n_rho = 16", "n_rho = 48")
+                .replace("n_theta = 16", "n_theta = 48").replace("rho_max = 0.8", "rho_max = 3.6")
+                .replace("psi_p = 0", "psi_p = 1")
+                .replace("psi_h = 2", "psi_h = 2/u*(1+0.1*rho*cos(theta))"))
+        fields = tmp_path / "solve" / "fields.csv"
+        verify = text.replace("mode = solve", f"mode = verify\nfields_in = {fields}")
+        for mode, cfg in (("solve", text), ("verify", verify)):
+            assert cli.main(["--config", write_config(tmp_path, cfg, f"{mode}.cfg"),
+                             "--out", str(tmp_path / mode)]) == 0
+
     def test_u_column_is_a_field_of_its_own(self, tmp_path, monkeypatch):
         # u is read out as a C-contiguous copy, not a strided view that would
         # keep the whole nine-column table alive through the verify run

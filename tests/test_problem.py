@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import full_state_sigma_k_table
+from weingarten.geom import InvalidGraphError, NotSpacelikeError
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import (
     ExpressionError,
@@ -165,6 +168,46 @@ class TestTabulation:
         for i in (0, 5, 10, 15):
             want = float(sigma2_mp(mp.mpf(float(g.rho[i]))))
             assert table[i, 0] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("refine", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("shape", [(8, 8), (12, 16)])
+    @pytest.mark.parametrize("u_fn", [
+        lambda r, t: 1 + 0.05 * r ** 2 + 0.02 * r ** 4 + 0.0 * t,
+        lambda r, t: 1 + 0.05 * r ** 2 + 0.03 * r * np.cos(t) + 0.02 * r ** 2 * np.sin(2 * t),
+    ], ids=["radial", "theta"])
+    def test_matches_full_state_oracle(self, u_fn, shape, k, refine):
+        # sigma_k on the kept theta lines only is the full fine state's, bit for bit
+        g = disk(*shape)
+        want = full_state_sigma_k_table(u_fn, g, k, refine=refine)
+        assert np.array_equal(tabulate_sigma_k(u_fn, g, k, refine=refine), want)
+
+    def test_manufactured_peak_memory(self):
+        # the fine grid's chart data, not a full state of it: at most 12 arrays
+        # of the 4x grid at peak (the full state took 25)
+        g = disk(64, 64)
+        u_star = "1 + 0.05*rho**2 + 0.02*rho**4"
+        manufactured_problem(u_star, g, 2)
+        tracemalloc.start()
+        try:
+            manufactured_problem(u_star, g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * (4 * 64) ** 2 * 8
+
+    def test_fine_grid_guards(self):
+        # every guard runs on every node of the 4x grid, with the state's messages
+        g = disk(16, 16)
+        with pytest.raises(NotSpacelikeError) as exc:
+            manufactured_problem("1 + 2*rho**2", g, 2)
+        assert str(exc.value) == ("graph not spacelike at node (i=56, j=0, rho=0.70625, "
+                                  "theta=0): |Du|/u = 1.41421")
+        assert exc.value.node == 56 * 64
+        with pytest.raises(InvalidGraphError) as exc:
+            manufactured_problem("0.5 - rho**2", g, 2)
+        assert str(exc.value) == ("graph function not finite and positive at node (i=57, "
+                                  "j=0, rho=0.71875, theta=0): u = -0.0166015625")
 
     def test_manufactured_problem_wiring(self):
         g = disk(16, 16)

@@ -3,16 +3,19 @@ compare two kept sets of them.
 
 Runs the three CLI workloads of ``perfbench/workloads.py`` (configs from
 ``write_configs(name, 3, dir)``), two non-radial 96^2 hyperplane solves, one
-staged 24^2 solve and one 24^2 solve that fails a gate, with
-``OMP_NUM_THREADS=1``, then digests the fields.csv, report.json and
-study.json each run writes: 16 files (verify mode writes no fields.csv).
+staged 24^2 solve, one 24^2 solve that fails a gate and one k = 1 study on a
+2x tabulation grid, with ``OMP_NUM_THREADS=1``, then digests the fields.csv,
+report.json and study.json each run writes: 19 files (verify mode writes no
+fields.csv).
 The staged solve (k = 1, psi = 0.3, hyperplane phi, rho_max 3.2) refuses
 its carried start on 24^2 and steps t there, so the continuation in the data
 is digested too; every other solve converges in its direct attempts.  The
 failing one (k = 1, psi_p = 1, psi_h = 2*(1+0.3*rho*sin(theta)), hyperplane
 phi, rho_max 3.0) finds no order-2 barrier, so it exits 3 and the failed-gate
-report is digested too.  Two checkouts agree byte for byte when their
-outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
+report is digested too.  The second study (k = 1, ``refine = 2``, rho_max
+1.2, grids 16, 32, 64, u* = 1 + 0.05 rho^2 + 0.02 rho^4) covers the order
+and the tabulation factor that ``study-k2`` does not.  Two checkouts agree
+byte for byte when their outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
 into DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
 two kept sets and prints, per artifact, its ``newton_total`` leaves and the
 largest |A - B| of each fields.csv column and of each numeric leaf of
@@ -63,6 +66,12 @@ def main(out_path, keep=None):
                 fh.write(workloads._problem(k, rho_max, n, p, h, "hyperplane")
                          + f"[run]\nout_dir = {out}\n")
             runs.append((name, out + ".cfg", out))
+        out = os.path.join(tmp, "study-k1-refine2")
+        with open(out + ".cfg", "w", encoding="utf-8") as fh:
+            fh.write(workloads._problem(1, 1.2, 16, 0, 2, "constant")
+                     + f"[run]\nmode = study\nout_dir = {out}\n[study]\ngrids = 16,32,64\n"
+                     "u_star = 1 + 0.05*rho**2 + 0.02*rho**4\nrefine = 2\n")
+        runs.append(("study-k1-refine2", out + ".cfg", out))
         for name, config, out in runs:
             code = cli.main(["--config", config])
             for fname in ARTIFACTS:
