@@ -183,6 +183,8 @@ def _validate_problem(rc: RunConfig):
         if phi_c is None or not 0.0 < phi_c < math.inf:
             raise ConfigError("phi_c must be positive and finite")
         p = rc.get("problem", "psi_p")
+        if not math.isfinite(p):
+            raise ConfigError(f"psi_p = {p} must be finite")
         if p < k:
             rc.warnings.append(
                 f"psi growth exponent p = {p} < k = {k}: the structural convexity "
@@ -235,7 +237,7 @@ def _field_table(state: geom.ExtrinsicState, spec: ProblemSpec):
     residual = solver.assemble_residual(state, spec)
     rho = grid.rho_col + np.zeros(grid.shape)
     theta = grid.theta_row + np.zeros(grid.shape)
-    cols = [rho, theta, state.u, state.v, state.lam1, state.lam2,
+    cols = [rho, theta, state.u, state.v, *geom.state_curvatures(state, grid),
             state.sigma_k(spec.k), state.theta_support, residual]
     return np.column_stack([c.ravel() for c in cols])
 
@@ -377,9 +379,17 @@ def _run_solve(rc: RunConfig, log):
 
 def _read_u_column(path, grid: Grid) -> np.ndarray:
     """The u column of a fields file as a C-contiguous field of its own, so
-    the nine-column table it was read with is freed on return."""
+    the nine-column table it was read with is freed on return.  The file's
+    first line must be the header that solve mode writes."""
     n_cols = len(_CSV_HEADER.split(","))
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        # read no further than a header line with a CR LF ending
+        header = fh.readline(len(_CSV_HEADER) + 2).rstrip("\r\n")
+    if header != _CSV_HEADER:
+        raise ConfigError(f"fields file {path!r} is malformed: header {excerpt(header)}, "
+                          f"expected {_CSV_HEADER!r}")
     try:
+        # by path, not through fh: numpy then parses the file in chunks, not line by line
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"fields file {path!r} is malformed: {exc}") from None

@@ -119,7 +119,7 @@ def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid):
     violation = bool(eta_min < -eps_h)
     dist = grid.chart.rho_max - grid.rho_col + np.zeros(grid.shape)
     norm_a = np.sqrt(np.maximum(state.norm_a_sq, 0.0))
-    weighted = eta * state.lam1
+    weighted = eta * geom.state_curvatures(state, grid)[0]
     edges = np.linspace(0.0, grid.chart.rho_max, _PROFILE_BANDS + 1)
     rows = []
     for b in range(_PROFILE_BANDS):
@@ -164,9 +164,10 @@ def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid):
     """
     q = -state.theta_support
     sqrt_g = state.u ** 2 * state.v * grid.sinh_rho + np.zeros(grid.shape)
-    A = sqrt_g * state.ginv_rr
-    B = sqrt_g * state.ginv_rt
-    C = sqrt_g * state.ginv_tt
+    ginv_rr, ginv_rt, ginv_tt = geom.inverse_metric(state, grid)
+    A = sqrt_g * ginv_rr
+    B = sqrt_g * ginv_rt
+    C = sqrt_g * ginv_tt
     dq_r = hchart.partial_rho(q, grid)
     dq_t = hchart.partial_theta(q, grid)
     # radial flux at half rings i+1/2 (pole flux at -1/2 is exactly zero)
@@ -188,8 +189,8 @@ def support_laplace_identity_check(state: geom.ExtrinsicState, grid: Grid):
     s1 = state.sigma1
     ds1_r = hchart.partial_rho(s1, grid)
     ds1_t = hchart.partial_theta(s1, grid)
-    grad_r = state.ginv_rr * ds1_r + state.ginv_rt * ds1_t
-    grad_t = state.ginv_rt * ds1_r + state.ginv_tt * ds1_t
+    grad_r = ginv_rr * ds1_r + ginv_rt * ds1_t
+    grad_t = ginv_rt * ds1_r + ginv_tt * ds1_t
     rhs = s1 + grad_r * (-state.u * state.u_rho) + grad_t * (-state.u * state.u_theta)
     rhs += state.norm_a_sq * q
     resid = lap_q - rhs

@@ -6,12 +6,13 @@ by u(x) * x, with x on the unit hyperboloid in Minkowski space
 :func:`graph_geometry`, holds the formulas for the lapse, the induced metric,
 the second fundamental form and sigma_1, sigma_2, and :func:`_linearisation`
 their partials, which the solver's Jacobian takes; :func:`extrinsic_state`
-guards the field, calls the kernel and packages u with its covariant gradient and
-Hessian, the inverse metric, the principal curvatures, the support function,
-the squared curvature norm and the spacelike gap.  :func:`sigma_k_lines`
-applies the same guards to every node and evaluates the kernel on some theta
-lines only.  Everything is vectorised over (n_rho, n_theta) arrays and works
-equally on scalars.
+guards the field, calls the kernel and packages what the Newton loop reads,
+and :func:`state_curvatures`, :func:`inverse_metric` and
+``ExtrinsicState.norm_a_sq`` give the report the principal curvatures, the
+inverse metric and |A|^2 of a solved field's state.
+:func:`sigma_k_lines` applies the same guards to every node and evaluates the
+kernel on some theta lines only.  Everything is vectorised over (n_rho,
+n_theta) arrays and works equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
 and the constant graph u = R has principal curvatures +1/R.
@@ -33,6 +34,8 @@ __all__ = [
     "graph_geometry",
     "principal_curvatures",
     "extrinsic_state",
+    "state_curvatures",
+    "inverse_metric",
     "sigma_k_lines",
 ]
 
@@ -207,14 +210,17 @@ def principal_curvatures(h_rr, h_rt, h_tt, g_rr, g_rt, g_tt):
 
 @dataclasses.dataclass
 class ExtrinsicState:
-    """Per-node geometric package of a spacelike radial graph: u with its
-    covariant gradient and Hessian, and the geometry built from them.
+    """Per-node state of a spacelike radial graph, what the Newton loop reads:
+    u with its covariant gradient and Hessian, the lapse ``v``, sigma_1,
+    sigma_2, the support function ``theta_support`` = u / v and
+    ``spacelike_gap``, max over nodes of |Du|/u, below 1 by construction.
 
     ``sigma1``/``sigma2`` are the trace and determinant of the shape operator
     computed from the characteristic polynomial of the (h, g) pencil, which
     avoids the half-precision loss the split eigenvalues suffer near umbilic
-    points; ``norm_a_sq`` = sigma1^2 - 2 sigma2 for the same reason.
-    ``spacelike_gap`` is max over nodes of |Du|/u, below 1 by construction.
+    points; :attr:`norm_a_sq` = sigma1^2 - 2 sigma2 for the same reason.  The
+    report's other quantities are computed from a solved field's state:
+    :func:`state_curvatures` and :func:`inverse_metric`.
     """
 
     u: np.ndarray
@@ -224,16 +230,15 @@ class ExtrinsicState:
     H_rt: np.ndarray
     H_tt: np.ndarray
     v: np.ndarray
-    ginv_rr: np.ndarray
-    ginv_rt: np.ndarray
-    ginv_tt: np.ndarray
-    lam1: np.ndarray
-    lam2: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     theta_support: np.ndarray
-    norm_a_sq: np.ndarray
     spacelike_gap: float
+
+    @property
+    def norm_a_sq(self) -> np.ndarray:
+        """|A|^2 = sigma1^2 - 2 sigma2 at every node."""
+        return self.sigma1 ** 2 - 2.0 * self.sigma2
 
     def sigma_k(self, k: int) -> np.ndarray:
         return _pick_sigma(k, self.sigma1, self.sigma2)
@@ -281,41 +286,36 @@ def _chart_data(u, grid: Grid):
 
 
 def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
-    """Build the full per-node geometric state of the graph u.
+    """Build the per-node state of the graph u that the Newton loop reads.
 
     Raises :class:`InvalidGraphError` / :class:`NotSpacelikeError` when the
-    field is not a finite, positive, spacelike graph; otherwise keeps the
-    chart data and adds the inverse metric, the principal curvatures, the
-    support function u / v and |A|^2 to what :func:`graph_geometry` gives.
+    field is not a finite, positive, spacelike graph with a positive definite
+    metric; otherwise keeps the chart data and adds the support function
+    u / v to what :func:`graph_geometry` gives.
     """
     chart, gap = _chart_data(u, grid)
-    U, u_r, u_t, H_rr, H_rt, H_tt = chart
     v, g, h, sigma1, sigma2 = graph_geometry(*chart, grid.sinh_rho)
-    lam1, lam2 = principal_curvatures(*h, *g)
+    _check_metric(_metric_det(*g), g[0])
     del g, h
-    # g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)), indices raised by sigma
-    s2 = grid.sinh_rho ** 2
-    u2v2 = U ** 2 * v ** 2
-    inv_scale = 1.0 / U ** 2
-    return ExtrinsicState(
-        u=U,
-        u_rho=u_r,
-        u_theta=u_t,
-        H_rr=H_rr,
-        H_rt=H_rt,
-        H_tt=H_tt,
-        v=v,
-        ginv_rr=inv_scale * (1.0 + u_r ** 2 / u2v2),
-        ginv_rt=inv_scale * (u_r * u_t / s2) / u2v2,
-        ginv_tt=inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2),
-        lam1=lam1,
-        lam2=lam2,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        theta_support=U / v,
-        norm_a_sq=sigma1 ** 2 - 2.0 * sigma2,
-        spacelike_gap=gap,
-    )
+    # the state's first six fields are the chart data, in the same order
+    return ExtrinsicState(*chart, v, sigma1, sigma2, chart[0] / v, gap)
+
+
+def state_curvatures(state: ExtrinsicState, grid: Grid):
+    """(lam1, lam2) of ``state`` on ``grid`` by :func:`principal_curvatures`."""
+    _, g, h, _, _ = graph_geometry(state.u, state.u_rho, state.u_theta,
+                                   state.H_rr, state.H_rt, state.H_tt, grid.sinh_rho)
+    return principal_curvatures(*h, *g)
+
+
+def inverse_metric(state: ExtrinsicState, grid: Grid):
+    """g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)) of ``state`` on ``grid``
+    as an (rr, rt, tt) triple, indices raised by the chart metric sigma."""
+    u_r, u_t, s2 = state.u_rho, state.u_theta, grid.sinh_rho ** 2
+    u2v2 = state.u ** 2 * state.v ** 2
+    inv_scale = 1.0 / state.u ** 2
+    return (inv_scale * (1.0 + u_r ** 2 / u2v2), inv_scale * (u_r * u_t / s2) / u2v2,
+            inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2))
 
 
 def sigma_k_lines(u, grid: Grid, k: int, step: int) -> np.ndarray:

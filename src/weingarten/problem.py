@@ -276,7 +276,8 @@ class ProblemSpec:
         return self.phi.values(self.grid.rho_col) + np.zeros(self.grid.shape)
 
     def boundary_values(self) -> np.ndarray:
-        return self.phi_field()[-1, :]
+        """phi on the outer ring: row n_rho - 1 of :meth:`phi_field`."""
+        return self.phi.values(self.grid.rho[-1:]) + np.zeros(self.grid.n_theta)
 
     def psi_field(self, u, support) -> np.ndarray:
         return self.psi.evaluate(

@@ -4,8 +4,10 @@ Laplace-Beltrami operator from the array stencils, the Laplace system from
 the stencil matrices and its solve by a Thomas sweep over the rings, the
 residual's node-local map sigma_k - psi with its partials by complex step,
 the Jacobian as a weighted sum of stencil matrices, the manufactured sigma_k
-table from the full state of the fine grid, and the graph's points, tangents
-and unit normal as vectors in Minkowski R^3, <a, b> = a1 b1 + a2 b2 - a3 b3."""
+table from the full state of the fine grid, the report's curvature quantities
+built beside the state as the full state once held them, and the graph's
+points, tangents and unit normal as vectors in Minkowski R^3, <a, b> =
+a1 b1 + a2 b2 - a3 b3."""
 
 import dataclasses
 
@@ -13,7 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from weingarten import geom
-from weingarten.hchart import Grid, partial_rho, partial_rho2, partial_theta2
+from weingarten.hchart import (
+    Grid, covariant_gradient, covariant_hessian, partial_rho, partial_rho2, partial_theta2,
+)
 from weingarten.problem import spline_rows
 
 
@@ -233,6 +237,32 @@ def full_state_sigma_k_table(u_fn, grid, k, refine=4):
     U = np.broadcast_to(np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float), fine.shape)
     vals = geom.extrinsic_state(U, fine).sigma_k(k)
     return spline_rows(vals[:, ::refine], fine.rho[0], fine.d_rho, grid.rho)
+
+
+def full_state_report_quantities(u, grid) -> dict:
+    """The reference for ``geom.state_curvatures``, ``geom.inverse_metric``
+    and ``ExtrinsicState.norm_a_sq``: lam1, lam2, g^{ij}, sigma_1, sigma_2
+    and |A|^2 of the graph u built in one pass beside the kernel, as the full
+    per-node state of every ``extrinsic_state`` call once held them."""
+    U = np.asarray(u, dtype=float)
+    u_r, u_t, _ = covariant_gradient(U, grid)
+    H_rr, H_rt, H_tt = covariant_hessian(U, u_r, u_t, grid)
+    v, g, h, sigma1, sigma2 = geom.graph_geometry(U, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
+    lam1, lam2 = geom.principal_curvatures(*h, *g)
+    # g^{ij} = u^{-2} (sigma^{ij} + u^i u^j / (u^2 v^2)), indices raised by sigma
+    s2 = grid.sinh_rho ** 2
+    u2v2 = U ** 2 * v ** 2
+    inv_scale = 1.0 / U ** 2
+    return {
+        "lam1": lam1,
+        "lam2": lam2,
+        "ginv_rr": inv_scale * (1.0 + u_r ** 2 / u2v2),
+        "ginv_rt": inv_scale * (u_r * u_t / s2) / u2v2,
+        "ginv_tt": inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2),
+        "sigma1": sigma1,
+        "sigma2": sigma2,
+        "norm_a_sq": sigma1 ** 2 - 2.0 * sigma2,
+    }
 
 
 def lorentz_inner(p, q):

@@ -289,7 +289,8 @@ def test_criterion_8_admissibility_and_newton_inequality(
         interior = grid.interior_mask
         ok &= bool(np.all(state.admissible_mask(spec.k)[interior]))
         slack = (state.sigma1 / 2.0) ** 2 - state.sigma2
-        gap = (state.lam1 - state.lam2) ** 2 / 4.0
+        lam1, lam2 = geom.state_curvatures(state, grid)
+        gap = (lam1 - lam2) ** 2 / 4.0
         scale = max(1.0, float(np.max(state.sigma1)) ** 2)
         defect = float(np.max(np.abs(slack - gap)[interior])) / scale
         ok &= defect <= 1e-14

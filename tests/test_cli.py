@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,10 @@ BAD_INPUTS = {
     "newton_tol_negative": ([], "[continuation]\nnewton_tol = -1\n"),
     "phi_c_nan": ([("phi_c = 1.0", "phi_c = nan")], ""),
     "phi_c_inf": ([("phi_c = 1.0", "phi_c = inf")], ""),
+    "psi_p_nan": ([("psi_p = 0", "psi_p = nan")], ""),
+    "psi_p_inf": ([("psi_p = 0", "psi_p = inf")], ""),
+    "psi_p_minus_inf": ([("psi_p = 0", "psi_p = -inf")], ""),
+    "psi_p_1e400": ([("psi_p = 0", "psi_p = 1e400")], ""),
     "psi_overflow": ([("psi_family = power", "psi_family = exponential"),
                       ("psi_p = 0", "psi_p = 1000")], ""),
     "psi_h_power_tower": ([("psi_h = 2", "psi_h = 9**9**9")], ""),
@@ -131,6 +136,15 @@ class TestParseConfig:
         text = BASE_CONFIG.replace("rho_max = 0.8", "rho_max = big")
         with pytest.raises(ConfigError, match="expected float"):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_psi_p(self, tmp_path, value):
+        text = BASE_CONFIG.replace("psi_p = 0", f"psi_p = {value}")
+        with pytest.raises(ConfigError, match=r"^psi_p = .* must be finite$"):
+            parse_config(write_config(tmp_path, text))
+        # study mode tabulates psi from u_star and ignores psi_p
+        rc = parse_config(write_config(tmp_path, text.replace("mode = solve", "mode = study")))
+        assert not math.isfinite(rc.get("problem", "psi_p"))
 
     def test_closes_the_config_file(self, tmp_path):
         path = write_config(tmp_path)
@@ -337,6 +351,29 @@ class TestVerifyMode:
         assert u.shape == grid.shape and u.flags.c_contiguous
         assert not np.shares_memory(u, tables[0])
         assert np.array_equal(u.ravel(), tables[0][:, 2])
+
+    @pytest.mark.parametrize("header", ["x,y,z,a,b,c,d,e,f", "", cli._CSV_HEADER + ",extra"])
+    def test_foreign_header_is_malformed(self, tmp_path, capsys, header):
+        # a table of the right shape under another header is not a fields file
+        self._solved(tmp_path)
+        fields = tmp_path / "out" / "fields.csv"
+        rows = fields.read_text().splitlines()[1:]
+        fields.write_text("\n".join([header] + rows) + "\n")
+        text = BASE_CONFIG.replace("mode = solve", f"mode = verify\nfields_in = {fields}")
+        out = tmp_path / "verify_out"
+        assert cli.main(["--config", write_config(tmp_path, text, "verify.cfg"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is malformed: header" in err and err.count("\n") == 1
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    def test_crlf_fields_file_verifies(self, tmp_path):
+        self._solved(tmp_path)
+        fields = tmp_path / "out" / "fields.csv"
+        fields.write_bytes(fields.read_bytes().replace(b"\n", b"\r\n"))
+        text = BASE_CONFIG.replace("mode = solve", f"mode = verify\nfields_in = {fields}")
+        assert cli.main(["--config", write_config(tmp_path, text, "verify.cfg"),
+                         "--out", str(tmp_path / "verify_out")]) == 0
 
     def test_corrupted_field_fails(self, tmp_path):
         self._solved(tmp_path)

@@ -1,17 +1,24 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ambient_normal, ambient_tangents, embed, lorentz_inner
+from oracles import (
+    ambient_normal, ambient_tangents, embed, full_state_report_quantities, lorentz_inner,
+)
 from weingarten.geom import (
+    ExtrinsicState,
     InvalidGraphError,
     NotSpacelikeError,
     extrinsic_state,
     graph_geometry,
+    inverse_metric,
     principal_curvatures,
+    state_curvatures,
 )
 from weingarten.hchart import Grid, PolarChart
 
@@ -94,9 +101,10 @@ class TestInducedMetric:
         assert g_rr == 1.0 and g_rt == 0.0
         assert g_tt == pytest.approx(SINH2_1, rel=1e-14)
         # ring 0 of this grid sits at rho = 1
-        st = extrinsic_state(np.ones((4, 4)), Grid(PolarChart(rho_max=8.0), 4, 4))
-        assert np.all(st.ginv_rr[0] == 1.0) and np.all(st.ginv_rt[0] == 0.0)
-        assert st.ginv_tt[0] == pytest.approx(1 / SINH2_1, rel=1e-14)
+        grid = Grid(PolarChart(rho_max=8.0), 4, 4)
+        ginv_rr, ginv_rt, ginv_tt = inverse_metric(extrinsic_state(np.ones((4, 4)), grid), grid)
+        assert np.all(ginv_rr[0] == 1.0) and np.all(ginv_rt[0] == 0.0)
+        assert ginv_tt[0] == pytest.approx(1 / SINH2_1, rel=1e-14)
 
     def test_scaled_hyperboloid(self):
         R = 1.7
@@ -116,9 +124,10 @@ class TestInducedMetric:
         u = spacelike_sample(g, seed=5)
         st = extrinsic_state(u, g)
         (g_rr, g_rt, g_tt), _ = metric_and_form(st, g)
-        one = g_rr * st.ginv_rr + g_rt * st.ginv_rt
-        zero = g_rr * st.ginv_rt + g_rt * st.ginv_tt
-        one2 = g_rt * st.ginv_rt + g_tt * st.ginv_tt
+        ginv_rr, ginv_rt, ginv_tt = inverse_metric(st, g)
+        one = g_rr * ginv_rr + g_rt * ginv_rt
+        zero = g_rr * ginv_rt + g_rt * ginv_tt
+        one2 = g_rt * ginv_rt + g_tt * ginv_tt
         assert np.max(np.abs(one - 1)) < 1e-12
         assert np.max(np.abs(zero)) < 1e-12
         assert np.max(np.abs(one2 - 1)) < 1e-12
@@ -155,8 +164,9 @@ class TestSecondFundamentalForm:
         # u = 0.5 has lam = (2, 2), so the top symmetric function is 4
         g = disk()
         st = extrinsic_state(np.full(g.shape, 0.5), g)
-        assert np.max(np.abs(st.lam1 - 2.0)) == 0.0
-        assert np.max(np.abs(st.lam2 - 2.0)) == 0.0
+        lam1, lam2 = state_curvatures(st, g)
+        assert np.max(np.abs(lam1 - 2.0)) == 0.0
+        assert np.max(np.abs(lam2 - 2.0)) == 0.0
         assert np.max(np.abs(st.sigma2 - 4.0)) == 0.0
 
     def test_ambient_second_derivative_oracle(self):
@@ -191,9 +201,9 @@ class TestPrincipalCurvatures:
 
     def test_hyperboloid_exact(self):
         g = disk()
-        st = extrinsic_state(np.ones(g.shape), g)
-        assert np.max(np.abs(st.lam1 - 1.0)) == 0.0
-        assert np.max(np.abs(st.lam2 - 1.0)) == 0.0
+        lam1, lam2 = state_curvatures(extrinsic_state(np.ones(g.shape), g), g)
+        assert np.max(np.abs(lam1 - 1.0)) == 0.0
+        assert np.max(np.abs(lam2 - 1.0)) == 0.0
 
     def test_general_pencil_against_quadratic_formula(self):
         g_rr, g_rt, g_tt = 2.0, 0.3, 1.0
@@ -223,7 +233,8 @@ class TestSupportAndNorm:
     def test_norm_matches_trace_form(self):
         g = disk(24, 24)
         st = extrinsic_state(spacelike_sample(g, seed=4), g)
-        direct = st.lam1 ** 2 + st.lam2 ** 2
+        lam1, lam2 = state_curvatures(st, g)
+        direct = lam1 ** 2 + lam2 ** 2
         assert np.max(np.abs(direct - st.norm_a_sq)) < 1e-9
 
 
@@ -237,8 +248,9 @@ class TestHyperboloidFamily:
         g = disk(12, 12)
         st = extrinsic_state(np.full(g.shape, R), g)
         tiny = 1e-12 * (1.0 + 1.0 / R)
-        assert np.max(np.abs(st.lam1 - 1.0 / R)) < 1e-7 / R
-        assert np.max(np.abs(st.lam2 - 1.0 / R)) < 1e-7 / R
+        lam1, lam2 = state_curvatures(st, g)
+        assert np.max(np.abs(lam1 - 1.0 / R)) < 1e-7 / R
+        assert np.max(np.abs(lam2 - 1.0 / R)) < 1e-7 / R
         assert np.max(np.abs(st.sigma1 - 2.0 / R)) < tiny
         assert np.max(np.abs(st.sigma2 - 1.0 / R ** 2)) < tiny * (1.0 + 1.0 / R)
         assert np.max(np.abs(st.theta_support - R)) < 1e-13 * R
@@ -261,3 +273,49 @@ class TestStateGuards:
         u[0, 0] = 0.0
         with pytest.raises(InvalidGraphError):
             extrinsic_state(u, g)
+
+
+class TestNewtonState:
+    def test_holds_what_the_newton_loop_reads(self):
+        # the report's principal curvatures, inverse metric and |A|^2 are not
+        # built on every Newton start and line-search trial
+        assert [f.name for f in dataclasses.fields(ExtrinsicState)] == [
+            "u", "u_rho", "u_theta", "H_rr", "H_rt", "H_tt", "v",
+            "sigma1", "sigma2", "theta_support", "spacelike_gap"]
+
+    def test_peak_memory(self):
+        # at most 18 arrays of the grid at peak (the state that carried the
+        # report's quantities took 24)
+        g = disk(128, 128)
+        u = spacelike_sample(g, seed=3)
+        extrinsic_state(u, g)
+        tracemalloc.start()
+        try:
+            extrinsic_state(u, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * u.nbytes
+
+
+class TestReportQuantities:
+    @pytest.mark.parametrize("shape", [(16, 16), (24, 32)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("field", ["radial", "theta-dependent"])
+    def test_match_full_state_oracle(self, shape, k, field):
+        g = disk(*shape)
+        if field == "radial":
+            u = 1 + 0.05 * g.rho_col ** 2 + np.zeros(g.shape)
+        else:
+            u = spacelike_sample(g, seed=7)
+        st = extrinsic_state(u, g)
+        want = full_state_report_quantities(u, g)
+        got = dict(zip(("lam1", "lam2"), state_curvatures(st, g)))
+        got.update(zip(("ginv_rr", "ginv_rt", "ginv_tt"), inverse_metric(st, g)))
+        got.update(sigma1=st.sigma1, sigma2=st.sigma2, norm_a_sq=st.norm_a_sq)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(st.sigma_k(k), want[f"sigma{k}"])
+        if field == "theta-dependent":
+            assert np.ptp(got["lam1"] - got["lam2"], axis=1).max() > 0.0

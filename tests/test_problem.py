@@ -136,6 +136,18 @@ class TestProblemSpec:
         assert f.shape == g.shape
         assert np.allclose(f[:, 0], 0.6 / np.cosh(g.rho))
 
+    @pytest.mark.parametrize("family", ["constant", "hyperplane"])
+    @pytest.mark.parametrize("shape, rho_max", [((8, 8), 0.8), ((24, 16), 3.2), ((7, 12), 250.0)])
+    def test_boundary_values_are_the_outer_row(self, family, shape, rho_max):
+        spec = ProblemSpec(
+            grid=disk(*shape, rho_max=rho_max), k=1,
+            psi=PsiSpec(family="power", p=0.0, h="2"),
+            phi=PhiSpec(family=family, c=0.6),
+        )
+        row = spec.boundary_values()
+        assert row.shape == (shape[1],)
+        assert np.array_equal(row, spec.phi_field()[-1])
+
 
 class TestTabulation:
     def test_constant_graph_table(self):

@@ -883,5 +883,6 @@ class TestTwoCurvatureIdentities:
         g = disk()
         _, u = tilted_gauss_state(g)
         st = geom.extrinsic_state(u, g)
-        assert np.ptp(st.lam1 - st.lam2, axis=1).max() > 0.0
-        self.assert_identities(st.lam1, st.lam2, st.sigma1, st.sigma2)
+        lam1, lam2 = geom.state_curvatures(st, g)
+        assert np.ptp(lam1 - lam2, axis=1).max() > 0.0
+        self.assert_identities(lam1, lam2, st.sigma1, st.sigma2)
