@@ -232,12 +232,13 @@ def build_problem(rc: RunConfig) -> ProblemSpec:
 _CSV_HEADER = "rho,theta,u,v,lambda1,lambda2,sigma_k,theta_support,residual"
 
 
-def _field_table(state: geom.ExtrinsicState, spec: ProblemSpec):
+def _field_table(state: geom.ExtrinsicState, curvatures, spec: ProblemSpec):
+    """The fields.csv columns of ``state`` and its principal curvatures."""
     grid = spec.grid
     residual = solver.assemble_residual(state, spec)
     rho = grid.rho_col + np.zeros(grid.shape)
     theta = grid.theta_row + np.zeros(grid.shape)
-    cols = [rho, theta, state.u, state.v, *geom.state_curvatures(state, grid),
+    cols = [rho, theta, state.u, state.v, *curvatures,
             state.sigma_k(spec.k), state.theta_support, residual]
     return np.column_stack([c.ravel() for c in cols])
 
@@ -285,17 +286,17 @@ def _grid_hash(rc: RunConfig) -> str | None:
     return h.hexdigest()
 
 
-def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log,
-           **measured) -> dict:
+def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log, **measured):
     """The estimate battery and the three gates on a solution, the one check
     of solve and verify modes: interior admissibility, the barrier sandwich
     and the lapse bound.  At n = 2 these are the gates that can fail: the
     Newton and MacLaurin inequalities of two curvatures are identities, and
     the barrier of order k is the solution itself, so the k = 1 upper margin
     and the k = 2 lower margin are 0 by construction.  Returns the report's
-    estimates, verification and warnings keys; ``measured`` joins the
-    verification entry."""
-    report_est = estimates.build_report(state, spec)
+    estimates, verification and warnings keys, ``measured`` joining the
+    verification entry, and the state's principal curvatures, which the
+    estimates weigh by.  They are computed after the barrier solves: held
+    through those, they left a 256^2 verify's heap 4 MB larger after the run."""
     grid = spec.grid
     admissible = bool(np.all(state.admissible_mask(spec.k)[grid.interior_mask]))
     s_plus, upper_detail = solver.solve_upper_barrier(spec, state)
@@ -308,6 +309,8 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log,
     else:
         barriers = dataclasses.asdict(
             solver.barrier_sandwich_check(state.u, s_minus, s_plus, grid))
+    curvatures = geom.state_curvatures(state, grid)
+    report_est = estimates.build_report(state, spec, curvatures[0])
     gates = {
         "admissible": admissible,
         "barrier_sandwich": barriers["passed"],
@@ -322,7 +325,7 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log,
         **measured,
     }
     return {"estimates": report_est.to_dict(), "verification": verification,
-            "warnings": rc.warnings}
+            "warnings": rc.warnings}, curvatures
 
 
 # Rows of fields.csv formatted by one %-operation: enough that the per-call
@@ -331,12 +334,12 @@ def _check(rc: RunConfig, state: geom.ExtrinsicState, spec: ProblemSpec, log,
 _CSV_BLOCK_ROWS = 2048
 
 
-def _emit(out_dir, state, spec):
+def _emit(out_dir, state, curvatures, spec):
     """Write the field table of ``state`` as fields.csv, refusing a
     non-finite table before anything is written.  The bytes are those of
     ``np.savetxt(path, table, fmt="%.17g", delimiter=",", header=_CSV_HEADER,
     comments="")``, formatted a block of rows at a time."""
-    table = _field_table(state, spec)
+    table = _field_table(state, curvatures, spec)
     _check_finite(table, spec.grid)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(os.path.join(out_dir, "fields.csv"), "w", encoding="ascii") as fh:
@@ -372,9 +375,10 @@ def _run_solve(rc: RunConfig, log):
         probe = solver.uniqueness_probe(spec, n_starts=starts, seed=rc.seed)
         report_obj["uniqueness"] = dataclasses.asdict(probe)
         log(f"uniqueness probe: max pairwise distance {probe.max_pairwise_distance:.3e}")
-    report_obj.update(_check(rc, state, spec, log))
+    checked, curvatures = _check(rc, state, spec, log)
+    report_obj.update(checked)
     code = 0 if report_obj["verification"]["passed"] else 3
-    return code, result.status, state, spec, report_obj
+    return code, result.status, (state, curvatures), spec, report_obj
 
 
 def _read_u_column(path, grid: Grid) -> np.ndarray:
@@ -420,7 +424,7 @@ def _run_verify(rc: RunConfig, log):
         rnorm = float(np.max(np.abs(residual)))
         log(f"residual sup-norm {rnorm:.3e} (tolerance {tol:.3e})")
         if rnorm <= tol:
-            report_obj = _check(rc, state, spec, log, residual_norm=rnorm, tolerance=tol)
+            report_obj, _ = _check(rc, state, spec, log, residual_norm=rnorm, tolerance=tol)
         else:  # also a NaN norm
             report_obj = {"verification": {"passed": False, "residual_norm": rnorm,
                                            "tolerance": tol}, "warnings": rc.warnings}
@@ -442,19 +446,22 @@ def _run_study(rc: RunConfig, log):
     refine = rc.get("study", "refine")
     if refine < 1:
         raise ConfigError(f"refine = {refine} must be at least 1")
+    if "refine" in rc.raw.get("study", {}):
+        rc.warnings.append("[study] refine is ignored: psi is computed exactly from the "
+                           "derivatives of u_star on each study grid")
     try:
         u_expr = Expr(u_star_text, variables=("rho", "theta"))
     except ExpressionError as exc:
         raise ConfigError(f"u_star: {exc}") from None
     k = rc.get("problem", "k")
-    _check_chart_factors(rc.get("problem", "rho_max"), refine * max(sizes))  # finest grid
+    _check_chart_factors(rc.get("problem", "rho_max"), max(sizes))  # finest grid
     chart = PolarChart(rho_max=rc.get("problem", "rho_max"))
     rows = []
     for size in sizes:
         grid = Grid(chart, size, size)
         try:
-            spec, u_star = manufactured_problem(u_expr, grid, k, refine=refine)
-        except ValueError as exc:  # u_star not radial, spacelike or admissible
+            spec, u_star = manufactured_problem(u_expr, grid, k)
+        except ValueError as exc:  # u_star not radial, positive, spacelike or in Gamma_k
             raise ConfigError(f"u_star: {exc}") from None
         result = solver.continuation_solve(spec)
         if not result.converged:
@@ -462,7 +469,8 @@ def _run_study(rc: RunConfig, log):
             return 2, "failed", None, spec, {"study": rows, "warnings": rc.warnings}
         err = float(np.max(np.abs(result.u - u_star)))
         state = geom.extrinsic_state(result.u, grid)
-        report = estimates.build_report(state, spec)
+        curvatures = geom.state_curvatures(state, grid)
+        report = estimates.build_report(state, spec, curvatures[0])
         rows.append(
             {
                 "grid": size,
@@ -485,8 +493,9 @@ def _run_study(rc: RunConfig, log):
     for a, b, order in zip(rows, rows[1:], orders):
         shown = "none (zero error)" if order is None else f"{order:.3f}"
         log(f"observed order {a['grid']} -> {b['grid']}: {shown}")
-    study = {"rows": rows, "orders": orders, "u_star": u_star_text, "refine": refine}
-    return 0, "study-complete", state, spec, {"study": study, "warnings": rc.warnings}
+    study = {"rows": rows, "orders": orders, "u_star": u_star_text}
+    return 0, "study-complete", (state, curvatures), spec, {"study": study,
+                                                              "warnings": rc.warnings}
 
 
 def run(rc: RunConfig) -> int:
@@ -501,11 +510,11 @@ def run(rc: RunConfig) -> int:
     try:
         os.makedirs(rc.out_dir, exist_ok=True)
         # each mode returns (exit code, status, the state of the field it
-        # computed or None, spec, report)
+        # computed with that state's principal curvatures or None, spec, report)
         run_mode = {"solve": _run_solve, "verify": _run_verify, "study": _run_study}[rc.mode]
-        code, status, state, spec, report_obj = run_mode(rc, log)
-        if state is not None:
-            _emit(rc.out_dir, state, spec)
+        code, status, field, spec, report_obj = run_mode(rc, log)
+        if field is not None:
+            _emit(rc.out_dir, *field, spec)
         if rc.mode == "study" and code == 0:
             _write_json(os.path.join(rc.out_dir, "study.json"), report_obj["study"])
         _write_json(os.path.join(rc.out_dir, "report.json"), report_obj)

@@ -102,9 +102,11 @@ def curvature_ratio(state: geom.ExtrinsicState):
 _PROFILE_BANDS = 5
 
 
-def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid):
+def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid, lam1):
     """Curvature profile over nested interior bands of distance to the
-    boundary, together with the weighted quantity sup (phi - u) * lam_1.
+    boundary, together with the weighted quantity sup (phi - u) * lam_1,
+    where ``lam1`` is the state's larger principal curvature
+    (:func:`geom.state_curvatures`).
 
     phi is extended off the boundary by its defining closed form; eta = phi-u
     must be nonnegative up to the discretisation allowance, otherwise the
@@ -119,7 +121,7 @@ def interior_profile(state: geom.ExtrinsicState, phi_field, grid: Grid):
     violation = bool(eta_min < -eps_h)
     dist = grid.chart.rho_max - grid.rho_col + np.zeros(grid.shape)
     norm_a = np.sqrt(np.maximum(state.norm_a_sq, 0.0))
-    weighted = eta * geom.state_curvatures(state, grid)[0]
+    weighted = eta * lam1
     edges = np.linspace(0.0, grid.chart.rho_max, _PROFILE_BANDS + 1)
     rows = []
     for b in range(_PROFILE_BANDS):
@@ -226,8 +228,10 @@ class EstimateReport:
         return dataclasses.asdict(self)
 
 
-def build_report(state: geom.ExtrinsicState, spec) -> EstimateReport:
-    """Run the whole estimate battery on the state of a solution field."""
+def build_report(state: geom.ExtrinsicState, spec, lam1) -> EstimateReport:
+    """Run the whole estimate battery on the state of a solution field, with
+    ``lam1`` the state's larger principal curvature
+    (:func:`geom.state_curvatures`)."""
     grid = spec.grid
     gap = state.spacelike_gap
     psi = spec.psi_field(state.u, state.theta_support)
@@ -238,7 +242,7 @@ def build_report(state: geom.ExtrinsicState, spec) -> EstimateReport:
     phi_field = spec.phi_field()
     grad_check = gradient_estimate_check(state, phi_field, grid, s2)
     ratio = curvature_ratio(state)
-    profile = interior_profile(state, phi_field, grid)
+    profile = interior_profile(state, phi_field, grid, lam1)
     identity = support_laplace_identity_check(state, grid)
     return EstimateReport(
         spacelike_gap=gap,

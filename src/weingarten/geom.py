@@ -9,10 +9,10 @@ their partials, which the solver's Jacobian takes; :func:`extrinsic_state`
 guards the field, calls the kernel and packages what the Newton loop reads,
 and :func:`state_curvatures`, :func:`inverse_metric` and
 ``ExtrinsicState.norm_a_sq`` give the report the principal curvatures, the
-inverse metric and |A|^2 of a solved field's state.
-:func:`sigma_k_lines` applies the same guards to every node and evaluates the
-kernel on some theta lines only.  Everything is vectorised over (n_rho,
-n_theta) arrays and works equally on scalars.
+inverse metric and |A|^2 of a solved field's state.  :func:`chart_sigmas`
+runs the same guards and kernel on chart data given in closed form, as the
+manufactured problem's are.  Everything is vectorised over (n_rho, n_theta)
+arrays and works equally on scalars.
 
 Sign conventions: the normal is the future-directed timelike unit normal,
 and the constant graph u = R has principal curvatures +1/R.
@@ -36,7 +36,7 @@ __all__ = [
     "extrinsic_state",
     "state_curvatures",
     "inverse_metric",
-    "sigma_k_lines",
+    "chart_sigmas",
 ]
 
 
@@ -241,7 +241,11 @@ class ExtrinsicState:
         return self.sigma1 ** 2 - 2.0 * self.sigma2
 
     def sigma_k(self, k: int) -> np.ndarray:
-        return _pick_sigma(k, self.sigma1, self.sigma2)
+        if k == 1:
+            return self.sigma1
+        if k == 2:
+            return self.sigma2
+        raise ValueError(f"sigma_{k} is not available on a 2-d grid state")
 
     def admissible_mask(self, k: int) -> np.ndarray:
         """Nodes where the curvature vector lies in the order-k positivity cone."""
@@ -249,14 +253,6 @@ class ExtrinsicState:
         if k >= 2:
             ok = ok & (self.sigma2 > 0.0)
         return ok
-
-
-def _pick_sigma(k: int, sigma1, sigma2):
-    if k == 1:
-        return sigma1
-    if k == 2:
-        return sigma2
-    raise ValueError(f"sigma_{k} is not available on a 2-d grid state")
 
 
 def _chart_data(u, grid: Grid):
@@ -271,6 +267,17 @@ def _chart_data(u, grid: Grid):
     _check_graph(U, grid)
     u_r, u_t, grad_sq = hchart.covariant_gradient(U, grid)
     ratio = grad_sq / U ** 2
+    gap = _spacelike_gap(ratio, grid)
+    # temporaries are freed as soon as they are spent, in this order: the
+    # heap a solve leaves depends on it
+    del grad_sq, ratio
+    return (U, u_r, u_t, *hchart.covariant_hessian(U, u_r, u_t, grid)), gap
+
+
+def _spacelike_gap(ratio, grid: Grid) -> float:
+    """max |Du|/u over the nodes, from the ratio |Du|^2 / u^2 of the
+    grid's shape; raises :class:`NotSpacelikeError` at the node of the
+    largest ratio when that reaches 1."""
     if np.any(ratio >= 1.0):
         flat = int(np.argmax(ratio))
         worst = float(ratio.flat[flat])
@@ -279,10 +286,7 @@ def _chart_data(u, grid: Grid):
             node=flat,
             gap=worst,
         )
-    gap = float(np.sqrt(np.max(ratio)))
-    # temporaries are freed as soon as they are spent: peak memory at 1024^2
-    del grad_sq, ratio
-    return (U, u_r, u_t, *hchart.covariant_hessian(U, u_r, u_t, grid)), gap
+    return float(np.sqrt(np.max(ratio)))
 
 
 def extrinsic_state(u, grid: Grid) -> ExtrinsicState:
@@ -318,25 +322,17 @@ def inverse_metric(state: ExtrinsicState, grid: Grid):
             inv_scale * (1.0 / s2 + (u_t / s2) ** 2 / u2v2))
 
 
-def sigma_k_lines(u, grid: Grid, k: int, step: int) -> np.ndarray:
-    """sigma_k of the graph u on the theta lines j = 0, step, 2 step, ... of
-    ``grid``, an (n_rho, n_theta / step) array.
-
-    The chart data come from the whole grid, since the theta stencils reach
-    the neighbouring lines, and every guard of :func:`extrinsic_state` runs
-    on every node in the same order: finite and positive u, spacelike, then
-    :func:`principal_curvatures`' positive-definite metric test.  Only the
-    node-local kernel is restricted to the kept lines, so the values are
-    those of ``extrinsic_state(u, grid).sigma_k(k)[:, ::step]`` bit for bit.
-    """
-    (U, u_r, u_t, *hessian), _ = _chart_data(u, grid)
-    lines = (slice(None), slice(None, None, step))
-    # the Hessian's kept lines are copied out, so that its full arrays are
-    # freed before the metric test: peak memory at 1024^2
-    hessian = [H[lines].copy() for H in hessian]
-    g = _induced_metric(U, u_r, u_t, grid.sinh_rho ** 2)
+def chart_sigmas(chart, grid: Grid):
+    """(sigma1, sigma2) of the graph whose chart data (u, u_rho, u_theta,
+    H_rr, H_rt, H_tt) are given, each broadcasting to the shape of ``grid``,
+    behind the guards of :func:`extrinsic_state` in the same order: finite
+    and positive u, spacelike, then a positive-definite metric.  The errors
+    name the grid's nodes; the results keep the data's broadcast shape."""
+    u, u_r, u_t = chart[:3]
+    U = np.broadcast_to(u, grid.shape)
+    _check_graph(U, grid)
+    _spacelike_gap(np.broadcast_to((u_r ** 2 + (u_t / grid.sinh_rho) ** 2) / u ** 2, grid.shape),
+                   grid)
+    _, g, _, sigma1, sigma2 = graph_geometry(*chart, grid.sinh_rho)
     _check_metric(_metric_det(*g), g[0])
-    del g
-    _, _, _, sigma1, sigma2 = graph_geometry(
-        U[lines], u_r[lines], u_t[lines], *hessian, grid.sinh_rho)
-    return _pick_sigma(k, sigma1, sigma2)
+    return sigma1, sigma2

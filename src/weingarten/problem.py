@@ -7,10 +7,14 @@ The prescribed curvature psi(x, u, support) comes in three families:
   * ``tabulated``    psi given per node (used for manufactured solutions)
 
 ``h`` is a closed-form expression over (rho, theta, u) from a small safe
-grammar: numeric constants, + - * / **, powers of u, cos/sin of theta and
-polynomials in rho.  The power family with growth exponent p >= k keeps the
-structural convexity condition that the curvature estimates require; p < k
-is accepted but flagged.
+grammar: numeric constants and the variables combined by + - * / ** and
+unary signs, and cos and sin of any subexpression.  The power family with
+growth exponent p >= k keeps the structural convexity condition that the
+curvature estimates require; p < k is accepted but flagged.
+
+A manufactured problem takes psi = sigma_k[u*] of a closed-form graph u*
+over (rho, theta) in the same grammar, computed exactly at every node from
+u*'s derivatives up to second order (see :func:`manufactured_problem`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "ProblemSpec",
     "excerpt",
     "spline_rows",
-    "tabulate_sigma_k",
     "manufactured_problem",
 ]
 
@@ -323,47 +326,157 @@ def spline_rows(y, x0: float, h: float, x) -> np.ndarray:
         (2.0 - s) * M[i] + (1.0 + s) * M[i + 1])
 
 
-def tabulate_sigma_k(u_fn, grid: Grid, k: int, refine: int = 4) -> np.ndarray:
-    """Sample sigma_k of the graph u_fn(rho, theta) on a ``refine`` times
-    finer grid and restrict the values to ``grid``.
+class _Jet:
+    """A second-order jet in (rho, theta): a value f with its partials f_r,
+    f_t, f_rr, f_rt and f_tt, each an array or a float.  The operations of
+    the Expr grammar carry all six through the chain rule at once (forward
+    mode; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), so
+    an expression evaluated on the jets of rho and theta gives its exact
+    derivatives up to rounding.  A float operand is a constant, whose jet
+    has zero partials; the values are computed by the same floating-point
+    operations as Expr's own."""
 
-    The fine theta lines contain the coarse ones, and sigma_k is evaluated
-    on those kept lines only (:func:`geom.sigma_k_lines`), with every guard
-    of the state still on every fine node; the radial restriction is the
-    cubic spline :func:`spline_rows`, whose error is far below the coarse
-    truncation level.
-    """
-    fine = Grid(grid.chart, refine * grid.n_rho, refine * grid.n_theta)
-    U = np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float)
-    U = np.broadcast_to(U, fine.shape)
-    vals = geom.sigma_k_lines(U, fine, k, refine)
-    return spline_rows(vals, fine.rho[0], fine.d_rho, grid.rho)
+    __slots__ = ("f", "r", "t", "rr", "rt", "tt")
+
+    def __init__(self, f, r, t, rr, rt, tt):
+        self.f, self.r, self.t, self.rr, self.rt, self.tt = f, r, t, rr, rt, tt
+
+    def _chain(self, value, d1, d2):
+        """phi(self), given phi's value, first and second derivatives at f."""
+        r, t = self.r, self.t
+        return _Jet(value, d1 * r, d1 * t, d1 * self.rr + d2 * r * r,
+                    d1 * self.rt + d2 * r * t, d1 * self.tt + d2 * t * t)
+
+    def __pos__(self):
+        return self
+
+    def __neg__(self):
+        return _Jet(-self.f, -self.r, -self.t, -self.rr, -self.rt, -self.tt)
+
+    def __add__(self, other):
+        b = _lift(other)
+        return _Jet(self.f + b.f, self.r + b.r, self.t + b.t,
+                    self.rr + b.rr, self.rt + b.rt, self.tt + b.tt)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = _lift(other)
+        return _Jet(self.f - b.f, self.r - b.r, self.t - b.t,
+                    self.rr - b.rr, self.rt - b.rt, self.tt - b.tt)
+
+    def __rsub__(self, c):
+        return _lift(c) - self
+
+    def __mul__(self, other):
+        a, b = self, _lift(other)
+        return _Jet(a.f * b.f, a.r * b.f + a.f * b.r, a.t * b.f + a.f * b.t,
+                    a.rr * b.f + 2.0 * a.r * b.r + a.f * b.rr,
+                    a.rt * b.f + a.r * b.t + a.t * b.r + a.f * b.rt,
+                    a.tt * b.f + 2.0 * a.t * b.t + a.f * b.tt)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # q = a / b: q_i = (a_i - q b_i) / b, q_ij = (a_ij - q_i b_j - q_j b_i - q b_ij) / b
+        a, b = self, _lift(other)
+        q = a.f / b.f
+        q_r, q_t = (a.r - q * b.r) / b.f, (a.t - q * b.t) / b.f
+        return _Jet(q, q_r, q_t, (a.rr - 2.0 * q_r * b.r - q * b.rr) / b.f,
+                    (a.rt - q_r * b.t - q_t * b.r - q * b.rt) / b.f,
+                    (a.tt - 2.0 * q_t * b.t - q * b.tt) / b.f)
+
+    def __rtruediv__(self, c):
+        return _lift(c) / self
+
+    def __pow__(self, other):
+        f = self.f
+        if isinstance(other, _Jet):
+            # f^g = exp(g log f): the jet of L = g log f, then exp's chain rule
+            p = f ** other.f
+            log_f = self._chain(np.log(f), 1.0 / f, -1.0 / f ** 2)
+            return (other * log_f)._chain(p, p, p)
+        # a constant exponent needs no log f, so f may be 0 or negative
+        if other == 0.0:
+            return _lift(f ** other)
+        if other == 1.0:  # f^0 = 1 in the first derivative, no f^-1 in the second
+            return _Jet(f ** other, self.r, self.t, self.rr, self.rt, self.tt)
+        return self._chain(f ** other, other * f ** (other - 1.0),
+                           other * (other - 1.0) * f ** (other - 2.0))
+
+    def __rpow__(self, c):
+        p = c ** self.f
+        log_c = np.log(c)
+        return self._chain(p, p * log_c, p * log_c ** 2)
 
 
-def manufactured_problem(u_expr, grid: Grid, k: int, refine: int = 4):
+def _lift(x) -> _Jet:
+    """``x`` as a jet: a constant's partials are zero."""
+    return x if isinstance(x, _Jet) else _Jet(x, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _jet_cos(x):
+    x = _lift(x)
+    c, s = np.cos(x.f), np.sin(x.f)
+    return x._chain(c, -s, -c)
+
+
+def _jet_sin(x):
+    x = _lift(x)
+    c, s = np.cos(x.f), np.sin(x.f)
+    return x._chain(s, c, -s)
+
+
+def _jets(expr: Expr, grid: Grid) -> _Jet:
+    """The jet of ``expr`` over (rho, theta) at the nodes of ``grid``: the
+    expression evaluated on the jets of its variables, with the jet versions
+    of cos and sin in the evaluation environment.  Each part broadcasts to
+    the grid's shape; a part that does not vary along theta is a column."""
+    env = {"cos": _jet_cos, "sin": _jet_sin,
+           "rho": _Jet(grid.rho_col, 1.0, 0.0, 0.0, 0.0, 0.0),
+           "theta": _Jet(grid.theta_row, 0.0, 1.0, 0.0, 0.0, 0.0)}
+    return _lift(eval(expr._code, {"__builtins__": {}}, env))
+
+
+def manufactured_problem(u_expr, grid: Grid, k: int):
     """Build the problem whose exact solution is the radial graph ``u_expr``.
 
-    psi is tabulated from the geometry of u on a ``refine`` times finer grid,
-    and the boundary datum is the constant value of u on the outermost ring.
-    Returns (spec, u_star) with u_star the exact field sampled on ``grid``.
+    psi = sigma_k[u*] is exact at every node of ``grid``: the jets of u* give
+    its value and its partials up to second order, the Christoffel terms of
+    :func:`hchart.covariant_hessian` its covariant Hessian, and
+    :func:`geom.chart_sigmas` sigma_1 and sigma_2 behind the state's guards
+    (u finite and positive, spacelike, positive-definite metric).  u* must
+    then lie in the cone Gamma_k, sigma_1, ..., sigma_k > 0 at every node,
+    or the solve could converge to another graph.  The boundary datum is the
+    constant value of u* on the outermost ring.  Returns (spec, u_star) with
+    u_star the exact field sampled on ``grid``.
     """
     expr = u_expr if isinstance(u_expr, Expr) else Expr(u_expr, variables=("rho", "theta"))
-
-    def u_fn(rho, theta):
-        return expr(rho=rho, theta=theta) + 0.0 * (rho + theta)
-
-    u_star = u_fn(grid.rho_col, grid.theta_row)
+    jet = _jets(expr, grid)
+    u_star = jet.f + np.zeros(grid.shape)
     boundary = u_star[-1, :]
     if np.ptp(boundary) > 1e-12 * max(1.0, float(np.max(np.abs(boundary)))):
         raise ValueError(
             "manufactured graph must be constant on the boundary ring; "
             "use a radial u expression"
         )
-    table = tabulate_sigma_k(u_fn, grid, k, refine=refine)
+    u_r, u_t = jet.r, jet.t
+    sigmas = geom.chart_sigmas(
+        (jet.f, u_r, u_t, jet.rr, jet.rt - grid.coth_rho * u_t,
+         jet.tt + grid.sinh_rho * grid.cosh_rho * u_r), grid)
+    bad = np.zeros(grid.shape, dtype=bool)
+    for s in sigmas[:k]:
+        bad |= ~(s > 0.0)  # also a NaN
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        at = [float(np.broadcast_to(s, grid.shape).flat[node]) for s in sigmas[:k]]
+        values = ", ".join(f"sigma_{m + 1} = {v:.6g}" for m, v in enumerate(at))
+        raise ValueError(f"manufactured graph not in Gamma_{k} at {grid.node_label(node)}: "
+                         f"{values}")
     spec = ProblemSpec(
         grid=grid,
         k=k,
-        psi=PsiSpec(family="tabulated", table=table),
+        psi=PsiSpec(family="tabulated", table=sigmas[k - 1] + np.zeros(grid.shape)),
         phi=PhiSpec(family="constant", c=float(boundary[0])),
     )
     return spec, u_star

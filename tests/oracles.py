@@ -3,8 +3,10 @@ vector at a time, the chart's stencils written out as sparse matrices, the
 Laplace-Beltrami operator from the array stencils, the Laplace system from
 the stencil matrices and its solve by a Thomas sweep over the rings, the
 residual's node-local map sigma_k - psi with its partials by complex step,
-the Jacobian as a weighted sum of stencil matrices, the manufactured sigma_k
-table from the full state of the fine grid, the report's curvature quantities
+the Jacobian as a weighted sum of stencil matrices, an expression's partials
+to second order by complex step and Richardson-extrapolated central
+differences, sigma_k tabulated from the full state of a finer grid, the
+report's curvature quantities
 built beside the state as the full state once held them, and the graph's
 points, tangents and unit normal as vectors in Minkowski R^3, <a, b> =
 a1 b1 + a2 b2 - a3 b3."""
@@ -228,11 +230,54 @@ def stencil_operator(grid, weights) -> sp.csr_matrix:
     return J.tocsr()
 
 
+# Imaginary step of the first partials; no subtraction, so only underflow bounds it.
+_COMPLEX_STEP = 1e-30
+
+
+def _richardson(central, step: float, levels: int):
+    """The limit as d -> 0 of central(d) = D + c1 d^2 + c2 d^4 + ..., from
+    the steps step / 2^j, j < levels, by Richardson's extrapolation."""
+    table = [central(step / 2 ** j) for j in range(levels)]
+    for m in range(1, levels):
+        table = [b + (b - a) / (4 ** m - 1) for a, b in zip(table, table[1:])]
+    return table[0]
+
+
+def expr_partials(expr, rho, theta, rho_step=0.02, theta_step=0.05, levels=5):
+    """(f, f_rho, f_theta, f_rho_rho, f_rho_theta, f_theta_theta) of the
+    ``problem.Expr`` over (rho, theta) at the given points, from the
+    expression itself: the first partials by complex step, exact to
+    rounding, and the second partials as central differences of those with
+    steps step / 2^j, j < levels, Richardson-extrapolated (truncation
+    O(step^(2 levels))).  The rho steps must stay below the smallest rho."""
+    h = _COMPLEX_STEP
+
+    def f_rho(r, t):
+        return np.imag(expr(rho=r + 1j * h, theta=t)) / h
+
+    def f_theta(r, t):
+        return np.imag(expr(rho=r, theta=t + 1j * h)) / h
+
+    def d_rho(g):
+        return _richardson(lambda d: (g(rho + d, theta) - g(rho - d, theta)) / (2.0 * d),
+                           rho_step, levels)
+
+    def d_theta(g):
+        return _richardson(lambda d: (g(rho, theta + d) - g(rho, theta - d)) / (2.0 * d),
+                           theta_step, levels)
+
+    zero = 0.0 * (rho + theta)
+    return (expr(rho=rho, theta=theta) + zero, f_rho(rho, theta) + zero,
+            f_theta(rho, theta) + zero, d_rho(f_rho) + zero, d_theta(f_rho) + zero,
+            d_theta(f_theta) + zero)
+
+
 def full_state_sigma_k_table(u_fn, grid, k, refine=4):
-    """The reference for ``problem.tabulate_sigma_k``: the full
-    ``geom.ExtrinsicState`` of the graph u_fn(rho, theta) on a ``refine``
-    times finer grid, its sigma_k on every ``refine``-th theta line, and the
-    rings splined down to ``grid``."""
+    """sigma_k of the graph u_fn(rho, theta) tabulated on a finer grid: the
+    full ``geom.ExtrinsicState`` on a ``refine`` times finer grid, its
+    sigma_k on every ``refine``-th theta line, and the rings splined down to
+    ``grid`` by ``problem.spline_rows``.  Its error against the exact values
+    is the fine grid's truncation error, O((h / refine)^2)."""
     fine = Grid(grid.chart, refine * grid.n_rho, refine * grid.n_theta)
     U = np.broadcast_to(np.asarray(u_fn(fine.rho_col, fine.theta_row), dtype=float), fine.shape)
     vals = geom.extrinsic_state(U, fine).sigma_k(k)

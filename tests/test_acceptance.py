@@ -82,7 +82,8 @@ def _study(u_expr, sizes=(32, 64, 128)):
         result = continuation_solve(spec)
         assert result.converged, f"manufactured solve failed at {n}"
         state = geom.extrinsic_state(result.u, grid)
-        profile = interior_profile(state, spec.phi_field(), grid)
+        lam1 = geom.state_curvatures(state, grid)[0]
+        profile = interior_profile(state, spec.phi_field(), grid, lam1)
         rows.append(
             {
                 "n": n,
@@ -263,11 +264,11 @@ def test_criterion_7_gradient_bound(run_sigma1, run_sigma2, pinned_study, order_
     s1_ref, _ = gradient_constants(2, 0.5, 0.0, 1.0, 1)
     const_ok = abs(s1_ref - (9 + math.sqrt(97)) / 2) <= 1e-10
     bound_ok = True
-    for spec, result, _ in (run_sigma1, run_sigma2):
-        rep = build_report(geom.extrinsic_state(result.u, spec.grid), spec)
-        bound_ok &= rep.gradient_bound_passed
-    for row in (pinned_study[1], order_study[1]):
-        rep = build_report(geom.extrinsic_state(row["u"], row["grid"]), row["spec"])
+    fields = [(spec, result.u) for spec, result, _ in (run_sigma1, run_sigma2)]
+    fields += [(row["spec"], row["u"]) for row in (pinned_study[1], order_study[1])]
+    for spec, u in fields:
+        state = geom.extrinsic_state(u, spec.grid)
+        rep = build_report(state, spec, geom.state_curvatures(state, spec.grid)[0])
         bound_ok &= rep.gradient_bound_passed
     check(7, "lapse bound sup W <= (sup_b W) exp(S2(2 sup|phi| + diam))",
           const_ok and bound_ok,

@@ -74,6 +74,9 @@ BAD_INPUTS = {
     "study_refine": (STUDY, "[study]\ngrids = 8\nrefine = 0\n"),
     "study_not_radial": (STUDY, "[study]\ngrids = 8\nu_star = 1+0.01*cos(theta)\n"),
     "u_star_power_tower": (STUDY, "[study]\ngrids = 8\nu_star = 9**9**9\n"),
+    # sigma_2 > 0 but sigma_1 < 0: outside Gamma_2, though its sigma_2 table is positive
+    "u_star_outside_gamma_k": (STUDY + [("k = 1", "k = 2"), ("rho_max = 0.8", "rho_max = 0.3")],
+                               "[study]\ngrids = 16,32\nu_star = 1 - 0.6*rho**2\n"),
     "fields_row": ([("mode = solve", "mode = verify\nfields_in = {fields}")], ""),
 }
 # the cases whose config does not read, so they leave no manifest
@@ -453,6 +456,47 @@ class TestStudyMode:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_code"] == 0 and manifest["status"] == "study-complete"
 
+    def test_refine_is_ignored_with_a_warning(self, tmp_path):
+        # the key still reads and is range-checked, but psi is exact on each
+        # study grid: the same study with or without it, and one warning
+        text = BASE_CONFIG.replace("mode = solve", "mode = study").replace("k = 1", "k = 2")
+        text += "\n[study]\ngrids = 8,16\nu_star = 1 + 0.05*rho**2 + 0.02*rho**4\n"
+        outs = {}
+        for name, extra in (("plain", ""), ("refine", "refine = 3\n")):
+            outs[name] = tmp_path / name
+            cfg = write_config(tmp_path, text + extra, name=f"{name}.cfg")
+            assert cli.main(["--config", cfg, "--out", str(outs[name])]) == 0
+        for fname in ("study.json", "fields.csv"):
+            assert (outs["plain"] / fname).read_bytes() == (outs["refine"] / fname).read_bytes()
+        assert "refine" not in json.loads((outs["plain"] / "study.json").read_text())
+        warned = [json.loads((outs[name] / "report.json").read_text())["warnings"]
+                  for name in ("plain", "refine")]
+        assert [w for w in warned[0] if "refine" in w] == []
+        assert [w for w in warned[1] if "refine" in w] == [
+            "[study] refine is ignored: psi is computed exactly from the derivatives of "
+            "u_star on each study grid"]
+
+    @pytest.mark.parametrize("mode, tail, calls", [
+        ("solve", "", 1),
+        ("study", "\n[study]\ngrids = 8,12,16\nu_star = 1 + 0.05*rho**2\n", 3),
+    ])
+    def test_one_curvature_call_per_field(self, tmp_path, monkeypatch, mode, tail, calls):
+        # the principal curvatures of a solved field feed both the report and
+        # fields.csv, and are computed once for them
+        from weingarten import geom
+
+        real, seen = geom.state_curvatures, []
+
+        def counted(state, grid):
+            seen.append(grid.shape)
+            return real(state, grid)
+
+        monkeypatch.setattr(geom, "state_curvatures", counted)
+        text = BASE_CONFIG.replace("mode = solve", f"mode = {mode}") + tail
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert len(seen) == calls
+
 
 class TestMain:
     def test_cli_flags(self, tmp_path, capsys):
@@ -555,8 +599,8 @@ class TestMain:
         # fields.csv, report.json or log.txt; stderr names the node
         real_table = cli._field_table
 
-        def nan_table(state, spec):
-            table = real_table(state, spec)
+        def nan_table(state, curvatures, spec):
+            table = real_table(state, curvatures, spec)
             table[3 * 16 + 5, 4] = np.nan  # lambda1 at ring 3, ray 5
             return table
 
@@ -652,7 +696,7 @@ class TestMain:
 
     def test_fields_csv_has_the_bytes_of_savetxt(self, tmp_path):
         # more rows than one formatting block, and a non-radial field
-        from weingarten.geom import extrinsic_state
+        from weingarten.geom import extrinsic_state, state_curvatures
         from weingarten.hchart import Grid, PolarChart
         from weingarten.problem import PhiSpec, ProblemSpec, PsiSpec
 
@@ -661,11 +705,12 @@ class TestMain:
                            phi=PhiSpec("hyperplane", c=1.0))
         rn = g.rho_col / 0.8
         state = extrinsic_state(0.5 * (1.0 + 0.02 * rn ** 2 + 0.01 * np.cos(g.theta_row) * rn), g)
-        table = cli._field_table(state, spec)
+        curvatures = state_curvatures(state, g)
+        table = cli._field_table(state, curvatures, spec)
         assert table.shape[0] > cli._CSV_BLOCK_ROWS
         ref = tmp_path / "savetxt.csv"
         np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=cli._CSV_HEADER, comments="")
-        cli._emit(str(tmp_path), state, spec)
+        cli._emit(str(tmp_path), state, curvatures, spec)
         assert (tmp_path / "fields.csv").read_bytes() == ref.read_bytes()
 
     def test_nonfinite_guard(self):

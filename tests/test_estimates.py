@@ -80,7 +80,7 @@ class TestInteriorProfile:
     def test_degenerate_constant_case(self):
         g = disk()
         st = geom.extrinsic_state(np.full(g.shape, 0.5), g)
-        prof = interior_profile(st, np.full(g.shape, 0.5), g)
+        prof = interior_profile(st, np.full(g.shape, 0.5), g, geom.state_curvatures(st, g)[0])
         assert prof["degenerate"]
         assert not prof["violation"]
 
@@ -94,7 +94,7 @@ class TestInteriorProfile:
         res = continuation_solve(spec)
         assert res.converged
         st = geom.extrinsic_state(res.u, g)
-        prof = interior_profile(st, spec.phi_field(), g)
+        prof = interior_profile(st, spec.phi_field(), g, geom.state_curvatures(st, g)[0])
         assert not prof["violation"]
         assert prof["eta_min"] > 0  # graph hangs strictly below the plane inside
         assert np.isfinite(prof["sup_eta_lam1"])
@@ -107,7 +107,7 @@ class TestInteriorProfile:
         g = disk()
         st = geom.extrinsic_state(np.full(g.shape, 0.5), g)
         phi_low = np.full(g.shape, 0.4)  # phi below u: eta strongly negative
-        prof = interior_profile(st, phi_low, g)
+        prof = interior_profile(st, phi_low, g, geom.state_curvatures(st, g)[0])
         assert prof["violation"]
 
 
@@ -140,7 +140,8 @@ class TestReport:
             phi=PhiSpec("constant", c=1.0),
         )
         res = continuation_solve(spec)
-        rep = build_report(geom.extrinsic_state(res.u, g), spec)
+        st = geom.extrinsic_state(res.u, g)
+        rep = build_report(st, spec, geom.state_curvatures(st, g)[0])
         assert rep.spacelike_gap == 0.0
         assert rep.gradient_bound_passed
         assert rep.support_identity_residual <= 1e-12

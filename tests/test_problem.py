@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import full_state_sigma_k_table
+from oracles import expr_partials, full_state_sigma_k_table
 from weingarten.geom import InvalidGraphError, NotSpacelikeError
 from weingarten.hchart import Grid, PolarChart
 from weingarten.problem import (
@@ -13,9 +13,9 @@ from weingarten.problem import (
     PhiSpec,
     ProblemSpec,
     PsiSpec,
+    _jets,
     manufactured_problem,
     spline_rows,
-    tabulate_sigma_k,
 )
 
 
@@ -149,12 +149,50 @@ class TestProblemSpec:
         assert np.array_equal(row, spec.phi_field()[-1])
 
 
+U_STAR = "1 + 0.05*rho**2 + 0.02*rho**4"
+
+
+def theta_u_star(g):
+    """U_STAR plus terms in theta, smooth through the pole and zero on the
+    outer ring of ``g``, so that the graph is constant there."""
+    b = repr(float(g.rho[-1]))
+    return U_STAR + f" + 0.03*(rho - {b})*(rho + {b})*(rho*cos(theta) + 0.5*rho**2*sin(2*theta))"
+
+
+class TestJets:
+    # the jet's six parts against complex step and Richardson-extrapolated
+    # central differences of the expression itself
+    @pytest.mark.parametrize("text", [
+        U_STAR,
+        "1 + 0.05*rho**2 + 0.03*rho*cos(theta) + 0.02*rho**2*sin(2*theta)",
+        "2**rho",
+        "rho**theta",
+        "(1 + rho**2)/(2 + rho*cos(theta))",
+        "-(rho**3) + -sin(theta)*rho",
+        "cos(sin(rho*theta) + 0.5*rho)",
+        "+rho - 1/(1 + rho**2) + 3",
+        "4",
+    ], ids=["radial", "theta", "2**rho", "rho**theta", "quotient", "unary_minus",
+            "cos_sin", "reciprocal", "constant"])
+    def test_matches_reference(self, text):
+        g = disk(8, 16, rho_max=1.6)
+        expr = Expr(text, variables=("rho", "theta"))
+        jet = _jets(expr, g)
+        got = [np.broadcast_to(part, g.shape) for part in
+               (jet.f, jet.r, jet.t, jet.rr, jet.rt, jet.tt)]
+        want = expr_partials(expr, g.rho_col, g.theta_row)
+        for name, a, b in zip(("f", "f_r", "f_t", "f_rr", "f_rt", "f_tt"), got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        # the value is the expression's own, bit for bit
+        assert np.array_equal(got[0], want[0])
+
+
 class TestTabulation:
     def test_constant_graph_table(self):
-        # sigma_2 of u = 0.5 is 4 everywhere; the spline restriction is exact
+        # sigma_2 of u = 0.5 is 4 everywhere
         g = disk(16, 16)
-        table = tabulate_sigma_k(lambda r, t: 0.5 + 0.0 * (r + t), g, 2)
-        assert np.max(np.abs(table - 4.0)) < 1e-10
+        spec, _ = manufactured_problem("0.5", g, 2)
+        assert np.max(np.abs(spec.psi.table - 4.0)) < 1e-14
 
     def test_quadratic_graph_table_matches_continuum(self):
         # independent high-precision continuum values of sigma_2[1+0.05 rho^2]
@@ -176,56 +214,92 @@ class TestTabulation:
             return (h_rr / (uu ** 2 - ur ** 2)) * (h_tt / (uu ** 2 * s ** 2))
 
         g = disk(16, 8)
-        table = tabulate_sigma_k(lambda r, t: 1 + 0.05 * r ** 2 + 0.0 * t, g, 2)
+        table = manufactured_problem("1 + 0.05*rho**2", g, 2)[0].psi.table
         for i in (0, 5, 10, 15):
             want = float(sigma2_mp(mp.mpf(float(g.rho[i]))))
-            assert table[i, 0] == pytest.approx(want, rel=1e-9)
+            assert table[i, 0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("refine", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("shape", [(8, 8), (12, 16)])
-    @pytest.mark.parametrize("u_fn", [
-        lambda r, t: 1 + 0.05 * r ** 2 + 0.02 * r ** 4 + 0.0 * t,
-        lambda r, t: 1 + 0.05 * r ** 2 + 0.03 * r * np.cos(t) + 0.02 * r ** 2 * np.sin(2 * t),
-    ], ids=["radial", "theta"])
-    def test_matches_full_state_oracle(self, u_fn, shape, k, refine):
-        # sigma_k on the kept theta lines only is the full fine state's, bit for bit
+    @pytest.mark.parametrize("u_star", [lambda g: U_STAR, theta_u_star], ids=["radial", "theta"])
+    def test_matches_full_state_oracle(self, u_star, shape, k, refine):
+        # sigma_k tabulated on a refine times finer grid differs from the exact
+        # psi by that grid's truncation error, O((h / refine)^2): a quarter as
+        # much on a grid twice as fine, away from the outer ring, where the
+        # finer grids' one-sided stencils sit
         g = disk(*shape)
-        want = full_state_sigma_k_table(u_fn, g, k, refine=refine)
-        assert np.array_equal(tabulate_sigma_k(u_fn, g, k, refine=refine), want)
+        text = u_star(g)
+        expr = Expr(text, variables=("rho", "theta"))
+
+        def u_fn(rho, theta):
+            return expr(rho=rho, theta=theta) + 0.0 * (rho + theta)
+
+        psi = manufactured_problem(text, g, k)[0].psi.table
+        gap, gap_finer = (np.abs(psi - full_state_sigma_k_table(u_fn, g, k, refine=r))
+                          for r in (refine, 2 * refine))
+        assert np.max(gap) <= 2.0 * (g.d_rho / refine) ** 2 * np.max(psi)
+        assert 3.5 <= np.max(gap[:-1]) / np.max(gap_finer[:-1]) <= 4.7
 
     def test_manufactured_peak_memory(self):
-        # the fine grid's chart data, not a full state of it: at most 12 arrays
-        # of the 4x grid at peak (the full state took 25)
+        # psi from the study grid's own nodes: the tracemalloc peak is a few
+        # arrays of the 64^2 grid, radial u* or not (the 4x tabulation grid
+        # took about 147)
         g = disk(64, 64)
-        u_star = "1 + 0.05*rho**2 + 0.02*rho**4"
-        manufactured_problem(u_star, g, 2)
-        tracemalloc.start()
-        try:
+        for u_star in (U_STAR, theta_u_star(g)):
             manufactured_problem(u_star, g, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * (4 * 64) ** 2 * 8
+            tracemalloc.start()
+            try:
+                manufactured_problem(u_star, g, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * 64 * 64 * 8, u_star
 
-    def test_fine_grid_guards(self):
-        # every guard runs on every node of the 4x grid, with the state's messages
+    def test_study_grid_guards(self):
+        # the state's guards in its order, on the study grid's nodes
         g = disk(16, 16)
         with pytest.raises(NotSpacelikeError) as exc:
             manufactured_problem("1 + 2*rho**2", g, 2)
-        assert str(exc.value) == ("graph not spacelike at node (i=56, j=0, rho=0.70625, "
-                                  "theta=0): |Du|/u = 1.41421")
-        assert exc.value.node == 56 * 64
+        assert str(exc.value) == ("graph not spacelike at node (i=14, j=0, rho=0.725, "
+                                  "theta=0): |Du|/u = 1.41377")
+        assert exc.value.node == 14 * 16
         with pytest.raises(InvalidGraphError) as exc:
             manufactured_problem("0.5 - rho**2", g, 2)
-        assert str(exc.value) == ("graph function not finite and positive at node (i=57, "
-                                  "j=0, rho=0.71875, theta=0): u = -0.0166015625")
+        assert str(exc.value) == ("graph function not finite and positive at node (i=14, "
+                                  "j=0, rho=0.725, theta=0): u = -0.02562500000000012")
+
+    @pytest.mark.parametrize("k, message", [
+        (1, "manufactured graph not in Gamma_1 at node (i=0, j=0, rho=0.009375, theta=0): "
+            "sigma_1 = -0.400487"),
+        (2, "manufactured graph not in Gamma_2 at node (i=0, j=0, rho=0.009375, theta=0): "
+            "sigma_1 = -0.400487, sigma_2 = 0.0400974"),
+    ])
+    def test_refuses_u_star_outside_gamma_k(self, k, message):
+        # sigma_2 > 0 with sigma_1 < 0: a table of positive sigma_2 would be
+        # accepted, and the solve would converge to a graph with sigma_1 > 0
+        g = disk(16, 16, rho_max=0.3)
+        with pytest.raises(ValueError) as exc:
+            manufactured_problem("1 - 0.6*rho**2", g, k)
+        assert str(exc.value) == message
+
+    def test_refuses_where_sigma_2_fails(self):
+        # sigma_1 > 0 at every node but sigma_2 < 0 on the outer ring: in
+        # Gamma_1, not in Gamma_2
+        g = disk(16, 16)
+        text = "1 + 0.4*rho**2 - 0.3*rho**4"
+        manufactured_problem(text, g, 1)
+        with pytest.raises(ValueError) as exc:
+            manufactured_problem(text, g, 2)
+        assert str(exc.value) == ("manufactured graph not in Gamma_2 at node (i=15, j=0, "
+                                  "rho=0.775, theta=0): sigma_1 = 0.772864, sigma_2 = -0.177977")
 
     def test_manufactured_problem_wiring(self):
         g = disk(16, 16)
         spec, u_star = manufactured_problem("1 + 0.05*rho**2", g, 2)
         assert spec.k == 2
         assert spec.psi.family == "tabulated"
+        assert spec.psi.table.shape == g.shape
         assert spec.phi.family == "constant"
         assert spec.phi.c == pytest.approx(1 + 0.05 * g.rho[-1] ** 2)
         assert u_star.shape == g.shape

@@ -3,8 +3,8 @@ compare two kept sets of them.
 
 Runs the three CLI workloads of ``perfbench/workloads.py`` (configs from
 ``write_configs(name, 3, dir)``), two non-radial 96^2 hyperplane solves, one
-staged 24^2 solve, one 24^2 solve that fails a gate and one k = 1 study on a
-2x tabulation grid, with ``OMP_NUM_THREADS=1``, then digests the fields.csv,
+staged 24^2 solve, one 24^2 solve that fails a gate and one k = 1 study,
+with ``OMP_NUM_THREADS=1``, then digests the fields.csv,
 report.json and study.json each run writes: 19 files (verify mode writes no
 fields.csv).
 The staged solve (k = 1, psi = 0.3, hyperplane phi, rho_max 3.2) refuses
@@ -12,9 +12,10 @@ its carried start on 24^2 and steps t there, so the continuation in the data
 is digested too; every other solve converges in its direct attempts.  The
 failing one (k = 1, psi_p = 1, psi_h = 2*(1+0.3*rho*sin(theta)), hyperplane
 phi, rho_max 3.0) finds no order-2 barrier, so it exits 3 and the failed-gate
-report is digested too.  The second study (k = 1, ``refine = 2``, rho_max
-1.2, grids 16, 32, 64, u* = 1 + 0.05 rho^2 + 0.02 rho^4) covers the order
-and the tabulation factor that ``study-k2`` does not.  Two checkouts agree
+report is digested too.  The second study (k = 1, rho_max 1.2, grids 16,
+32, 64, u* = 1 + 0.05 rho^2 + 0.02 rho^4) covers the curvature order and
+the radius that ``study-k2`` does not; its config sets the ignored
+``refine = 2``, so the warning that key draws is digested too.  Two checkouts agree
 byte for byte when their outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
 into DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
 two kept sets and prints, per artifact, its ``newton_total`` leaves and the
