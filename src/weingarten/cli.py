@@ -80,23 +80,31 @@ _SCHEMA = {
 }
 
 
+def _run_key(key):
+    """A [run] key as an attribute.  Setting it writes ``raw``, so a
+    command-line override lands where the manifest echoes the config."""
+    return property(lambda rc: rc.get("run", key),
+                    lambda rc, value: rc.set("run", key, value))
+
+
 @dataclasses.dataclass
 class RunConfig:
     raw: dict
     path: str
-    # the [run] keys that command-line flags override
-    mode: str = dataclasses.field(init=False)
-    out_dir: str = dataclasses.field(init=False)
-    seed: int = dataclasses.field(init=False)
     warnings: list = dataclasses.field(default_factory=list)
 
-    def __post_init__(self):
-        self.mode, self.out_dir, self.seed = (
-            self.get("run", key) for key in ("mode", "out_dir", "seed"))
+    # the [run] keys that command-line flags override
+    mode = _run_key("mode")
+    out_dir = _run_key("out_dir")
+    seed = _run_key("seed")
 
     def get(self, section, key):
         """The key's value, or its schema default when the config omits it."""
         return self.raw.get(section, {}).get(key, _SCHEMA[section][key][1])
+
+    def set(self, section, key, value):
+        """Override a key, as the run and its manifest then read it."""
+        self.raw.setdefault(section, {})[key] = value
 
 
 def _parse_value(kind, text, where):
@@ -647,8 +655,8 @@ def main(argv=None) -> int:
                 nr, nt = (int(s) for s in args.grid.lower().split("x"))
             except ValueError:
                 raise ConfigError(f"--grid must look like 64x64, got {excerpt(args.grid)}")
-            rc.raw["problem"]["n_rho"] = nr
-            rc.raw["problem"]["n_theta"] = nt
+            rc.set("problem", "n_rho", nr)
+            rc.set("problem", "n_theta", nt)
         _validate_problem(rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -66,12 +66,6 @@ def _check_graph(U: np.ndarray, grid: Grid):
         )
 
 
-def _induced_metric(u, u_rho, u_theta, s2):
-    """g_ij = u^2 sigma_ij - u_i u_j as an (rr, rt, tt) triple, with s2 =
-    sinh(rho)^2 the chart metric's theta-theta entry."""
-    return u ** 2 - u_rho ** 2, -u_rho * u_theta, u ** 2 * s2 - u_theta ** 2
-
-
 def _metric_det(g_rr, g_rt, g_tt):
     return g_rr * g_tt - g_rt ** 2
 
@@ -109,7 +103,7 @@ def graph_geometry(u, u_rho, u_theta, H_rr, H_rt, H_tt, sinh_rho):
     """
     s2 = sinh_rho ** 2
     v = np.sqrt(1.0 - (u_rho ** 2 + (u_theta / sinh_rho) ** 2) / u ** 2)
-    g = _induced_metric(u, u_rho, u_theta, s2)
+    g = (u ** 2 - u_rho ** 2, -u_rho * u_theta, u ** 2 * s2 - u_theta ** 2)
     h = (
         (H_rr + u - 2.0 * u_rho ** 2 / u) / v,
         (H_rt - 2.0 * u_rho * u_theta / u) / v,

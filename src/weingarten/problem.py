@@ -196,9 +196,9 @@ class PsiSpec:
             return bool(np.ptp(self.table) == 0.0)
         return self.p == 0.0 and self.h.is_constant
 
-    def evaluate(self, rho, theta, u, support, check: bool = True) -> np.ndarray:
-        """Evaluate psi; accepts complex inputs when ``check`` is off (the
-        tests' reference Jacobian differentiates it by complex step)."""
+    def evaluate(self, rho, theta, u, support) -> np.ndarray:
+        """psi at the given points; raises ValueError unless every value is
+        finite and positive."""
         if self.family == "tabulated":
             vals = self.table + 0.0 * np.asarray(u)
         else:
@@ -209,10 +209,9 @@ class PsiSpec:
                     vals = support ** self.p * hv
                 else:
                     vals = np.exp(self.p * support) * hv
-        if check:
-            vals = np.asarray(vals, dtype=float)
-            if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-                raise ValueError("psi must stay finite and strictly positive")
+        vals = np.asarray(vals, dtype=float)
+        if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
+            raise ValueError("psi must stay finite and strictly positive")
         return vals
 
     def partials(self, rho, theta, u, support):

@@ -21,14 +21,15 @@ the constant graph :func:`constant_guess`: u = c is umbilic with curvature
 
 The continuation runs coarse to fine: the homotopy driver runs on each grid
 of a halving chain (both counts halve while n_rho is even, n_theta is
-divisible by 4 and at least 8, and at least 10 rings remain), and each
-level's solution is carried to the next grid as its start.  Discrete
-solutions on successive grids differ by O(h^2), so a carried solution starts
-inside Newton's quadratic basin, and the direct attempt on a finer grid
-needs two or three iterations; a carried start that fails it steps t on its
-own level.  A tabulated psi exists on one grid only, so its chain has one
-level.  The first level that fails ends the solve.  Each step of the solve
-records its grid, and the iteration total sums all levels.
+divisible by 4 and at least 8, and at least 10 rings remain).  The
+coarsest level starts from the constant graph, and each level's solution is
+carried to the next grid as its start.  Discrete solutions on successive
+grids differ by O(h^2), so a carried solution starts inside Newton's
+quadratic basin, and the direct attempt on a finer grid needs two or three
+iterations; a carried start that fails it steps t on its own level.  A
+tabulated psi exists on one grid only, so its chain has one level.  The
+first level that fails ends the solve.  Each step of the solve records its
+grid, and the iteration total sums all levels.
 
 The production Jacobian is the analytic linearisation: the residual is a
 node-local function of (u, u_rho, u_theta, and the covariant Hessian
@@ -100,9 +101,7 @@ __all__ = [
     "assemble_jacobian",
     "linear_solve",
     "damped_newton",
-    "harmonic_extension",
     "constant_guess",
-    "build_initial_guess",
     "continuation_solve",
     "solve_upper_barrier",
     "solve_lower_barrier",
@@ -439,43 +438,16 @@ def damped_newton(u0, spec: ProblemSpec, max_iters: int = _MAX_NEWTON_ITERS,
     return NewtonReport(u, "converged", iterations, rnorm)
 
 
-# --- initial guesses ----------------------------------------------------------
-
-
-def harmonic_extension(spec: ProblemSpec) -> np.ndarray:
-    """Discrete harmonic extension of the boundary data (constant data short-
-    circuits to the exact constant field)."""
-    grid = spec.grid
-    if spec.phi.family == "constant":
-        return np.full(grid.shape, spec.phi.c)
-    b = np.zeros(grid.shape)
-    b[-1, :] = spec.boundary_values()
-    return _laplace_solve(grid, b)
+# --- the constant start --------------------------------------------------------
 
 
 def constant_guess(spec: ProblemSpec) -> np.ndarray:
-    return np.full(spec.grid.shape, float(np.mean(spec.boundary_values())))
-
-
-# Lifts of the harmonic extension tried before the constant fallback.
-_GUESS_LIFTS = 8
-
-
-def build_initial_guess(spec: ProblemSpec) -> np.ndarray:
-    """Harmonic extension of phi, lifted by constants until mean-curvature
-    admissible; constant fallback when the lift does not take."""
-    grid = spec.grid
-    u = harmonic_extension(spec)
-    shift = 0.25 * max(1.0, float(np.mean(np.abs(u))))
-    for _ in range(_GUESS_LIFTS):
-        try:
-            state = geom.extrinsic_state(u, grid)
-            if np.all(state.sigma1[grid.interior_mask] > 0.0):
-                return u
-        except (geom.NotSpacelikeError, geom.InvalidGraphError):
-            pass
-        u = u + shift
-    return constant_guess(spec)
+    """The constant graph at the mean of the boundary data: umbilic with
+    curvature 1/c, so in every cone, and equal to phi bit for bit when phi
+    takes one value on the boundary ring (a plain mean of n equal floats can
+    miss it by an ulp)."""
+    b = spec.boundary_values()
+    return np.full(spec.grid.shape, float(b[0] + np.mean(b - b[0])))
 
 
 # --- continuation --------------------------------------------------------------
@@ -558,12 +530,13 @@ def continuation_solve(spec: ProblemSpec, initial_guess=None) -> SolveResult:
 
     The homotopy driver (:func:`_homotopy_solve`) runs on every grid of
     :func:`_grid_chain`, coarsest first: from ``initial_guess(level)`` on the
-    coarsest grid (default :func:`build_initial_guess`), and from the previous
-    level's solution carried up (:func:`_carry`) on each finer one.  The first
-    level that does not converge ends the solve with its own status, its
-    detail prefixed with its grid.
+    coarsest grid (default the constant graph :func:`constant_guess`, which
+    the guard refuses only when psi does), and from the previous level's
+    solution carried up (:func:`_carry`) on each finer one.  The first level
+    that does not converge ends the solve with its own status, its detail
+    prefixed with its grid.
     """
-    start = initial_guess or build_initial_guess
+    start = initial_guess or constant_guess
     steps, total, result = [], 0, None
     for n_rho, n_theta in _grid_chain(spec):
         # rebinding level drops the coarser grid before the finer solve
@@ -709,8 +682,9 @@ class UniquenessReport:
 
 def _probe_start(c):
     """The probe start with bump coefficients ``c``, as a function of a
-    level's ProblemSpec: the initial guess times 1 + a bump that is a closed
-    form in (rho / rho_max, theta), so every level gets the same bump."""
+    level's ProblemSpec: the constant graph :func:`constant_guess` times
+    1 + a bump that is a closed form in (rho / rho_max, theta), so every
+    level gets the same bump."""
     def start(level: ProblemSpec) -> np.ndarray:
         grid = level.grid
         rn = grid.rho_col / grid.chart.rho_max
@@ -719,7 +693,7 @@ def _probe_start(c):
             + c[1] * rn ** 2
             + (c[2] * np.cos(grid.theta_row) + c[3] * np.sin(grid.theta_row)) * rn
         )
-        return build_initial_guess(level) * (1.0 + _PROBE_AMPLITUDE * bump)
+        return constant_guess(level) * (1.0 + _PROBE_AMPLITUDE * bump)
     return start
 
 

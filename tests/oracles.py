@@ -2,14 +2,16 @@
 vector at a time, the chart's stencils written out as sparse matrices, the
 Laplace-Beltrami operator from the array stencils, the Laplace system from
 the stencil matrices and its solve by a Thomas sweep over the rings, the
-residual's node-local map sigma_k - psi with its partials by complex step,
-the Jacobian as a weighted sum of stencil matrices, an expression's partials
+residual's node-local map sigma_k - psi (psi from its parts) with its
+partials by complex step, the Jacobian as a weighted sum of stencil
+matrices, an expression's partials
 to second order by complex step and Richardson-extrapolated central
 differences, sigma_k tabulated from the full state of a finer grid, the
 report's curvature quantities
 built beside the state as the full state once held them, and the graph's
 points, tangents and unit normal as vectors in Minkowski R^3, <a, b> =
-a1 b1 + a2 b2 - a3 b3."""
+a1 b1 + a2 b2 - a3 b3; and a problem with an exact non-radial solution, the
+off-centre hyperboloid, whose boundary data depend on theta."""
 
 import dataclasses
 
@@ -20,7 +22,7 @@ from weingarten import geom
 from weingarten.hchart import (
     Grid, covariant_gradient, covariant_hessian, partial_rho, partial_rho2, partial_theta2,
 )
-from weingarten.problem import spline_rows
+from weingarten.problem import PhiSpec, ProblemSpec, PsiSpec, spline_rows
 
 
 def matrix_from_columns(column, n: int) -> sp.csc_matrix:
@@ -175,13 +177,25 @@ def thomas_laplace_solve(grid, b):
 CS_EPS = 1e-30
 
 
+def psi_values(psi, rho, theta, u, support):
+    """psi of each family from its parts ``psi.h``, ``psi.p`` and
+    ``psi.table``, with no cast or positivity check, so it also takes
+    complex input (``PsiSpec.evaluate`` returns float64)."""
+    if psi.family == "tabulated":
+        return psi.table + 0.0 * u
+    hv = psi.h(rho=rho, theta=theta, u=u)
+    if psi.family == "power":
+        return support ** psi.p * hv
+    return np.exp(psi.p * support) * hv
+
+
 def local_residual(spec, u, u_r, u_t, H_rr, H_rt, H_tt):
     """The residual sigma_k - psi as a node-local (complex-analytic) function
     of the six chart quantities, from ``geom.graph_geometry`` and psi."""
     grid = spec.grid
     v, _, _, sigma1, sigma2 = geom.graph_geometry(u, u_r, u_t, H_rr, H_rt, H_tt, grid.sinh_rho)
     sig = sigma1 if spec.k == 1 else sigma2
-    return sig - spec.psi.evaluate(grid.rho_col, grid.theta_row, u, u / v, check=False)
+    return sig - psi_values(spec.psi, grid.rho_col, grid.theta_row, u, u / v)
 
 
 def jacobian_weights(state, spec):
@@ -348,3 +362,35 @@ def ambient_normal(rho, theta, u, u_rho, u_theta, v):
     up_r = u_rho
     up_t = u_theta / s2
     return (x + (up_r * x_r + up_t * x_t) / u) / v
+
+
+@dataclasses.dataclass
+class HyperboloidProblem(ProblemSpec):
+    """The Dirichlet problem solved by the hyperboloid <X - P, X - P> = -r^2
+    centred at P = (p, 0, 0): its radial graph is u = -q + sqrt(q^2 + p^2 +
+    r^2), q = p sinh(rho) cos(theta), and it is umbilic with every principal
+    curvature 1/r.  phi is that u, on the boundary ring and over the grid,
+    so it depends on theta; the ``phi`` field is not read for values.  Its
+    family (hyperplane, not constant) gives the solver the tolerance of
+    non-constant data."""
+
+    p: float = 0.3
+    r: float = 1.0
+
+    def exact(self, rho, theta):
+        q = self.p * np.sinh(rho) * np.cos(theta)
+        return -q + np.sqrt(q * q + self.p ** 2 + self.r ** 2)
+
+    def phi_field(self) -> np.ndarray:
+        return self.exact(self.grid.rho_col, self.grid.theta_row)
+
+    def boundary_values(self) -> np.ndarray:
+        return self.exact(self.grid.rho[-1], self.grid.theta)
+
+
+def hyperboloid_problem(grid, k, p=0.3, r=1.0) -> HyperboloidProblem:
+    """sigma_k = psi with psi the hyperboloid's constant sigma_k: 2/r for
+    k = 1, 1/r^2 for k = 2."""
+    psi = PsiSpec("power", p=0.0, h=2.0 / r if k == 1 else 1.0 / r ** 2)
+    return HyperboloidProblem(grid=grid, k=k, psi=psi, phi=PhiSpec("hyperplane", c=1.0),
+                              p=p, r=r)

@@ -512,6 +512,25 @@ class TestMain:
         assert cli.main(["--config", cfg, "--grid", "16by16", "--out", str(out)]) == 2
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
+    def test_manifest_echoes_the_flags(self, tmp_path):
+        # the probe's starts come from the seed, so the manifest's config is
+        # the run's: the flags' seed and output directory, not the file's.
+        # Written back as a config file, it reproduces report.json.
+        out_a, out_b, out_c = (tmp_path / name for name in "abc")
+        text = BASE_CONFIG.replace("seed = 0", f"out_dir = {out_a}\nuniqueness_starts = 2")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["--config", cfg, "--seed", "5", "--out", str(out_b)]) == 0
+        assert not out_a.exists()
+        config = json.loads((out_b / "manifest.json").read_text())["config"]
+        assert config["run"] == {"mode": "solve", "out_dir": str(out_b), "seed": 5,
+                                 "uniqueness_starts": 2}
+        config["run"]["out_dir"] = str(out_c)
+        echo = write_config(tmp_path, "".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for section, keys in config.items()), name="echo.cfg")
+        assert cli.main(["--config", echo]) == 0
+        assert (out_c / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
     def test_negative_seed_flag_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "cli_out"
         text = BASE_CONFIG.replace("seed = 0", "seed = 0\nuniqueness_starts = 1")

@@ -14,11 +14,9 @@ from weingarten.solver import (
     assemble_jacobian,
     assemble_residual,
     barrier_sandwich_check,
-    build_initial_guess,
     constant_guess,
     continuation_solve,
     damped_newton,
-    harmonic_extension,
     solve_lower_barrier,
     solve_upper_barrier,
     uniqueness_probe,
@@ -451,28 +449,38 @@ class TestDampedNewton:
 
 
 class TestInitialGuess:
-    def test_constant_data_shortcut(self):
-        g = disk()
-        spec = mean_curvature_problem(g)
-        u = harmonic_extension(spec)
-        assert np.all(u == 1.0)
-
     def test_hyperplane_extension_is_discrete_harmonic(self):
+        # the Laplace solve of the boundary row, as the carry's boundary
+        # correction runs it
         g = disk()
         spec = ProblemSpec(grid=g, k=2, psi=PsiSpec("power", p=2.0, h="1"),
                            phi=PhiSpec("hyperplane", c=0.6))
-        u = harmonic_extension(spec)
+        b = np.zeros(g.shape)
+        b[-1] = spec.boundary_values()
+        u = solver._laplace_solve(g, b)
         assert np.allclose(u[-1, :], spec.boundary_values())
         lap = laplace_beltrami(u, g)
         assert np.max(np.abs(lap[g.interior_mask])) < 1e-9
 
-    def test_initial_guess_mean_curvature_admissible(self):
+    def test_constant_guess_is_exact_for_constant_data(self):
+        # a plain np.mean of twelve copies of 0.3 misses 0.3 by an ulp
+        spec = mean_curvature_problem(disk(12, 12), c=0.3)
+        assert np.all(constant_guess(spec) == 0.3)
+
+    def test_constant_guess_is_umbilic(self):
+        # sigma_1 = 2/c and sigma_2 = 1/c^2 at every interior node, so the
+        # start lies in every cone.  (On the Dirichlet ring, which the guard
+        # does not judge, the one-sided rho stencils of a constant leave
+        # round-off / h^2.)
         g = disk()
-        spec = ProblemSpec(grid=g, k=2, psi=PsiSpec("power", p=2.0, h="1"),
-                           phi=PhiSpec("hyperplane", c=0.6))
-        u = build_initial_guess(spec)
-        st = geom.extrinsic_state(u, g)
-        assert np.all(st.sigma1[g.interior_mask] > 0)
+        for phi in (PhiSpec("constant", c=0.3), PhiSpec("hyperplane", c=0.6)):
+            spec = ProblemSpec(grid=g, k=2, psi=PsiSpec("power", p=2.0, h="1"), phi=phi)
+            u = constant_guess(spec)
+            c = u[0, 0]
+            st = geom.extrinsic_state(u, g)
+            inside = g.interior_mask
+            assert np.allclose(st.sigma1[inside], 2.0 / c, rtol=1e-14, atol=0.0)
+            assert np.allclose(st.sigma2[inside], 1.0 / c ** 2, rtol=1e-14, atol=0.0)
 
 
 class TestContinuation:
@@ -499,6 +507,19 @@ class TestContinuation:
             assert res.converged
             errs.append(np.max(np.abs(res.u - u_star)))
         assert errs[0] / errs[1] > 3.4
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_off_centre_hyperboloid_from_the_constant_start(self, k):
+        # theta-dependent boundary data with a known answer: both grids
+        # converge from the constant graph, and the sup error falls at
+        # second order (7.92e-4 -> 2.01e-4 for both k)
+        errors = []
+        for n in (32, 64):
+            spec = oracles.hyperboloid_problem(disk(n, n, 2.4), k)
+            res = continuation_solve(spec)
+            assert res.converged, res.detail
+            errors.append(np.max(np.abs(res.u - spec.phi_field())))
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
 
     def test_staged_fallback_reaches_target(self, monkeypatch):
         # forcing the solve down the staged path on every level (no direct
@@ -579,8 +600,8 @@ def hyperplane_problem(n, k, p, h, rho_max=0.8):
 
 def single_level(spec):
     """:func:`solver._homotopy_solve` on the spec's own grid alone, from
-    the initial guess."""
-    return solver._homotopy_solve(spec, build_initial_guess(spec))
+    the constant graph."""
+    return solver._homotopy_solve(spec, constant_guess(spec))
 
 
 class TestCoarseToFine:
@@ -628,11 +649,14 @@ class TestCoarseToFine:
 
     def test_carry_meets_the_boundary_data(self):
         # a constant carries to itself, so the boundary correction is all of
-        # phi - 1 and the carried field is phi's harmonic extension
+        # phi - 1 and the carried field is the Laplace solve of phi's
+        # boundary row
         spec = hyperplane_problem(24, 1, 0, "2")
         carried = solver._carry(np.ones((12, 12)), spec)
         assert np.max(np.abs(carried[-1] - spec.boundary_values())) <= 1e-15
-        assert np.max(np.abs(carried - harmonic_extension(spec))) <= 1e-14
+        b = np.zeros(spec.grid.shape)
+        b[-1] = spec.boundary_values()
+        assert np.max(np.abs(carried - solver._laplace_solve(spec.grid, b))) <= 1e-14
 
     def test_radial_staged_matches_single_level(self, monkeypatch):
         # the continuation-k2-80 problem at 48^2 on a wider disk: the 12^2
@@ -743,7 +767,7 @@ class TestCoarseToFine:
             g = level.grid
             rn = g.rho_col / 0.8
             bump = 0.5 - rn ** 2 + (2.0 * np.cos(g.theta_row) + 0.3 * np.sin(g.theta_row)) * rn
-            assert np.allclose(start(level), build_initial_guess(level) * (1.0 + 0.01 * bump),
+            assert np.allclose(start(level), constant_guess(level) * (1.0 + 0.01 * bump),
                                rtol=1e-15, atol=0.0)
 
 

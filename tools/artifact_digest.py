@@ -18,9 +18,10 @@ the radius that ``study-k2`` does not; its config sets the ignored
 ``refine = 2``, so the warning that key draws is digested too.  Two checkouts agree
 byte for byte when their outputs compare equal with ``diff``.  ``--keep DIR`` also copies the files
 into DIR, under the same names as in the JSON.  ``--compare DIR_A DIR_B`` reads
-two kept sets and prints, per artifact, its ``newton_total`` leaves and the
-largest |A - B| of each fields.csv column and of each numeric leaf of
-report.json and study.json that differs.
+two kept sets and prints, per artifact of either set, its ``newton_total``
+leaves and the largest |A - B| of each fields.csv column and of each numeric
+leaf of report.json and study.json that differs, or the set it is missing
+in.
 
     python3 tools/artifact_digest.py OUT.json [--keep DIR]
     python3 tools/artifact_digest.py --compare DIR_A DIR_B
@@ -144,13 +145,17 @@ def _compare_fields(path_a, path_b):
 
 
 def compare(dir_a, dir_b):
-    names = []
-    for root, _, files in os.walk(dir_a):
-        names += [os.path.relpath(os.path.join(root, f), dir_a) for f in files if f in ARTIFACTS]
+    names = set()
+    for top in (dir_a, dir_b):
+        for root, _, files in os.walk(top):
+            names |= {os.path.relpath(os.path.join(root, f), top)
+                      for f in files if f in ARTIFACTS}
     for name in sorted(names):
         path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
         print(name)
-        if not os.path.exists(path_b):
+        if not os.path.exists(path_a):
+            print("  missing in", dir_a)
+        elif not os.path.exists(path_b):
             print("  missing in", dir_b)
         elif name.endswith(".csv"):
             _compare_fields(path_a, path_b)
